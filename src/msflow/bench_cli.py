@@ -160,10 +160,16 @@ BENCH_BOXES_3D = [((2 / 32, 0.0, 10 / 32), (30 / 32, 1.0, 12 / 32)),
                   ((4 / 32, 5 / 32, 18 / 32), (28 / 32, 7 / 32, 20 / 32))]
 
 
-def bench_field(dims, exponent) -> PermeabilityField:
-    """The fixed channel-and-bar field used by the table protocols."""
+def bench_field(dims, exponent, seed=0) -> PermeabilityField:
+    """The channel-and-bar field used by the table protocols.
+
+    Seed 0 is the fixed layout; any other seed adds three seeded random
+    inclusions of the same contrast.
+    """
     boxes = BENCH_BOXES_2D if len(dims) == 2 else BENCH_BOXES_3D
-    return synth_field(0, dims, FieldSpec(exponent=exponent, boxes=boxes))
+    spec = FieldSpec(exponent=exponent, boxes=boxes,
+                     n_random=3 if seed else 0)
+    return synth_field(seed, dims, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +219,6 @@ class ExperimentConfig:
     overlap: int = 2
     rtol: float = 1e-7
     seed: int = 0
-    threads: int = 1
     out: str = "."
     # two-phase block
     steps: int = 200
@@ -273,7 +278,7 @@ _CONVERTERS = {
     "layers": lambda s: tuple(int(p) for p in s.split(":")),
     "tol": float, "eta": float, "rtol": float, "dt": float,
     "mu_w": float, "mu_o": float, "porosity": float, "rate": float,
-    "m1": int, "m2": int, "overlap": int, "seed": int, "threads": int,
+    "m1": int, "m2": int, "overlap": int, "seed": int,
     "steps": int, "pressure_interval": int,
     "field": str, "layout": str, "out": str,
 }
@@ -355,7 +360,7 @@ def run_robustness_sweep(config: ExperimentConfig) -> RunReport:
     rows = []
     for k in config.contrasts:
         if config.field == "synth":
-            field = bench_field(config.grid, k)
+            field = bench_field(config.grid, k, seed=config.seed)
         else:
             field = config.load_field()
         for kind in config.spaces:
@@ -372,7 +377,7 @@ def run_comparison(config: ExperimentConfig) -> RunReport:
     grid = mesh.build_grid(config.grid, config.coarse)
     contrast = config.contrasts[0] if config.contrasts else 0.0
     if config.field == "synth":
-        field = bench_field(config.grid, contrast)
+        field = bench_field(config.grid, contrast, seed=config.seed)
     else:
         field = config.load_field()
     rows = []
@@ -390,7 +395,7 @@ def run_two_phase(config: ExperimentConfig) -> dict:
     # uniform rock unless the config pins a single contrast exponent
     contrast = config.contrasts[0] if len(config.contrasts) == 1 else 0.0
     if config.field == "synth":
-        field = bench_field(config.grid, contrast)
+        field = bench_field(config.grid, contrast, seed=config.seed)
     else:
         field = config.load_field()
     fluid = FluidModel(mu_w=config.mu_w, mu_o=config.mu_o)
@@ -447,7 +452,6 @@ def _add_common(parser):
     parser.add_argument("--overlap", help="oversampling layers")
     parser.add_argument("--rtol", help="PCG relative tolerance")
     parser.add_argument("--seed", help="synthetic field seed")
-    parser.add_argument("--threads", help="thread budget hint")
     parser.add_argument("--out", help="output directory")
 
 
@@ -476,7 +480,6 @@ def main(argv=None) -> int:
                 and "spaces" not in file_values:
             overrides["spaces"] = ("gmsfem", "msfem", "rt0")
         config = build_config(file_values, overrides)
-        os.environ.setdefault("OMP_NUM_THREADS", str(config.threads))
         mesh.build_grid(config.grid, config.coarse)  # validates divisibility
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

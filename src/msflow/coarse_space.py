@@ -91,15 +91,6 @@ class CoarseBasis:
         return self.n_velocity_modes + self.n_pressure_modes
 
 
-def factorized_block_saddles(grid, operators, overlap: int = 0):
-    """Direct saddle solver per coarse block.
-
-    overlap=0 gives the plain blocks used by preprocessing and snapshot
-    solves; a positive overlap grows each block by that many fine-cell
-    layers (smoother subdomains)."""
-    return mixed_fem.block_solvers(grid, operators, overlap=overlap)
-
-
 def _block_trace_solve(grid, operators, solver, e_ids, trace):
     """Solve one block's Neumann problem with prescribed normal trace.
 
@@ -140,7 +131,7 @@ def snapshot_face(grid, operators, face, block_solvers=None) -> SnapshotFamily:
     eye = np.eye(J)
     dof_parts, val_parts = [], []
     if block_solvers is None:
-        block_solvers = factorized_block_saddles(grid, operators)
+        block_solvers = mixed_fem.block_solvers(grid, operators)
     for block in face.blocks:
         solver = block_solvers[block]
         v = _block_trace_solve(grid, operators, solver, e_ids, eye)
@@ -284,7 +275,7 @@ def build_msfem_space(grid, field, operators=None) -> CoarseBasis:
     """
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
-    solvers = factorized_block_saddles(grid, operators)
+    solvers = mixed_fem.block_solvers(grid, operators)
     columns = []
     for face in mesh.coarse_faces(grid):
         e_ids = face.fine_faces
@@ -309,7 +300,7 @@ def build_gmsfem_space(grid, field, operators=None, tol: float = 10.0) -> Coarse
     eigenvalue at most `tol` (at least one)."""
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
-    solvers = factorized_block_saddles(grid, operators)
+    solvers = mixed_fem.block_solvers(grid, operators)
     columns = []
     selections = []
     counts = []

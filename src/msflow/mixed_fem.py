@@ -14,6 +14,7 @@ divergence free and column sums vanish (interior faces only).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,6 +285,13 @@ class _BoxFactor:
 
     Instances depend on the box shape and cell coefficients only, so
     identical blocks (uniform background) share one factor.
+
+    The line factors carry a block axis, shaped (lines, nblocks, len),
+    and right-hand sides are (rows, k) with column j solved on block j.
+    A factor built for one box has nblocks = 1, which broadcasts over
+    any number of columns; `stack` joins same-shape factors so that one
+    `solve_core` call solves one column per box.  The smoother and
+    preprocessing run one such batched solve per box shape.
     """
 
     def __init__(self, grid, shape, coeff_box: np.ndarray):
@@ -297,24 +305,31 @@ class _BoxFactor:
         w = (vol / np.asarray(coeff_box, dtype=float)).reshape(
             self.shape, order="F")
 
-        self.axis_counts = []
+        # per axis: local (cell, velocity) indices laid out as
+        # (lines, len), velocities numbered axis by axis in F order
+        self._lines = []
         self._tri = []
-        self._line_shape = []
         cell_idx = np.arange(self.n_cells).reshape(self.shape, order="F")
         rows, cols, data = [], [], []
+        start = 0
         for a in range(self.dim):
             s = self.shape[a]
             if s < 2:
-                self.axis_counts.append(0)
+                self._lines.append(None)
                 self._tri.append(None)
-                self._line_shape.append(None)
                 continue
-            w_lines = np.moveaxis(w, a, -1).reshape(-1, s)
-            diag = (w_lines[:, :-1] + w_lines[:, 1:]) / 3.0
-            off = w_lines[:, 1:-1] / 6.0
+            w_lines = np.moveaxis(w, a, -1).reshape(-1, 1, s)
+            diag = (w_lines[..., :-1] + w_lines[..., 1:]) / 3.0
+            off = w_lines[..., 1:-1] / 6.0
             l, e = _tridiag_factor(diag, off)
             self._tri.append((l, e, diag, off))
-            self.axis_counts.append(w_lines.shape[0] * (s - 1))
+            ids = np.moveaxis(cell_idx, a, -1).reshape(-1, s)
+            face_shape = self.shape[:a] + (s - 1,) + self.shape[a + 1:]
+            n_a = int(np.prod(face_shape))
+            faces = start + np.arange(n_a).reshape(face_shape, order="F")
+            faces = np.moveaxis(faces, a, -1).reshape(-1, s - 1)
+            self._lines.append((ids, faces))
+            start += n_a
 
             # Schur contribution: dense (s x s) block per line
             area = self.areas[a]
@@ -322,16 +337,15 @@ class _BoxFactor:
             G[np.arange(s - 1), np.arange(s - 1)] = area
             G[np.arange(1, s), np.arange(s - 1)] = -area
             rhs = np.broadcast_to(G.T, (w_lines.shape[0], s - 1, s))
-            X = _tridiag_solve(l[:, None, :], e[:, None, :],
+            X = _tridiag_solve(l, e,
                                np.ascontiguousarray(rhs.transpose(0, 2, 1))
                                ).transpose(0, 2, 1)
             D = np.einsum("cf,lfg->lcg", G, X)
-            ids = np.moveaxis(cell_idx, a, -1).reshape(-1, s)
             rows.append(np.broadcast_to(ids[:, :, None], D.shape).ravel())
             cols.append(np.broadcast_to(ids[:, None, :], D.shape).ravel())
             data.append(D.ravel())
 
-        self.n_velocity = int(sum(self.axis_counts))
+        self.n_velocity = start
         n = self.n_cells
         if data:
             S = sparse.coo_matrix(
@@ -341,94 +355,81 @@ class _BoxFactor:
         else:
             S = sparse.csc_matrix((n, n))
         ones = np.ones((n, 1))
-        self._schur = factor_matrix(
-            sparse.bmat([[S, ones], [ones.T, None]], format="csc"))
+        # (Schur factorization, the right-hand side columns it solves)
+        self._schurs = [(factor_matrix(
+            sparse.bmat([[S, ones], [ones.T, None]], format="csc")),
+            slice(None))]
 
-    def _to_lines(self, flat, a, length, k):
-        """(count, k) flat F-order field -> (lines, k, length)."""
-        dims = list(self.shape)
-        dims[a] = length
-        arr = flat.reshape(tuple(dims) + (k,), order="F")
-        arr = np.moveaxis(arr, a, -1)
-        return np.ascontiguousarray(arr.reshape(-1, k, length))
+    @classmethod
+    def stack(cls, factors):
+        """One factor solving column j on the box of `factors[j]`.
 
-    def _from_lines(self, lines, a, length, k):
-        dims = list(self.shape)
-        dims[a] = length
-        lead = tuple(d for i, d in enumerate(dims) if i != a)
-        arr = lines.reshape(lead + (k, length))
-        arr = np.moveaxis(arr, -1, a)
-        return arr.reshape(-1, k, order="F")
+        The factors are single-box ones of one shape.  Line factors are
+        concatenated along the block axis; columns whose boxes share a
+        factor are solved with one multi-column Schur solve.
+        """
+        first = factors[0]
+        if any(f.shape != first.shape for f in factors):
+            raise ValueError("stacked box factors must share one shape")
+        out = copy.copy(first)
+        out._tri = [None if tri is None else tuple(
+            np.concatenate([f._tri[a][i] for f in factors], axis=1)
+            for i in range(len(tri))) for a, tri in enumerate(first._tri)]
+        columns = {}
+        for j, f in enumerate(factors):
+            columns.setdefault(id(f), (f, []))[1].append(j)
+        out._schurs = [(schur, np.array(cols))
+                       for f, cols in columns.values()
+                       for schur, _ in f._schurs]
+        return out
+
+    def _axes(self):
+        """(area, cell lines, velocity lines, line factors) per axis
+        that has velocity dofs; line arrays are (lines, len)."""
+        return [(self.areas[a], *self._lines[a], self._tri[a])
+                for a in range(self.dim) if self._lines[a] is not None]
 
     def _mass_solve(self, rhs):
         out = np.empty_like(rhs)
-        k = rhs.shape[1]
-        start = 0
-        for a in range(self.dim):
-            n_a = self.axis_counts[a]
-            if n_a:
-                s = self.shape[a]
-                l, e, _, _ = self._tri[a]
-                lines = self._to_lines(rhs[start:start + n_a], a, s - 1, k)
-                x = _tridiag_solve(l[:, None, :], e[:, None, :], lines)
-                out[start:start + n_a] = self._from_lines(x, a, s - 1, k)
-            start += n_a
+        for _, _, faces, (l, e, _, _) in self._axes():
+            x = _tridiag_solve(l, e, rhs[faces].transpose(0, 2, 1))
+            out[faces] = x.transpose(0, 2, 1)
         return out
 
     def _mass_apply(self, v):
         out = np.empty_like(v)
-        k = v.shape[1]
-        start = 0
-        for a in range(self.dim):
-            n_a = self.axis_counts[a]
-            if n_a:
-                s = self.shape[a]
-                _, _, diag, off = self._tri[a]
-                lines = self._to_lines(v[start:start + n_a], a, s - 1, k)
-                y = diag[:, None, :] * lines
-                if s > 2:
-                    y[..., :-1] += off[:, None, :] * lines[..., 1:]
-                    y[..., 1:] += off[:, None, :] * lines[..., :-1]
-                out[start:start + n_a] = self._from_lines(y, a, s - 1, k)
-            start += n_a
+        for _, _, faces, (_, _, diag, off) in self._axes():
+            lines = v[faces].transpose(0, 2, 1)
+            y = diag * lines
+            y[..., :-1] += off * lines[..., 1:]
+            y[..., 1:] += off * lines[..., :-1]
+            out[faces] = y.transpose(0, 2, 1)
         return out
 
     def _div_apply(self, v):
-        k = v.shape[1]
-        out = np.zeros((self.n_cells, k))
-        start = 0
-        for a in range(self.dim):
-            n_a = self.axis_counts[a]
-            if n_a:
-                s = self.shape[a]
-                area = self.areas[a]
-                lines = self._to_lines(v[start:start + n_a], a, s - 1, k)
-                cells = np.zeros((lines.shape[0], k, s))
-                cells[..., :-1] += area * lines
-                cells[..., 1:] -= area * lines
-                out += self._from_lines(cells, a, s, k)
-            start += n_a
+        out = np.zeros((self.n_cells, v.shape[1]))
+        for area, cells, faces, _ in self._axes():
+            flux = area * v[faces]
+            net = np.zeros(cells.shape + (v.shape[1],))
+            net[:, :-1] += flux
+            net[:, 1:] -= flux
+            # each axis' cell lines hold every cell once
+            out[cells] += net
         return out
 
     def _grad_apply(self, p):
-        k = p.shape[1]
-        out = np.empty((self.n_velocity, k))
-        start = 0
-        for a in range(self.dim):
-            n_a = self.axis_counts[a]
-            if n_a:
-                s = self.shape[a]
-                area = self.areas[a]
-                cells = self._to_lines(p, a, s, k)
-                faces = area * (cells[..., :-1] - cells[..., 1:])
-                out[start:start + n_a] = self._from_lines(faces, a, s - 1, k)
-            start += n_a
+        out = np.empty((self.n_velocity, p.shape[1]))
+        for area, cells, faces, _ in self._axes():
+            lines = p[cells]
+            out[faces] = area * (lines[:, :-1] - lines[:, 1:])
         return out
 
     def _pass(self, a, b, tau):
         g = self._div_apply(self._mass_solve(a)) - b
         srhs = np.vstack([g, tau[None, :]])
-        sol = self._schur.solve(srhs, refine=0)
+        sol = np.empty_like(srhs)
+        for schur, cols in self._schurs:
+            sol[:, cols] = schur.solve(srhs[:, cols], refine=0)
         p = sol[:self.n_cells]
         mu = -sol[-1]
         v = self._mass_solve(a - self._grad_apply(p))
@@ -439,7 +440,9 @@ class _BoxFactor:
         for _ in range(refine):
             ra = a - self._mass_apply(v) - self._grad_apply(p)
             rb = b - self._div_apply(v) - mu[None, :]
-            rt = tau - p.sum(axis=0)
+            # summed along contiguous rows: each column then adds up in
+            # the same order whatever the number of columns
+            rt = tau - np.ascontiguousarray(p.T).sum(axis=1)
             dv, dp, dmu = self._pass(ra, rb, rt)
             v, p, mu = v + dv, p + dp, mu + dmu
         return v, p, mu
@@ -450,7 +453,8 @@ class BlockSolver:
 
     Thin wrapper pairing the global index sets with a `_BoxFactor`.
     Presents the same rhs/solution layout as LocalSaddle:
-    [velocity; pressure; border].
+    [velocity; pressure; border].  Sweeps over all blocks go through
+    `BlockBatch` instead, one batched solve per box shape.
     """
 
     def __init__(self, block: int, velocity_idx, pressure_idx,
@@ -476,14 +480,6 @@ class BlockSolver:
     def size(self) -> int:
         return self.n_velocity + self.n_pressure + 1
 
-    def assemble_rhs(self, velocity_rhs, pressure_rhs) -> np.ndarray:
-        rhs = np.zeros(self.size)
-        if velocity_rhs is not None:
-            rhs[: self.n_velocity] = velocity_rhs
-        if pressure_rhs is not None:
-            rhs[self.n_velocity:-1] = pressure_rhs
-        return rhs
-
     def solve(self, rhs, refine=1) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         single = rhs.ndim == 1
@@ -495,9 +491,68 @@ class BlockSolver:
         out = np.vstack([v, p, mu[None, :]])
         return out[:, 0] if single else out
 
-    def split(self, solution):
-        nv = self.n_velocity
-        return solution[:nv], solution[nv:-1], float(solution[-1])
+
+class _ShapeGroup:
+    """Blocks of one box shape; column j of a local array is block
+    `blocks[j]`, and the index arrays are (nblocks, n_velocity) and
+    (nblocks, n_cells)."""
+
+    def __init__(self, solvers):
+        self.blocks = np.array([bs.block for bs in solvers])
+        self.velocity_idx = np.stack([bs.velocity_idx for bs in solvers])
+        self.pressure_idx = np.stack([bs.pressure_idx for bs in solvers])
+        self.factor = _BoxFactor.stack([bs.factor for bs in solvers])
+
+
+class BlockBatch:
+    """Block solvers grouped by box shape for batched local solves.
+
+    A 2D decomposition has at most 9 box shapes and a 3D one at most 27,
+    so a pass over all blocks is that many `solve_core` calls, whatever
+    the number of blocks.
+    """
+
+    def __init__(self, solvers, n_velocity: int):
+        by_shape = {}
+        for bs in solvers:
+            by_shape.setdefault(bs.factor.shape, []).append(bs)
+        self.groups = [_ShapeGroup(group) for group in by_shape.values()]
+        self.n_velocity = n_velocity
+        # local values come group by group as (n_velocity, nblocks);
+        # taken block by block instead, every dof adds up its shares in
+        # block order, exactly as a loop over the solvers does
+        idx = np.concatenate([g.velocity_idx.T.ravel() for g in self.groups])
+        owner = np.concatenate([np.tile(g.blocks, g.velocity_idx.shape[1])
+                                for g in self.groups])
+        self._scatter_order = np.argsort(owner, kind="stable")
+        self._scatter_idx = idx[self._scatter_order]
+
+    def solve(self, velocity_rhs, pressure_rhs=None) -> list:
+        """Local velocities of every block saddle, one (n_velocity,
+        nblocks) array per group.
+
+        Each block's right-hand side is gathered from the global vectors
+        (`pressure_rhs` None is zero; the border entry is zero), solved
+        with one refinement pass like `BlockSolver.solve`.
+        """
+        out = []
+        for g in self.groups:
+            a = velocity_rhs[g.velocity_idx.T]
+            if pressure_rhs is None:
+                b = np.zeros(g.pressure_idx.T.shape)
+            else:
+                b = pressure_rhs[g.pressure_idx.T]
+            v, _, _ = g.factor.solve_core(a, b, np.zeros(len(g.blocks)))
+            out.append(v)
+        return out
+
+    def scatter(self, local) -> np.ndarray:
+        """Sum the local velocities into a global vector; dofs shared
+        by overlapping blocks add up."""
+        weights = np.concatenate([v.ravel() for v in local])
+        return np.bincount(self._scatter_idx,
+                           weights=weights[self._scatter_order],
+                           minlength=self.n_velocity)
 
 
 def block_solvers(grid, operators: MixedOperators,

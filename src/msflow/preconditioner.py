@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .mixed_fem import MixedOperators, block_solvers
+from .mixed_fem import BlockBatch, MixedOperators, block_solvers
 from .sparse_linalg import PcgBreakdownError, factor, pcg, PcgReport
 from .coarse_space import CoarseBasis, CoarseOperator, coarse_operator
 
@@ -56,19 +56,15 @@ class TwoGridPreconditioner:
         self.grid = grid
         self.operators = operators
         self.coarse = coarse
-        self.blocks = blocks
+        self.batch = BlockBatch(blocks, grid.n_velocity)
         self.eta = eta
         self.pre_smooth = pre_smooth
         self.post_smooth = post_smooth
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
-        """One damped additive sweep: sum of local saddle solves of r."""
-        z = np.zeros_like(r)
-        for bs in self.blocks:
-            idx = bs.velocity_idx
-            sol = bs.solve(bs.assemble_rhs(r[idx], None))
-            z[idx] += self.eta * sol[:bs.n_velocity]
-        return z
+        """One damped additive sweep: sum of local saddle solves of r,
+        one batched solve per box shape."""
+        return self.batch.scatter([self.eta * v for v in self.batch.solve(r)])
 
     def coarse_correct(self, r: np.ndarray) -> np.ndarray:
         P_v = self.coarse.basis.P_v
@@ -98,6 +94,10 @@ def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
         raise ValueError(
             "CG needs a symmetric positive definite V-cycle; use equal "
             "pre/post smoothing counts of at least 1")
+    if not (np.isfinite(settings.eta) and settings.eta > 0):
+        raise ValueError(
+            f"smoother damping eta must be positive and finite, got "
+            f"{settings.eta!r}")
     if coarse is None:
         coarse = coarse_operator(basis, operators)
     blocks = block_solvers(grid, operators, overlap=settings.overlap)
@@ -139,22 +139,24 @@ def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
     scale = max(1.0, float(np.max(np.abs(source))))
     residual = source - operators.B @ v_coarse
     Av = operators.A @ v_coarse
-    v = v_coarse.copy()
     if solvers is None:
         solvers = block_solvers(grid, operators, overlap=0)
+    batch = BlockBatch(solvers, grid.n_velocity)
+    bad = []
+    for g in batch.groups:
+        imbalance = np.abs(residual[g.pressure_idx].sum(axis=1))
+        over = imbalance > 1e-10 * scale * g.pressure_idx.shape[1]
+        bad += zip(g.blocks[over], imbalance[over])
+    if bad:
+        block, imbalance = min(bad)
+        raise RuntimeError(
+            f"block {block} source imbalance {imbalance:.3e} after the "
+            f"coarse solve; the coarse pressure space is inconsistent")
+    corrections = batch.solve(-Av, residual)
     norms = np.zeros(len(solvers))
-    for bs in solvers:
-        cells = bs.pressure_idx
-        imbalance = abs(float(residual[cells].sum()))
-        if imbalance > 1e-10 * scale * len(cells):
-            raise RuntimeError(
-                f"block {bs.block} source imbalance {imbalance:.3e} after the "
-                f"coarse solve; the coarse pressure space is inconsistent")
-        idx = bs.velocity_idx
-        sol = bs.solve(bs.assemble_rhs(-Av[idx], residual[cells]))
-        correction = sol[:bs.n_velocity]
-        norms[bs.block] = np.linalg.norm(correction)
-        v[idx] += correction
+    for g, correction in zip(batch.groups, corrections):
+        norms[g.blocks] = np.linalg.norm(correction, axis=0)
+    v = v_coarse + batch.scatter(corrections)
 
     err = float(np.max(np.abs(operators.B @ v - source)))
     if err > 1e-10 * scale:

@@ -101,10 +101,6 @@ class PcgReport:
     wall_time: float = 0.0
     lanczos: tuple = ()
 
-    @property
-    def final_relative_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else 0.0
-
 
 def condition_estimate(alphas, betas) -> float:
     """Spectral condition estimate from CG coefficients.

@@ -274,6 +274,17 @@ class IMPESConfig:
     checkpoint_steps: tuple = ()
     rebuild_basis: bool = False
 
+    def __post_init__(self):
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"time step dt must be positive and finite, "
+                             f"got {self.dt!r}")
+        if self.n_steps < 1:
+            raise ValueError(f"need at least one transport step, got "
+                             f"n_steps={self.n_steps}")
+        if self.pressure_interval < 1:
+            raise ValueError(f"pressure interval must be at least 1 step, "
+                             f"got {self.pressure_interval}")
+
 
 @dataclass
 class IMPESResult:

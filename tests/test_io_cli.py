@@ -189,6 +189,18 @@ def test_bench_field_dispatches_on_dimension():
     assert (bench_field((16, 16, 16), 1.0).values == 10.0).sum() > 0
 
 
+def test_bench_field_seed():
+    fixed = bench_field((40, 40), 2.0)
+    assert np.array_equal(bench_field((40, 40), 2.0, seed=0).values,
+                          fixed.values)
+    one = bench_field((40, 40), 2.0, seed=1).values
+    two = bench_field((40, 40), 2.0, seed=2).values
+    assert not np.array_equal(one, two)
+    assert not np.array_equal(one, fixed.values)
+    # seeded inclusions only add feature cells to the fixed layout
+    assert np.all(one[fixed.values == 100.0] == 100.0)
+
+
 # ---------------------------------------------------------------------------
 # VTK output
 
@@ -256,6 +268,9 @@ def test_build_config_conversions_and_precedence():
 def test_build_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config key 'grdi'"):
         build_config({"grdi": "8x8"}, {})
+    # BLAS reads its thread count when numpy loads, before any config
+    with pytest.raises(ValueError, match="unknown config key 'threads'"):
+        build_config({"threads": "4"}, {})
 
 
 def test_settings_mapping():
@@ -353,9 +368,18 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys):
         ["robustness", "--grid", "8x8", "--coarse", "3x3"],
         ["comparison", "--grid", "8x8", "--coarse", "2x2",
          "--field", str(tmp_path / "absent.txt"), "--space", "rt0"],
+        ["comparison", "--grid", "8x8", "--coarse", "2x2", "--space", "rt0",
+         "--eta", "0", "--out", str(tmp_path)],
     ]
     for argv in cases:
         assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    two_phase = ["twophase", "--grid", "8x8", "--coarse", "2x2",
+                 "--space", "rt0", "--steps", "4", "--out", str(tmp_path)]
+    for bad in (["--pressure-interval", "0"], ["--dt", "-1"],
+                ["--dt", "nan"], ["--steps", "0"]):
+        assert main(two_phase + bad) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     cfg = tmp_path / "bad.cfg"

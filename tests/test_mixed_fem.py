@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 
 from msflow import mesh, mixed_fem
+from msflow.bench_cli import FieldSpec, synth_field
 
 from conftest import (
     dense_saddle_solve,
@@ -184,6 +185,71 @@ def test_block_factor_cache_on_uniform_field():
     # per axis the region is 4 cells at the boundary and 5 inside, and the
     # cache keys on shape, so {4,5}^2 regions share 4 factors
     assert len({id(s.factor) for s in clipped}) == 4
+
+
+def batch_case(name, rng):
+    """(grid, field) pairs covering the shape-grouped batched solves."""
+    if name == "synth-2d":
+        # random inclusions of two contrasts: no two blocks coincide
+        grid = mesh.build_grid((12, 12), (3, 3))
+        spec = FieldSpec(exponent=3.0, n_random=6, random_size=0.25)
+        values = synth_field(5, grid.fine, spec).values
+        values *= synth_field(6, grid.fine, FieldSpec(
+            exponent=-2.0, n_random=6, random_size=0.25)).values
+        return grid, mixed_fem.PermeabilityField(values)
+    if name == "uniform-2d":
+        grid = mesh.build_grid((12, 12), (3, 3))
+        return grid, mixed_fem.uniform_field(grid, 3.0)
+    if name == "log-3d":
+        grid = mesh.build_grid((6, 6, 4), (3, 3, 2))
+    else:  # "singleton-axis": one-cell-wide blocks have no axis-0 lines
+        grid = mesh.build_grid((4, 4), (4, 2))
+    return grid, mixed_fem.PermeabilityField(
+        random_log_field(rng, grid.n_cells))
+
+
+BATCH_CASES = ["synth-2d", "uniform-2d", "log-3d", "singleton-axis"]
+
+
+def assert_relative_close(got, want, rtol=1e-14):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("overlap", [0, 2])
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_block_batch_matches_block_loop(case, overlap, rng):
+    grid, field = batch_case(case, rng)
+    ops = mixed_fem.assemble_operators(grid, field)
+    solvers = mixed_fem.block_solvers(grid, ops, overlap=overlap)
+    unique = len({id(bs.factor) for bs in solvers})
+    if case == "synth-2d":
+        assert unique == grid.n_blocks
+    if case == "uniform-2d":
+        assert unique < grid.n_blocks
+    if case == "singleton-axis" and overlap == 0:
+        assert solvers[0].factor._tri[0] is None
+
+    batch = mixed_fem.BlockBatch(solvers, grid.n_velocity)
+    assert len(batch.groups) <= 3 ** grid.dim
+    assert sorted(np.concatenate([g.blocks for g in batch.groups])) == \
+        list(range(grid.n_blocks))
+    r = rng.standard_normal(grid.n_velocity)
+    q = rng.standard_normal(grid.n_cells)
+    for pressure_rhs in (None, q):
+        local = batch.solve(r, pressure_rhs)
+        want = np.zeros(grid.n_velocity)
+        for g, v in zip(batch.groups, local):
+            assert v.shape == (g.velocity_idx.shape[1], len(g.blocks))
+            for j, block in enumerate(g.blocks):
+                bs = solvers[block]
+                rhs = np.zeros(bs.size)
+                rhs[:bs.n_velocity] = r[bs.velocity_idx]
+                if pressure_rhs is not None:
+                    rhs[bs.n_velocity:-1] = q[bs.pressure_idx]
+                ref = bs.solve(rhs)[:bs.n_velocity]
+                want[bs.velocity_idx] += ref
+                assert_relative_close(v[:, j], ref)
+        assert_relative_close(batch.scatter(local), want)
 
 
 def test_block_solvers_need_coefficient():

@@ -9,6 +9,7 @@ from msflow import coarse_space, mesh, mixed_fem
 from msflow.sparse_linalg import PcgBreakdownError
 
 from conftest import DivFreeProjector, dense_saddle_solve, random_log_field
+from test_mixed_fem import BATCH_CASES, assert_relative_close, batch_case
 
 
 def _channel_setup(fine=(16, 16), coarse=(4, 4), contrast=1e6):
@@ -104,6 +105,41 @@ def test_preprocess_rejects_unbalanced_coarse_space():
         pc.preprocess(grid, ops, coarse_op, F)
 
 
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
+    grid, field = batch_case(case, rng)
+    ops = mixed_fem.assemble_operators(grid, field)
+    basis = coarse_space.build_rt0_space(grid)
+    settings = pc.SolverSettings()
+    precond = pc.build_preconditioner(grid, ops, basis, settings)
+
+    # reference: one BlockSolver.solve per block, summed in block order
+    r = rng.standard_normal(grid.n_velocity)
+    want = np.zeros(grid.n_velocity)
+    for bs in mixed_fem.block_solvers(grid, ops, overlap=settings.overlap):
+        rhs = np.zeros(bs.size)
+        rhs[:bs.n_velocity] = r[bs.velocity_idx]
+        want[bs.velocity_idx] += settings.eta * bs.solve(rhs)[:bs.n_velocity]
+    assert_relative_close(precond.smooth(r), want)
+
+    F = rng.standard_normal(grid.n_cells)
+    F -= F.mean()
+    pre = pc.preprocess(grid, ops, precond.coarse, F)
+    residual = F - ops.B @ pre.coarse_velocity
+    Av = ops.A @ pre.coarse_velocity
+    want = pre.coarse_velocity.copy()
+    norms = np.zeros(grid.n_blocks)
+    for bs in mixed_fem.block_solvers(grid, ops, overlap=0):
+        rhs = np.concatenate([-Av[bs.velocity_idx],
+                              residual[bs.pressure_idx], [0.0]])
+        correction = bs.solve(rhs)[:bs.n_velocity]
+        want[bs.velocity_idx] += correction
+        norms[bs.block] = np.linalg.norm(correction)
+    assert_relative_close(pre.velocity, want)
+    assert_relative_close(pre.block_correction_norms, norms)
+    assert pre.divergence_error <= 1e-10
+
+
 def test_solve_matches_dense_oracle(rng):
     grid = mesh.build_grid((12, 12), (3, 3))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
@@ -150,7 +186,10 @@ def test_degenerate_settings_rejected():
     # CG preconditioner, so the factory refuses them up front
     for bad in (pc.SolverSettings(overlap=0),
                 pc.SolverSettings(pre_smooth=0, post_smooth=0),
-                pc.SolverSettings(pre_smooth=2, post_smooth=1)):
+                pc.SolverSettings(pre_smooth=2, post_smooth=1),
+                pc.SolverSettings(eta=0.0),
+                pc.SolverSettings(eta=-0.1),
+                pc.SolverSettings(eta=float("nan"))):
         with pytest.raises(ValueError):
             pc.build_preconditioner(grid, ops, basis, settings=bad)
 

@@ -162,6 +162,16 @@ def test_pressure_step_reduces_to_single_phase(rng):
     assert np.abs(v - ref.velocity).max() < 1e-6 * scale
 
 
+@pytest.mark.parametrize("bad", [
+    {"dt": 0.0}, {"dt": -1e-3}, {"dt": float("nan")}, {"dt": float("inf")},
+    {"n_steps": 0}, {"pressure_interval": 0}, {"pressure_interval": -5},
+])
+def test_impes_config_rejects_bad_stepping(bad):
+    grid = mesh.build_grid((4, 4), (2, 2))
+    with pytest.raises(ValueError):
+        tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid), **bad)
+
+
 @pytest.fixture(scope="module")
 def five_spot_run():
     grid = mesh.build_grid((8, 8), (2, 2))
