@@ -15,9 +15,10 @@ from .coarse_space import (CoarseBasis, build_gmsfem_space, build_msfem_space,
                            face_eigenpairs)
 from .preconditioner import (SolverSettings, SolveResult, build_preconditioner,
                              preprocess, recover_pressure, solve)
-from .two_phase import (FluidModel, IMPESConfig, TransportState, WellConfig,
-                        five_spot_wells, fractional_flow, impes_run,
-                        pressure_step, total_mobility, transport_step)
+from .two_phase import (FluidModel, IMPESConfig, TransportState, UpwindFlow,
+                        WellConfig, five_spot_wells, fractional_flow,
+                        impes_run, pressure_step, total_mobility,
+                        transport_step)
 from .bench_cli import (FieldSpec, bench_field, read_raster, synth_field,
                         write_raster, write_vtk)
 
@@ -30,7 +31,7 @@ __all__ = [
     "build_rt0_space", "build_space", "coarse_operator", "face_eigenpairs",
     "SolverSettings", "SolveResult", "build_preconditioner", "preprocess",
     "recover_pressure", "solve",
-    "FluidModel", "IMPESConfig", "TransportState", "WellConfig",
+    "FluidModel", "IMPESConfig", "TransportState", "UpwindFlow", "WellConfig",
     "five_spot_wells", "fractional_flow", "impes_run", "pressure_step",
     "total_mobility", "transport_step",
     "FieldSpec", "bench_field", "read_raster", "synth_field",

@@ -412,10 +412,13 @@ def run_two_phase(config: ExperimentConfig) -> dict:
     paths = {}
     cut_path = os.path.join(config.out, "water_cut.csv")
     solves_per_step = np.arange(config.steps) // config.pressure_interval
-    write_csv(cut_path, ("step", "time", "water_cut", "pcg_iterations"),
+    write_csv(cut_path, ("step", "time", "water_cut", "pcg_iterations",
+                         "newton_iterations", "halvings"),
               [(i + 1, f"{(i + 1) * config.dt:g}", f"{wc:.10g}",
-                result.reports[solves_per_step[i]].iterations)
-               for i, wc in enumerate(result.water_cut)])
+                result.reports[solves_per_step[i]].iterations,
+                state.newton_iterations, state.halvings)
+               for i, (wc, state) in enumerate(zip(result.water_cut,
+                                                   result.states[1:]))])
     paths["water_cut"] = cut_path
 
     iters_path = os.path.join(config.out, "pressure_iterations.csv")

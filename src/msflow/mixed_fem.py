@@ -177,74 +177,6 @@ def bordered_saddle_matrix(A, B) -> sparse.csc_matrix:
     return sparse.bmat(blocks, format="csc")
 
 
-@dataclass
-class LocalSaddle:
-    """Submatrices of (A, B) for a cell subset plus the mean-pressure
-    border.  `velocity_idx` and `pressure_idx` map local to global."""
-
-    velocity_idx: np.ndarray
-    pressure_idx: np.ndarray
-    A: sparse.csr_matrix
-    B: sparse.csr_matrix
-
-    @property
-    def n_velocity(self) -> int:
-        return len(self.velocity_idx)
-
-    @property
-    def n_pressure(self) -> int:
-        return len(self.pressure_idx)
-
-    @property
-    def size(self) -> int:
-        return self.n_velocity + self.n_pressure + 1
-
-    def bordered_matrix(self) -> sparse.csc_matrix:
-        return bordered_saddle_matrix(self.A, self.B)
-
-    def assemble_rhs(self, velocity_rhs, pressure_rhs) -> np.ndarray:
-        """Stack the two right-hand sides over a zero border entry.
-
-        Either part may be None for zero.
-        """
-        rhs = np.zeros(self.size)
-        if velocity_rhs is not None:
-            rhs[: self.n_velocity] = velocity_rhs
-        if pressure_rhs is not None:
-            rhs[self.n_velocity:-1] = pressure_rhs
-        return rhs
-
-    def split(self, solution):
-        """Solution vector -> (velocity, pressure, multiplier)."""
-        nv = self.n_velocity
-        return solution[:nv], solution[nv:-1], float(solution[-1])
-
-
-def extract_local_saddle(operators: MixedOperators, velocity_idx,
-                         pressure_idx) -> LocalSaddle:
-    """Restrict the assembled operators to an index pair.
-
-    An empty velocity set is allowed (single-cell blocks); the bordered
-    system then degenerates to the pressure-mean constraint alone.
-    """
-    vidx = np.asarray(velocity_idx, dtype=np.int64)
-    pidx = np.asarray(pressure_idx, dtype=np.int64)
-    if len(pidx) == 0:
-        raise ValueError("a local saddle needs at least one pressure cell")
-    A = operators.A[vidx][:, vidx] if len(vidx) else sparse.csr_matrix((0, 0))
-    B = operators.B[pidx][:, vidx] if len(vidx) else \
-        sparse.csr_matrix((len(pidx), 0))
-    return LocalSaddle(velocity_idx=vidx, pressure_idx=pidx,
-                       A=A.tocsr(), B=B.tocsr())
-
-
-def apply_saddle(operators: MixedOperators, v, p):
-    """(A v + B^T p, B v) without forming the block matrix."""
-    v = np.asarray(v, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return operators.A @ v + operators.B.T @ p, operators.B @ v
-
-
 def _tridiag_factor(diag, off):
     """Batched LDL^T of symmetric positive definite tridiagonals.
 
@@ -452,8 +384,8 @@ class BlockSolver:
     """Bordered saddle solver on one coarse block, optionally oversampled.
 
     Thin wrapper pairing the global index sets with a `_BoxFactor`.
-    Presents the same rhs/solution layout as LocalSaddle:
-    [velocity; pressure; border].  Sweeps over all blocks go through
+    Right-hand sides and solutions are laid out as in
+    `bordered_saddle_matrix`: [velocity; pressure; border].  Sweeps over all blocks go through
     `BlockBatch` instead, one batched solve per box shape.
     """
 

@@ -420,12 +420,14 @@ def test_cli_two_phase_artifacts(tmp_path, capsys):
     assert sorted(printed) == printed and len(printed) == 4
 
     cut = _read_csv(out / "water_cut.csv")
-    assert cut[0] == ["step", "time", "water_cut", "pcg_iterations"]
+    assert cut[0] == ["step", "time", "water_cut", "pcg_iterations",
+                      "newton_iterations", "halvings"]
     assert [r[0] for r in cut[1:]] == ["1", "2", "3", "4"]
     assert cut[1][1] == "0.002" and cut[4][1] == "0.008"
     for row in cut[1:]:
         assert 0.0 <= float(row[2]) <= 1.0
         int(row[3])
+        assert int(row[4]) > 0 and int(row[5]) == 0
 
     iters = _read_csv(out / "pressure_iterations.csv")
     assert iters[0] == ["solve", "step", "iterations", "condition"]

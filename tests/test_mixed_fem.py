@@ -92,9 +92,8 @@ def test_bordered_solve_is_a_neumann_solution(rng):
     ops = mixed_fem.assemble_operators(grid, field, wells=wells)
     v, p, mu = dense_saddle_solve(ops.A.toarray(), ops.B.toarray(),
                                   np.zeros(grid.n_velocity), ops.F)
-    mom, div = mixed_fem.apply_saddle(ops, v, p)
-    assert np.abs(mom).max() < 1e-12
-    assert np.abs(div - ops.F).max() < 1e-12
+    assert np.abs(ops.A @ v + ops.B.T @ p).max() < 1e-12
+    assert np.abs(ops.B @ v - ops.F).max() < 1e-12
     assert abs(p.sum()) < 1e-10
     assert abs(mu) < 1e-12  # compatible data leaves the border inactive
 
@@ -109,31 +108,17 @@ def test_bordered_matrix_blocks():
     assert np.allclose(K[nv:nv + nc, -1], 1.0)
     assert K[-1, -1] == 0.0
     assert np.abs(K[:nv, -1]).max() == 0.0
+    # a single-cell block has no interior velocity: only the mean border
+    lone = mixed_fem.bordered_saddle_matrix(sparse.csr_matrix((0, 0)),
+                                            sparse.csr_matrix((1, 0)))
+    assert np.array_equal(lone.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_extract_local_saddle():
-    grid = mesh.build_grid((6, 6), (3, 3))
-    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
-    cells = mesh.block_cells(grid, 4)
-    vidx = mesh.velocity_dofs_interior_to(grid, cells)
-    local = mixed_fem.extract_local_saddle(ops, vidx, cells)
-    assert local.size == len(vidx) + len(cells) + 1
-    assert np.allclose(local.A.toarray(),
-                       ops.A[vidx][:, vidx].toarray(), atol=0)
-    assert np.allclose(local.B.toarray(),
-                       ops.B[cells][:, vidx].toarray(), atol=0)
-
-    rhs = local.assemble_rhs(None, np.ones(local.n_pressure))
-    assert rhs[: local.n_velocity].max() == 0.0 and rhs[-1] == 0.0
-    v, p, mu = local.split(np.arange(local.size, dtype=float))
-    assert len(v) == local.n_velocity and len(p) == local.n_pressure
-    assert mu == local.size - 1
-
-    with pytest.raises(ValueError, match="pressure"):
-        mixed_fem.extract_local_saddle(ops, vidx, [])
-    degenerate = mixed_fem.extract_local_saddle(ops, [], [3])
-    assert degenerate.size == 2
-    assert degenerate.bordered_matrix().shape == (2, 2)
+def local_bordered_matrix(ops, velocity_idx, pressure_idx):
+    """Dense bordered saddle of the operators restricted to one block."""
+    A = ops.A[velocity_idx][:, velocity_idx]
+    B = ops.B[pressure_idx][:, velocity_idx]
+    return mixed_fem.bordered_saddle_matrix(A, B).toarray()
 
 
 @pytest.mark.parametrize("fine,coarse,overlap", [
@@ -150,11 +135,10 @@ def test_block_solver_matches_dense(fine, coarse, overlap, rng):
     solvers = mixed_fem.block_solvers(grid, ops, overlap=overlap)
     assert len(solvers) == grid.n_blocks
     for bs in solvers[:: max(1, grid.n_blocks // 5)]:
-        local = mixed_fem.extract_local_saddle(
-            ops, bs.velocity_idx, bs.pressure_idx)
+        local = local_bordered_matrix(ops, bs.velocity_idx, bs.pressure_idx)
         rhs = rng.standard_normal(bs.size)
         got = bs.solve(rhs)
-        want = np.linalg.solve(local.bordered_matrix().toarray(), rhs)
+        want = np.linalg.solve(local, rhs)
         scale = np.abs(want).max()
         assert np.abs(got - want).max() < 1e-10 * max(scale, 1.0)
         # multi-rhs path returns the stacked single solves
@@ -169,10 +153,9 @@ def test_block_solver_singleton_axis(rng):
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
     ops = mixed_fem.assemble_operators(grid, field)
     for bs in mixed_fem.block_solvers(grid, ops, overlap=0):
-        local = mixed_fem.extract_local_saddle(
-            ops, bs.velocity_idx, bs.pressure_idx)
+        local = local_bordered_matrix(ops, bs.velocity_idx, bs.pressure_idx)
         rhs = rng.standard_normal(bs.size)
-        want = np.linalg.solve(local.bordered_matrix().toarray(), rhs)
+        want = np.linalg.solve(local, rhs)
         assert np.abs(bs.solve(rhs) - want).max() < 1e-11
 
 
@@ -258,14 +241,3 @@ def test_block_solvers_need_coefficient():
     stripped = mixed_fem.MixedOperators(grid=grid, A=ops.A, B=ops.B, F=ops.F)
     with pytest.raises(ValueError, match="coefficient"):
         mixed_fem.block_solvers(grid, stripped)
-
-
-def test_apply_saddle(rng):
-    grid = mesh.build_grid((5, 4), (1, 1))
-    ops = mixed_fem.assemble_operators(
-        grid, mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells)))
-    v = rng.standard_normal(grid.n_velocity)
-    p = rng.standard_normal(grid.n_cells)
-    mom, div = mixed_fem.apply_saddle(ops, v, p)
-    assert np.allclose(mom, ops.A @ v + ops.B.T @ p, atol=0)
-    assert np.allclose(div, ops.B @ v, atol=0)

@@ -3,7 +3,8 @@ and the sequential pressure/saturation loop."""
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, sparse
+from scipy.sparse.linalg import splu
 
 import msflow.two_phase as tp
 from msflow import mesh, mixed_fem, preconditioner as pc
@@ -51,12 +52,27 @@ def test_fluid_validation():
 def test_well_config():
     with pytest.raises(ValueError, match="sum to"):
         tp.WellConfig([(0, 1.0), (5, -0.5)])
+    # non-finite rates used to pass the balance check
+    for bad in ([(0, float("nan")), (1, -1.0)],
+                [(0, float("inf")), (1, -float("inf"))]):
+        with pytest.raises(ValueError, match="well 0: rate .* not finite"):
+            tp.WellConfig(bad)
     wells = tp.WellConfig([(0, 1.0), (3, -0.75), (5, -0.25)])
     q_plus, q_minus = wells.split(6)
     assert q_plus.sum() == pytest.approx(1.0)
     assert q_minus.sum() == pytest.approx(-1.0)
     assert wells.producer_cells == [3, 5]
     assert tp.WellConfig([]).source_vector(4).max() == 0.0
+
+
+@pytest.mark.parametrize("cell", [-1, 4, 1.0, "0", True])
+def test_well_config_rejects_bad_cell_ids(cell):
+    # a negative id used to wrap silently onto the last cell
+    wells = tp.WellConfig([(cell, 1.0), (0, -1.0)])
+    with pytest.raises(ValueError, match=r"well 0 .*not a cell id in \[0, 4\)"):
+        wells.source_vector(4)
+    with pytest.raises(ValueError, match="well 0"):
+        wells.split(4)
 
 
 def test_five_spot_layouts():
@@ -115,6 +131,114 @@ def test_transport_matches_scalar_oracle():
     assert out.s[1] == pytest.approx(s1_new, abs=1e-9)
 
 
+def vortex_velocity(grid, psi):
+    """Face velocities of the stream function `psi` on the interior nodes.
+
+    The stream function is zero on the boundary, so no flow leaves the
+    domain, and the discrete divergence telescopes to zero: the flow
+    only circulates.
+    """
+    nodes = np.zeros(tuple(n + 1 for n in grid.fine))
+    nodes[1:-1, 1:-1] = psi
+    faces = np.arange(grid.n_velocity)
+    lo, _ = mesh.face_adjacent_cells(grid, faces)
+    i, j = np.unravel_index(lo, grid.fine, order="F")
+    along_x = faces < grid.face_offsets[1]
+    return np.where(along_x,
+                    (nodes[i + 1, j + 1] - nodes[i + 1, j]) / grid.h[1],
+                    -(nodes[i + 1, j + 1] - nodes[i, j + 1]) / grid.h[0])
+
+
+def dense_newton_transport(grid, fluid, s0, pv, v, dt):
+    """Implicit upwind step without wells, face by face with a dense
+    Jacobian; same stopping rule as the package."""
+    faces = np.arange(grid.n_velocity)
+    lo, hi = mesh.face_adjacent_cells(grid, faces)
+    area = np.where(faces < grid.face_offsets[1], grid.face_area(0),
+                    grid.face_area(1))
+    s = s0.copy()
+    for _ in range(25):
+        fw, dfw = tp.fractional_flow(fluid, np.clip(s, 0.0, 1.0))
+        residual = pv * (s - s0)
+        jac = np.diag(pv)
+        for f in faces:
+            rate = v[f] * area[f]
+            up = lo[f] if rate > 0 else hi[f]
+            residual[lo[f]] += dt * rate * fw[up]
+            residual[hi[f]] -= dt * rate * fw[up]
+            jac[lo[f], up] += dt * rate * dfw[up]
+            jac[hi[f], up] -= dt * rate * dfw[up]
+        if np.abs(residual).max() <= 1e-10 * max(1.0, np.abs(s).max()):
+            return s
+        s = s - np.linalg.solve(jac, residual)
+    raise AssertionError("dense Newton did not converge")
+
+
+def test_transport_on_circulating_flow_matches_dense_newton(rng):
+    grid = mesh.build_grid((4, 4), (2, 2))
+    fluid = tp.FluidModel()
+    v = vortex_velocity(grid, rng.uniform(0.5, 1.5, (3, 3)))
+    assert np.abs(mixed_fem.assemble_divergence(grid) @ v).max() < 1e-12
+    state = tp.TransportState(s=rng.uniform(0.05, 0.95, grid.n_cells),
+                              porosity=np.full(grid.n_cells, 0.2))
+    wells, dt = tp.WellConfig([]), 0.01
+
+    # the upwind graph has cycles: the ordered Jacobian is not triangular
+    flow = tp.UpwindFlow.build(grid, v, wells)
+    pv = state.porosity * grid.cell_volume
+    _, dfw = tp.fractional_flow(fluid, state.s)
+    assert sparse.triu(flow.jacobian(dt, dfw, pv), 1).nnz > 0
+
+    out = tp.transport_step(grid, fluid, state, v, wells, dt)
+    want = dense_newton_transport(grid, fluid, state.s, pv, v, dt)
+    assert out.newton_iterations > 0 and out.halvings == 0
+    assert np.abs(out.s - np.clip(want, 0.0, 1.0)).max() <= 1e-12
+
+
+def five_spot_velocity(orders):
+    """Pressure-step velocity of a five-spot on a random log field."""
+    grid = mesh.build_grid((12, 12), (3, 3))
+    kappa = mixed_fem.PermeabilityField(
+        random_log_field(np.random.default_rng(3), grid.n_cells, orders))
+    wells = tp.five_spot_wells(grid)
+    state = tp.TransportState.initial(grid, s0=0.0)
+    v, _ = tp.pressure_step(grid, kappa, tp.FluidModel(), state,
+                            build_rt0_space(grid), wells)
+    return grid, wells, v
+
+
+def ordered_jacobian(grid, flow):
+    _, dfw = tp.fractional_flow(tp.FluidModel(), np.full(grid.n_cells, 0.3))
+    return flow.jacobian(1e-3, dfw, np.full(grid.n_cells, 0.2))
+
+
+def test_five_spot_jacobian_is_triangular_without_fill():
+    grid, wells, v = five_spot_velocity(orders=1.0)
+    flow = tp.UpwindFlow.build(grid, v, wells)
+    assert sorted(flow.order) == list(range(grid.n_cells))
+    assert np.array_equal(flow.order[flow.rank], np.arange(grid.n_cells))
+    jac = ordered_jacobian(grid, flow)
+    assert sparse.triu(jac, 1).nnz == 0
+    lu = splu(jac, permc_spec="NATURAL")
+    assert lu.L.nnz + lu.U.nnz - grid.n_cells == jac.nnz
+    assert np.array_equal(lu.perm_r, np.arange(grid.n_cells))
+
+
+def test_transport_with_prebuilt_flow_is_bit_identical(rng):
+    # four decades of contrast: the RT0 velocity circulates in places
+    grid, wells, v = five_spot_velocity(orders=4.0)
+    flow = tp.UpwindFlow.build(grid, v, wells)
+    assert sparse.triu(ordered_jacobian(grid, flow), 1).nnz > 0
+    fluid = tp.FluidModel()
+    state = tp.TransportState(s=rng.uniform(0.0, 0.5, grid.n_cells),
+                              porosity=np.full(grid.n_cells, 0.2))
+    own = tp.transport_step(grid, fluid, state, v, wells, 0.01)
+    given = tp.transport_step(grid, fluid, state, v, wells, 0.01, flow=flow)
+    assert np.array_equal(own.s, given.s)
+    assert own.bound_violation == given.bound_violation
+    assert own.newton_iterations == given.newton_iterations > 0
+
+
 def test_transport_halves_steps_then_gives_up(monkeypatch):
     grid = mesh.build_grid((4, 4), (2, 2))
     state = tp.TransportState.initial(grid)
@@ -126,7 +250,7 @@ def test_transport_halves_steps_then_gives_up(monkeypatch):
         calls.append(dt)
         if dt > 0.026:
             raise tp._NewtonFailure("stuck")
-        return s0 + 0.01
+        return s0 + 0.01, 1
 
     monkeypatch.setattr(tp, "_newton_transport", flaky)
     out = tp.transport_step(grid, tp.FluidModel(), state, v, wells, 0.1)
@@ -134,6 +258,8 @@ def test_transport_halves_steps_then_gives_up(monkeypatch):
     assert calls == [0.1, 0.05, 0.025, 0.025, 0.025, 0.025]
     assert np.allclose(out.s, 0.04)
     assert out.dt == pytest.approx(0.1)
+    assert out.halvings == 2
+    assert out.newton_iterations == 4
 
     def hopeless(*args, **kw):
         raise tp._NewtonFailure("stuck")
