@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
 
 from . import mesh
+from .sparse_linalg import SingularMatrixError
 
 
 @dataclass
@@ -177,58 +179,47 @@ def bordered_saddle_matrix(A, B) -> sparse.csc_matrix:
     return sparse.bmat(blocks, format="csc")
 
 
-def _tridiag_factor(diag, off):
-    """Batched LDL^T of symmetric positive definite tridiagonals.
+def _block_product(M, x):
+    """Apply the matrices M (..., nblocks, m, m) to x (..., m, k).
 
-    `diag` has the line along the last axis, `off` one entry fewer.
-    Returns the unit-lower multipliers and the pivots.
+    Column j of x goes with block j when nblocks = k, and every column
+    with the single block when nblocks = 1, so both cases are one
+    `matmul`: k matrix-vector products or one matrix-matrix product.
     """
-    n = diag.shape[-1]
-    e = diag.copy()
-    l = off.copy()
-    for j in range(n - 1):
-        l[..., j] = off[..., j] / e[..., j]
-        e[..., j + 1] = diag[..., j + 1] - l[..., j] * off[..., j]
-    return l, e
-
-
-def _tridiag_solve(l, e, rhs):
-    """Solve the factored tridiagonals for `rhs` batched the same way."""
-    n = e.shape[-1]
-    x = rhs.copy()
-    for j in range(1, n):
-        x[..., j] -= l[..., j - 1] * x[..., j - 1]
-    x /= e
-    for j in range(n - 2, -1, -1):
-        x[..., j] -= l[..., j] * x[..., j + 1]
-    return x
+    shape = x.shape
+    x = x.reshape(*shape[:-1], M.shape[-3], -1).swapaxes(-2, -3)
+    return np.matmul(M, x).swapaxes(-2, -3).reshape(shape)
 
 
 class _BoxFactor:
-    """Direct factorization of the bordered saddle on a box of cells.
+    """Direct solver of the bordered saddle on a box of cells.
 
     On a tensor grid the velocity mass matrix decouples into independent
     tridiagonal systems along grid lines, one per axis and transverse
-    position.  Eliminating the velocities therefore costs O(n), and only
-    the much smaller pressure Schur complement (a cell Laplacian, dense
-    along lines) needs a sparse factorization.  This is what makes the
-    per-block solves affordable in 3D, where factoring the full local
-    saddle directly is an order of magnitude more fill.
+    position.  They are short (box length minus one), so each is kept
+    with its dense inverse.  Eliminating the velocities leaves the
+    pressure Schur complement S, a cell Laplacian that is dense along
+    lines and fills nearly completely under any elimination order.  S is
+    singular along the constants only, so S + c 1 1^T is positive
+    definite; it is kept as the inverse L^-1 of its Cholesky factor, and
+    a Schur solve is the two products L^-T (L^-1 r).  Unlike an explicit
+    inverse of S, this stays backward stable at high contrast, which the
+    divergence rows need.
 
     Instances depend on the box shape and cell coefficients only, so
     identical blocks (uniform background) share one factor.
 
-    The line factors carry a block axis, shaped (lines, nblocks, len),
-    and right-hand sides are (rows, k) with column j solved on block j.
-    A factor built for one box has nblocks = 1, which broadcasts over
-    any number of columns; `stack` joins same-shape factors so that one
-    `solve_core` call solves one column per box.  The smoother and
-    preprocessing run one such batched solve per box shape.
+    The line matrices carry a block axis, shaped (lines, nblocks, len,
+    len), and L^-1 is (nblocks, n_cells, n_cells).  Right-hand sides are
+    (rows, k) with column j solved on block j.  A factor built for one
+    box has nblocks = 1 and solves any number of columns together;
+    `stack` joins same-shape factors so that one `solve_core` call
+    solves one column per box.  Either way each line and Schur product
+    is one `matmul` (`_block_product`).  The smoother and preprocessing
+    run one such batched solve per box shape.
     """
 
     def __init__(self, grid, shape, coeff_box: np.ndarray):
-        from .sparse_linalg import factor as factor_matrix
-
         self.shape = tuple(int(s) for s in shape)
         self.dim = grid.dim
         self.n_cells = int(np.prod(self.shape))
@@ -238,11 +229,13 @@ class _BoxFactor:
             self.shape, order="F")
 
         # per axis: local (cell, velocity) indices laid out as
-        # (lines, len), velocities numbered axis by axis in F order
+        # (lines, len), velocities numbered axis by axis in F order, and
+        # the line matrices with their inverses
         self._lines = []
         self._tri = []
         cell_idx = np.arange(self.n_cells).reshape(self.shape, order="F")
-        rows, cols, data = [], [], []
+        n = self.n_cells
+        schur = np.zeros((n, n))
         start = 0
         for a in range(self.dim):
             s = self.shape[a]
@@ -250,11 +243,14 @@ class _BoxFactor:
                 self._lines.append(None)
                 self._tri.append(None)
                 continue
-            w_lines = np.moveaxis(w, a, -1).reshape(-1, 1, s)
-            diag = (w_lines[..., :-1] + w_lines[..., 1:]) / 3.0
-            off = w_lines[..., 1:-1] / 6.0
-            l, e = _tridiag_factor(diag, off)
-            self._tri.append((l, e, diag, off))
+            w_lines = np.moveaxis(w, a, -1).reshape(-1, s)
+            j = np.arange(s - 1)
+            T = np.zeros((len(w_lines), 1, s - 1, s - 1))
+            T[:, 0, j, j] = (w_lines[:, :-1] + w_lines[:, 1:]) / 3.0
+            T[:, 0, j[1:], j[:-1]] = T[:, 0, j[:-1], j[1:]] = \
+                w_lines[:, 1:-1] / 6.0
+            T_inv = np.linalg.inv(T)
+            self._tri.append((T, T_inv))
             ids = np.moveaxis(cell_idx, a, -1).reshape(-1, s)
             face_shape = self.shape[:a] + (s - 1,) + self.shape[a + 1:]
             n_a = int(np.prod(face_shape))
@@ -263,42 +259,33 @@ class _BoxFactor:
             self._lines.append((ids, faces))
             start += n_a
 
-            # Schur contribution: dense (s x s) block per line
-            area = self.areas[a]
+            # Schur contribution G T^-1 G^T, a dense (s x s) block per
+            # line; the lines of one axis are disjoint, so no entry of
+            # the fancy-indexed sum repeats
             G = np.zeros((s, s - 1))
-            G[np.arange(s - 1), np.arange(s - 1)] = area
-            G[np.arange(1, s), np.arange(s - 1)] = -area
-            rhs = np.broadcast_to(G.T, (w_lines.shape[0], s - 1, s))
-            X = _tridiag_solve(l, e,
-                               np.ascontiguousarray(rhs.transpose(0, 2, 1))
-                               ).transpose(0, 2, 1)
-            D = np.einsum("cf,lfg->lcg", G, X)
-            rows.append(np.broadcast_to(ids[:, :, None], D.shape).ravel())
-            cols.append(np.broadcast_to(ids[:, None, :], D.shape).ravel())
-            data.append(D.ravel())
+            G[j, j] = self.areas[a]
+            G[j + 1, j] = -self.areas[a]
+            schur[ids[:, :, None], ids[:, None, :]] += G @ T_inv[:, 0] @ G.T
 
         self.n_velocity = start
-        n = self.n_cells
-        if data:
-            S = sparse.coo_matrix(
-                (np.concatenate(data),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n, n)).tocsc()
-        else:
-            S = sparse.csc_matrix((n, n))
-        ones = np.ones((n, 1))
-        # (Schur factorization, the right-hand side columns it solves)
-        self._schurs = [(factor_matrix(
-            sparse.bmat([[S, ones], [ones.T, None]], format="csc")),
-            slice(None))]
+        # c = trace / n^2 puts the constant mode of S + c 1 1^T among the
+        # others, at the mean diagonal entry
+        shift = np.trace(schur) / n ** 2 or 1.0
+        try:
+            chol = np.linalg.cholesky(schur + shift)
+        except np.linalg.LinAlgError as err:
+            raise SingularMatrixError(
+                f"box {self.shape}: pressure Schur complement is not "
+                f"positive definite ({err})") from err
+        self._chol_inv = lapack.dtrtri(chol, lower=1)[0][None]
 
     @classmethod
     def stack(cls, factors):
         """One factor solving column j on the box of `factors[j]`.
 
-        The factors are single-box ones of one shape.  Line factors are
-        concatenated along the block axis; columns whose boxes share a
-        factor are solved with one multi-column Schur solve.
+        The factors are single-box ones of one shape; their line
+        matrices and Schur factors are concatenated along the block
+        axis.
         """
         first = factors[0]
         if any(f.shape != first.shape for f in factors):
@@ -307,35 +294,25 @@ class _BoxFactor:
         out._tri = [None if tri is None else tuple(
             np.concatenate([f._tri[a][i] for f in factors], axis=1)
             for i in range(len(tri))) for a, tri in enumerate(first._tri)]
-        columns = {}
-        for j, f in enumerate(factors):
-            columns.setdefault(id(f), (f, []))[1].append(j)
-        out._schurs = [(schur, np.array(cols))
-                       for f, cols in columns.values()
-                       for schur, _ in f._schurs]
+        out._chol_inv = np.concatenate([f._chol_inv for f in factors])
         return out
 
     def _axes(self):
-        """(area, cell lines, velocity lines, line factors) per axis
+        """(area, cell lines, velocity lines, line matrices) per axis
         that has velocity dofs; line arrays are (lines, len)."""
         return [(self.areas[a], *self._lines[a], self._tri[a])
                 for a in range(self.dim) if self._lines[a] is not None]
 
     def _mass_solve(self, rhs):
         out = np.empty_like(rhs)
-        for _, _, faces, (l, e, _, _) in self._axes():
-            x = _tridiag_solve(l, e, rhs[faces].transpose(0, 2, 1))
-            out[faces] = x.transpose(0, 2, 1)
+        for _, _, faces, (_, T_inv) in self._axes():
+            out[faces] = _block_product(T_inv, rhs[faces])
         return out
 
     def _mass_apply(self, v):
         out = np.empty_like(v)
-        for _, _, faces, (_, _, diag, off) in self._axes():
-            lines = v[faces].transpose(0, 2, 1)
-            y = diag * lines
-            y[..., :-1] += off * lines[..., 1:]
-            y[..., 1:] += off * lines[..., :-1]
-            out[faces] = y.transpose(0, 2, 1)
+        for _, _, faces, (T, _) in self._axes():
+            out[faces] = _block_product(T, v[faces])
         return out
 
     def _div_apply(self, v):
@@ -358,12 +335,13 @@ class _BoxFactor:
 
     def _pass(self, a, b, tau):
         g = self._div_apply(self._mass_solve(a)) - b
-        srhs = np.vstack([g, tau[None, :]])
-        sol = np.empty_like(srhs)
-        for schur, cols in self._schurs:
-            sol[:, cols] = schur.solve(srhs[:, cols], refine=0)
-        p = sol[:self.n_cells]
-        mu = -sol[-1]
+        # bordered Schur system S p - mu 1 = g, 1^T p = tau: 1^T S = 0
+        # gives mu = -mean(g), and as S 1 = 0 the zero-mean part of p
+        # solves (S + c 1 1^T) p0 = g + mu
+        mu = -g.mean(axis=0)
+        y = _block_product(self._chol_inv, g + mu)
+        p = (_block_product(self._chol_inv.transpose(0, 2, 1), y)
+             + tau / self.n_cells)
         v = self._mass_solve(a - self._grad_apply(p))
         return v, p, mu
 

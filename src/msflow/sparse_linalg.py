@@ -3,7 +3,9 @@
 Factorization wraps a pivoted sparse LU with an explicit near-singularity
 check and one step of iterative refinement per solve, which keeps the
 divergence rows of bordered saddle systems satisfied to near round-off
-even at strong coefficient contrast.
+even at strong coefficient contrast.  It serves the coarse operator and
+pressure recovery; the per-block saddle solves are dense and live in
+`mixed_fem`.
 
 The conjugate gradient solver measures convergence in the natural norm
 sqrt(r' M^{-1} r).  With an identity preconditioner this is the plain
@@ -145,7 +147,8 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
     with no component there produces a natural norm made of pure
     roundoff; iterating on it amplifies noise instead of converging.
     Callers that know the roundoff level of their data pass it here and
-    such systems stop immediately with the zero solution.
+    such systems stop immediately with the zero solution, whatever the
+    sign of the roundoff in the first preconditioned inner product.
     """
     t0 = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
@@ -157,16 +160,16 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
 
     z = apply_preconditioner(r)
     rho = float(r @ z)
+    if abs(rho) <= abs_floor ** 2:
+        report = PcgReport(iterations=0, converged=True,
+                           residuals=[1.0 if rho else 0.0],
+                           wall_time=time.perf_counter() - t0)
+        return x, report
     if rho < 0:
         raise PcgBreakdownError(
             f"initial preconditioned inner product {rho:.3e} is negative"
         )
     norm0 = np.sqrt(rho)
-    if norm0 <= abs_floor:
-        report = PcgReport(iterations=0, converged=True,
-                           residuals=[1.0 if norm0 else 0.0],
-                           wall_time=time.perf_counter() - t0)
-        return x, report
     history.append(1.0)
     floor_rel = abs_floor / norm0
     p = z.copy()

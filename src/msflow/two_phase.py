@@ -294,26 +294,41 @@ class _NewtonFailure(Exception):
     pass
 
 
+# iterations in a row without a new lowest residual that give a step up;
+# converging five-spot steps go at most two without one
+_NEWTON_STALL = 4
+
+
 def _newton_transport(grid, fluid: FluidModel, s0, porosity, v, wells, dt,
                       flow: UpwindFlow, max_iter: int = 25):
     """One implicit upwind step for the velocity `v` and `wells`, as
     prebuilt in `flow`.
 
     Returns (saturation, Newton iterations); raises _NewtonFailure when
-    stuck.
+    stuck: after `max_iter` iterations, or as soon as the residual
+    max-norm has gone `_NEWTON_STALL` iterations without falling below
+    its lowest value so far.
     """
     n = grid.n_cells
     pv = porosity * grid.cell_volume
     s = s0
+    best, stalled = np.inf, 0
     for iteration in range(max_iter):
         fw, dfw = fractional_flow(fluid, np.clip(s, 0.0, 1.0))
         net_out = np.bincount(flow.rows, weights=flow.flux * fw[flow.cols],
                               minlength=n)
         residual = pv * (s - s0) - dt * (flow.q_plus - net_out +
                                          fw * flow.q_minus)
+        norm = float(np.max(np.abs(residual)))
         scale = max(1.0, float(np.max(np.abs(s))))
-        if float(np.max(np.abs(residual))) <= 1e-10 * scale:
+        if norm <= 1e-10 * scale:
             return s, iteration
+        if norm < best:
+            best, stalled = norm, 0
+        else:
+            stalled += 1
+            if stalled == _NEWTON_STALL:
+                raise _NewtonFailure(f"residual stalled at {best:.3e}")
         lu = splu(flow.jacobian(dt, dfw, pv), permc_spec="NATURAL")
         s = s - lu.solve(residual[flow.order])[flow.rank]
     raise _NewtonFailure(f"no convergence in {max_iter} iterations")

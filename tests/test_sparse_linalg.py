@@ -75,6 +75,24 @@ def test_pcg_zero_rhs_short_circuits():
     assert np.all(x == 0)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pcg_roundoff_floor_ignores_sign(sign):
+    # the preconditioner returns a tiny multiple of r, so the first
+    # preconditioned inner product is sign * 1e-31
+    b = np.full(4, 0.5)
+    scaled = lambda v: sign * 1e-31 * v
+    x, report = pcg(lambda v: v, scaled, b, abs_floor=1e-15)
+    assert report.converged and report.iterations == 0
+    assert np.all(x == 0)
+    # above the floor a negative product is still a breakdown
+    if sign < 0:
+        with pytest.raises(PcgBreakdownError, match="negative"):
+            pcg(lambda v: v, scaled, b, abs_floor=1e-16)
+    else:
+        _, report = pcg(lambda v: v, scaled, b, abs_floor=1e-16)
+        assert report.converged and report.iterations == 1
+
+
 def test_pcg_perfect_preconditioner_one_iteration(rng):
     n = 30
     M = rng.standard_normal((n, n))

@@ -269,6 +269,29 @@ def test_transport_halves_steps_then_gives_up(monkeypatch):
         tp.transport_step(grid, tp.FluidModel(), state, v, wells, 0.1)
 
 
+def test_newton_gives_up_on_a_cycling_step():
+    # a five-spot from the connate state on 6x6 with dt = 0.05: the
+    # residual max-norm sits at 1.25e-2 for three iterations, then cycles
+    # between 1.96e-2 and 2.46e-2 without converging
+    grid = mesh.build_grid((6, 6), (2, 2))
+    wells = tp.five_spot_wells(grid)
+    fluid = tp.FluidModel()
+    state = tp.TransportState.initial(grid, s0=0.0)
+    v, _ = tp.pressure_step(grid, mixed_fem.uniform_field(grid), fluid,
+                            state, build_rt0_space(grid), wells)
+    flow = tp.UpwindFlow.build(grid, v, wells)
+    solves = []
+    jacobian = flow.jacobian
+    flow.jacobian = lambda *args: solves.append(args) or jacobian(*args)
+    with pytest.raises(tp._NewtonFailure, match="stalled"):
+        tp._newton_transport(grid, fluid, state.s, state.porosity, v, wells,
+                             0.05, flow)
+    # the default max_iter is 25
+    assert len(solves) <= tp._NEWTON_STALL + 1
+    out = tp.transport_step(grid, fluid, state, v, wells, 0.05, flow=flow)
+    assert out.halvings > 0 and out.bound_violation <= 1e-9
+
+
 def test_pressure_step_reduces_to_single_phase(rng):
     # at connate conditions the mobility is constant, and a constant
     # coefficient scaling cancels from the velocity
