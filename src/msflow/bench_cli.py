@@ -214,8 +214,7 @@ class ExperimentConfig:
     tol: float = 10.0
     contrasts: tuple = (-6, -4, -2, 0, 2, 4, 6)
     eta: float = 0.2
-    m1: int = 1
-    m2: int = 1
+    sweeps: int = 1
     overlap: int = 2
     rtol: float = 1e-7
     seed: int = 0
@@ -232,8 +231,7 @@ class ExperimentConfig:
 
     def settings(self) -> SolverSettings:
         return SolverSettings(rel_tol=self.rtol, eta=self.eta,
-                              pre_smooth=self.m1, post_smooth=self.m2,
-                              overlap=self.overlap)
+                              sweeps=self.sweeps, overlap=self.overlap)
 
     def load_field(self) -> PermeabilityField:
         if self.field == "synth":
@@ -278,7 +276,7 @@ _CONVERTERS = {
     "layers": lambda s: tuple(int(p) for p in s.split(":")),
     "tol": float, "eta": float, "rtol": float, "dt": float,
     "mu_w": float, "mu_o": float, "porosity": float, "rate": float,
-    "m1": int, "m2": int, "overlap": int, "seed": int,
+    "sweeps": int, "overlap": int, "seed": int,
     "steps": int, "pressure_interval": int,
     "field": str, "layout": str, "out": str,
 }
@@ -451,8 +449,7 @@ def _add_common(parser):
     parser.add_argument("--tol", help="eigenvalue selection tolerance")
     parser.add_argument("--contrasts", help="exponents, comma-separated")
     parser.add_argument("--eta", help="smoother damping")
-    parser.add_argument("--m1", help="pre-smoothing sweeps")
-    parser.add_argument("--m2", help="post-smoothing sweeps")
+    parser.add_argument("--sweeps", help="smoother sweeps per V-cycle side")
     parser.add_argument("--overlap", help="oversampling layers")
     parser.add_argument("--rtol", help="PCG relative tolerance")
     parser.add_argument("--seed", help="synthetic field seed")

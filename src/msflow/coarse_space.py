@@ -8,12 +8,18 @@ block, coarse divergence-free coefficient vectors prolong to exactly
 divergence-free fine fields, which is what keeps the two-grid cycle on
 the right subspace.
 
-* rt0: linear normal-velocity ramp through the face, no solves;
-* msfem: flux through the face distributed by local Neumann solves with
-  unit normal trace and compatible constant divergence;
+* rt0: linear normal-velocity ramp through the face, no solves; built
+  by index arithmetic over all fine faces of an axis at once;
 * gmsfem: a per-face spectral selection out of the snapshot family (one
   local solve per fine face on the coarse face), keeping modes whose
-  trace energy is cheap relative to their neighbourhood energy.
+  trace energy is cheap relative to their neighbourhood energy;
+* msfem: the unit-trace combination of the same snapshot solves, i.e.
+  flux through the face distributed by local Neumann solves with unit
+  normal trace and compatible constant divergence.
+
+The snapshot family and msfem share one gluing of the two block solves
+of a face (`_face_solve`), with the identity and the all-ones trace
+matrix respectively.
 """
 
 from __future__ import annotations
@@ -91,21 +97,20 @@ class CoarseBasis:
         return self.n_velocity_modes + self.n_pressure_modes
 
 
-def _block_trace_solve(grid, operators, solver, e_ids, trace):
+def _block_trace_solve(grid, operators, solver, face, side, trace):
     """Solve one block's Neumann problem with prescribed normal trace.
 
     `trace` is (J, k): prescribed dof values on the coarse-face fine
     faces for k right-hand sides.  The compatible constant divergence is
     determined by the net trace flux over the block boundary; its sign
-    is resolved by whether the block sits below or above the face.
+    is resolved by whether the block sits below (`side` 0) or above
+    (`side` 1) the face.
     """
+    e_ids = face.fine_faces
     nv, npr = solver.n_velocity, solver.n_pressure
-    area = grid.face_area(_face_axis(grid, e_ids))
     block_volume = npr * grid.cell_volume
-    lo_cells, _ = mesh.face_adjacent_cells(grid, e_ids)
-    in_block = np.isin(lo_cells, solver.pressure_idx)
-    sign = 1.0 if in_block.all() else -1.0
-    net_flux = sign * area * trace.sum(axis=0)
+    sign = 1.0 if side == 0 else -1.0
+    net_flux = sign * grid.face_area(face.axis) * trace.sum(axis=0)
     rhs = np.zeros((solver.size, trace.shape[1]))
     if nv:
         rhs[:nv] = -(operators.A[solver.velocity_idx][:, e_ids] @ trace)
@@ -115,32 +120,29 @@ def _block_trace_solve(grid, operators, solver, e_ids, trace):
     return sol[:nv]
 
 
-def _face_axis(grid, e_ids):
-    for axis in range(grid.dim):
-        start = grid.face_offsets[axis]
-        if start <= e_ids[0] < start + grid.axis_face_count(axis):
-            return axis
-    raise ValueError("face id out of range")
+def _face_solve(grid, operators, block_solvers, face, trace):
+    """Glue the two block solves of a coarse face for the trace matrix
+    `trace` (J, k): (dofs, values) with one column of values per trace
+    column, the interior dofs of both blocks first, then the face's."""
+    dof_parts, val_parts = [], []
+    for side, block in enumerate(face.blocks):
+        solver = block_solvers[block]
+        dof_parts.append(solver.velocity_idx)
+        val_parts.append(_block_trace_solve(grid, operators, solver, face,
+                                            side, trace))
+    dof_parts.append(face.fine_faces)
+    val_parts.append(trace)
+    return np.concatenate(dof_parts), np.vstack(val_parts)
 
 
 def snapshot_face(grid, operators, face, block_solvers=None) -> SnapshotFamily:
     """Snapshot family of one coarse face: unit trace per fine face,
     glued from the two independent block solves."""
-    e_ids = face.fine_faces
-    J = len(e_ids)
-    eye = np.eye(J)
-    dof_parts, val_parts = [], []
     if block_solvers is None:
         block_solvers = mixed_fem.block_solvers(grid, operators)
-    for block in face.blocks:
-        solver = block_solvers[block]
-        v = _block_trace_solve(grid, operators, solver, e_ids, eye)
-        dof_parts.append(solver.velocity_idx)
-        val_parts.append(v)
-    dof_parts.append(e_ids)
-    val_parts.append(eye)
-    return SnapshotFamily(face=face, dofs=np.concatenate(dof_parts),
-                          values=np.vstack(val_parts))
+    dofs, values = _face_solve(grid, operators, block_solvers, face,
+                               np.eye(face.n_fine))
+    return SnapshotFamily(face=face, dofs=dofs, values=values)
 
 
 def face_bilinear_a(grid, field, face) -> np.ndarray:
@@ -192,32 +194,23 @@ def select_modes(eigenvalues, eigenvectors, tol: float,
 
 
 def _pressure_prolongation(grid) -> sparse.csr_matrix:
-    rows = []
-    cols = []
-    for b in range(grid.n_blocks):
-        cells = mesh.block_cells(grid, b)
-        rows.append(cells)
-        cols.append(np.full(len(cells), b))
-    P = sparse.coo_matrix(
-        (np.ones(grid.n_cells), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_cells, grid.n_blocks),
-    )
-    return P.tocsr()
+    cells = np.arange(grid.n_cells)
+    blocks = mesh.block_ids(grid, mesh.cell_multi(grid, cells) // grid.block_size)
+    return sparse.csr_matrix((np.ones(grid.n_cells), (cells, blocks)),
+                             shape=(grid.n_cells, grid.n_blocks))
 
 
 def _assemble_velocity_prolongation(grid, columns):
-    """columns: list of (dof_ids, values[, values...]) per coarse face,
-    values possibly a matrix whose columns are separate modes."""
+    """columns: (dof_ids, values) per coarse face, `values` (n_dofs, k)
+    with one column per coarse mode."""
     rows, cols, vals = [], [], []
     col = 0
-    for dofs, block in columns:
-        block = np.atleast_2d(block.T).T  # (n_dofs, k)
-        k = block.shape[1]
-        for j in range(k):
-            rows.append(dofs)
-            cols.append(np.full(len(dofs), col))
-            vals.append(block[:, j])
-            col += 1
+    for dofs, values in columns:
+        k = values.shape[1]
+        rows.append(np.repeat(dofs, k))
+        cols.append(np.tile(np.arange(col, col + k), len(dofs)))
+        vals.append(values.ravel())
+        col += k
     if col == 0:
         return sparse.csr_matrix((grid.n_velocity, 0))
     P = sparse.coo_matrix(
@@ -229,70 +222,59 @@ def _assemble_velocity_prolongation(grid, columns):
 
 def build_rt0_space(grid) -> CoarseBasis:
     """Coarse-mesh lowest-order space prolonged by its linear normal
-    ramp; the workhorse non-adaptive baseline."""
-    columns = []
-    for face in mesh.coarse_faces(grid):
-        m = grid.block_size[face.axis]
-        dofs = [face.fine_faces]
-        vals = [np.ones(len(face.fine_faces))]
-        for side, block in enumerate(face.blocks):
-            bmul = mesh.block_multi(grid, block)
-            for j in range(1, m):
-                ids = _block_layer_faces(grid, face.axis, bmul, j)
-                frac = j / m if side == 0 else 1.0 - j / m
-                dofs.append(ids)
-                vals.append(np.full(len(ids), frac))
-        columns.append((np.concatenate(dofs), np.concatenate(vals)))
-    counts = np.ones(len(columns), dtype=int)
-    return CoarseBasis(kind="rt0", grid=grid,
-                       P_v=_assemble_velocity_prolongation(grid, columns),
+    ramp; the workhorse non-adaptive baseline.
+
+    A fine face at layer j = (low cell + 1) mod m of its block carries 1
+    on the coarse face it lies on (j = 0), else j/m toward the coarse
+    face above its block and 1 - j/m toward the one below.
+    """
+    faces = mesh.coarse_faces(grid)
+    # face_of[0 / 1, axis, b]: the coarse face above / below block b
+    face_of = np.full((2, grid.dim, grid.n_blocks), -1)
+    for face in faces:
+        face_of[0, face.axis, face.blocks[0]] = face.index
+        face_of[1, face.axis, face.blocks[1]] = face.index
+    rows, cols, vals = [], [], []
+    for axis in range(grid.dim):
+        m = grid.block_size[axis]
+        ids = np.arange(grid.axis_face_count(axis))
+        low = np.stack(np.unravel_index(ids, grid.axis_face_shape(axis),
+                                        order="F"), axis=-1)
+        ids += grid.face_offsets[axis]
+        j = (low[:, axis] + 1) % m
+        block = mesh.block_ids(grid, low // grid.block_size)
+        up, down = face_of[:, axis, block]
+        has_up = up >= 0
+        has_down = (j > 0) & (down >= 0)
+        rows += [ids[has_up], ids[has_down]]
+        cols += [up[has_up], down[has_down]]
+        vals += [np.where(j == 0, 1.0, j / m)[has_up],
+                 1.0 - j[has_down] / m]
+    P_v = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n_velocity, len(faces))).tocsr()
+    return CoarseBasis(kind="rt0", grid=grid, P_v=P_v,
                        P_p=_pressure_prolongation(grid),
-                       face_mode_counts=counts)
-
-
-def _block_layer_faces(grid, axis, block_multi_idx, offset):
-    """Faces normal to `axis` at fine-layer `offset` inside a block
-    (offset counted from the block's low side, 0 < offset < m)."""
-    m = grid.block_size
-    ranges = []
-    for a in range(grid.dim):
-        base = block_multi_idx[a] * m[a]
-        if a == axis:
-            ranges.append(np.array([base + offset - 1]))
-        else:
-            ranges.append(np.arange(base, base + m[a]))
-    meshed = np.meshgrid(*ranges, indexing="ij")
-    multi = np.stack([mm.ravel(order="F") for mm in meshed], axis=-1)
-    return np.asarray(mesh.face_id_from_low_cell(grid, axis, multi))
+                       face_mode_counts=np.ones(len(faces), dtype=int))
 
 
 def build_msfem_space(grid, field, operators=None) -> CoarseBasis:
     """One flux mode per coarse face from unit-trace local solves.
 
-    Equals the all-ones combination of the snapshot family; with a
-    uniform coefficient the local solution is the linear ramp, i.e. the
-    rt0 prolongation.
+    The all-ones combination of the snapshot family, solved as one
+    right-hand side; with a uniform coefficient the local solution is
+    the linear ramp, i.e. the rt0 prolongation.
     """
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
     solvers = mixed_fem.block_solvers(grid, operators)
-    columns = []
-    for face in mesh.coarse_faces(grid):
-        e_ids = face.fine_faces
-        ones = np.ones((len(e_ids), 1))
-        dofs = [e_ids]
-        vals = [np.ones(len(e_ids))]
-        for block in face.blocks:
-            solver = solvers[block]
-            v = _block_trace_solve(grid, operators, solver, e_ids, ones)
-            dofs.append(solver.velocity_idx)
-            vals.append(v[:, 0])
-        columns.append((np.concatenate(dofs), np.concatenate(vals)))
-    counts = np.ones(len(columns), dtype=int)
+    faces = mesh.coarse_faces(grid)
+    columns = [_face_solve(grid, operators, solvers, face,
+                           np.ones((face.n_fine, 1))) for face in faces]
     return CoarseBasis(kind="msfem", grid=grid,
                        P_v=_assemble_velocity_prolongation(grid, columns),
                        P_p=_pressure_prolongation(grid),
-                       face_mode_counts=counts)
+                       face_mode_counts=np.ones(len(faces), dtype=int))
 
 
 def build_gmsfem_space(grid, field, operators=None, tol: float = 10.0) -> CoarseBasis:

@@ -345,17 +345,16 @@ class _BoxFactor:
         v = self._mass_solve(a - self._grad_apply(p))
         return v, p, mu
 
-    def solve_core(self, a, b, tau, refine=1):
+    def solve_core(self, a, b, tau):
+        """One Schur pass, then one refinement pass on its residual."""
         v, p, mu = self._pass(a, b, tau)
-        for _ in range(refine):
-            ra = a - self._mass_apply(v) - self._grad_apply(p)
-            rb = b - self._div_apply(v) - mu[None, :]
-            # summed along contiguous rows: each column then adds up in
-            # the same order whatever the number of columns
-            rt = tau - np.ascontiguousarray(p.T).sum(axis=1)
-            dv, dp, dmu = self._pass(ra, rb, rt)
-            v, p, mu = v + dv, p + dp, mu + dmu
-        return v, p, mu
+        ra = a - self._mass_apply(v) - self._grad_apply(p)
+        rb = b - self._div_apply(v) - mu[None, :]
+        # summed along contiguous rows: each column then adds up in
+        # the same order whatever the number of columns
+        rt = tau - np.ascontiguousarray(p.T).sum(axis=1)
+        dv, dp, dmu = self._pass(ra, rb, rt)
+        return v + dv, p + dp, mu + dmu
 
 
 class BlockSolver:
@@ -390,14 +389,13 @@ class BlockSolver:
     def size(self) -> int:
         return self.n_velocity + self.n_pressure + 1
 
-    def solve(self, rhs, refine=1) -> np.ndarray:
+    def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         single = rhs.ndim == 1
         if single:
             rhs = rhs[:, None]
         nv = self.n_velocity
-        v, p, mu = self.factor.solve_core(
-            rhs[:nv], rhs[nv:-1], rhs[-1], refine=refine)
+        v, p, mu = self.factor.solve_core(rhs[:nv], rhs[nv:-1], rhs[-1])
         out = np.vstack([v, p, mu[None, :]])
         return out[:, 0] if single else out
 

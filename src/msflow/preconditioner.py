@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .mixed_fem import BlockBatch, MixedOperators, block_solvers
 from .sparse_linalg import PcgBreakdownError, factor, pcg, PcgReport
@@ -29,37 +28,34 @@ class SolverSettings:
 
     `eta` damps the additive smoother; with up to 2**d overlapping
     regions covering a dof, eta <= 2**-d keeps the smoother a
-    contraction, and 0.2 is a safe default in 2D and 3D.
+    contraction, and 0.2 is a safe default in 2D and 3D.  `sweeps`
+    smoother sweeps run before and after the coarse correction.
     """
 
     rel_tol: float = 1e-7
     max_iter: int = 500
     eta: float = 0.2
-    pre_smooth: int = 1
-    post_smooth: int = 1
+    sweeps: int = 1
     overlap: int = 2
-    reorthogonalize: bool = False
 
 
 class TwoGridPreconditioner:
     """Additive block smoother wrapped around a coarse correction.
 
-    apply() runs a symmetric V-cycle: `pre_smooth` damped smoother
-    sweeps, one coarse solve, `post_smooth` sweeps, recomputing the
-    residual between stages.  Equal sweep counts keep the operator
+    apply() runs a symmetric V-cycle: `sweeps` damped smoother sweeps,
+    one coarse solve, `sweeps` more, recomputing the residual between
+    stages.  Equal sweep counts on both sides keep the operator
     symmetric positive definite, which CG requires.
     """
 
     def __init__(self, grid, operators: MixedOperators, coarse: CoarseOperator,
-                 blocks: list, eta: float, pre_smooth: int = 1,
-                 post_smooth: int = 1):
+                 blocks: list, eta: float, sweeps: int = 1):
         self.grid = grid
         self.operators = operators
         self.coarse = coarse
         self.batch = BlockBatch(blocks, grid.n_velocity)
         self.eta = eta
-        self.pre_smooth = pre_smooth
-        self.post_smooth = post_smooth
+        self.sweeps = sweeps
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
         """One damped additive sweep: sum of local saddle solves of r,
@@ -74,10 +70,10 @@ class TwoGridPreconditioner:
     def apply(self, r: np.ndarray) -> np.ndarray:
         A = self.operators.A
         z = np.zeros_like(r)
-        for _ in range(self.pre_smooth):
+        for _ in range(self.sweeps):
             z += self.smooth(r - A @ z)
         z += self.coarse_correct(r - A @ z)
-        for _ in range(self.post_smooth):
+        for _ in range(self.sweeps):
             z += self.smooth(r - A @ z)
         return z
 
@@ -90,10 +86,10 @@ def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
         # without oversampling the block interiors miss every coarse-face
         # dof and the V-cycle goes singular there, stalling CG silently
         raise ValueError("smoother overlap must be at least 1 fine layer")
-    if settings.pre_smooth != settings.post_smooth or settings.pre_smooth < 1:
+    if settings.sweeps < 1:
         raise ValueError(
-            "CG needs a symmetric positive definite V-cycle; use equal "
-            "pre/post smoothing counts of at least 1")
+            "CG needs a positive definite V-cycle; use at least 1 "
+            "smoother sweep")
     if not (np.isfinite(settings.eta) and settings.eta > 0):
         raise ValueError(
             f"smoother damping eta must be positive and finite, got "
@@ -102,8 +98,7 @@ def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
         coarse = coarse_operator(basis, operators)
     blocks = block_solvers(grid, operators, overlap=settings.overlap)
     return TwoGridPreconditioner(grid, operators, coarse, blocks,
-                                 settings.eta, settings.pre_smooth,
-                                 settings.post_smooth)
+                                 settings.eta, settings.sweeps)
 
 
 @dataclass
@@ -116,8 +111,7 @@ class PreprocessResult:
 
 
 def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
-               source: np.ndarray,
-               solvers: list | None = None) -> PreprocessResult:
+               source: np.ndarray) -> PreprocessResult:
     """Velocity matching the source divergence exactly, cell by cell.
 
     A coarse saddle solve balances the source between blocks; local
@@ -139,8 +133,7 @@ def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
     scale = max(1.0, float(np.max(np.abs(source))))
     residual = source - operators.B @ v_coarse
     Av = operators.A @ v_coarse
-    if solvers is None:
-        solvers = block_solvers(grid, operators, overlap=0)
+    solvers = block_solvers(grid, operators, overlap=0)
     batch = BlockBatch(solvers, grid.n_velocity)
     bad = []
     for g in batch.groups:
@@ -198,7 +191,6 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     try:
         w, report = pcg(lambda x: A @ x, preconditioner.apply, rhs,
                         rel_tol=settings.rel_tol, max_iter=settings.max_iter,
-                        reorthogonalize=settings.reorthogonalize,
                         abs_floor=floor)
     except PcgBreakdownError as exc:
         iterate = getattr(exc, "iterate", None)
@@ -218,18 +210,18 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
 def recover_pressure(operators: MixedOperators, v: np.ndarray) -> np.ndarray:
     """Zero-mean cell pressures from the momentum balance.
 
-    Solves the normal equations of  grad(p) = -A v  with the mean pinned
-    by a bordered direct factorization; B B^T is a standard cell
-    Laplacian, singular only along constants.
+    Solves the normal equations of  grad(p) = -A v.  B B^T is a standard
+    cell Laplacian, singular only along constants, so cell 0 is pinned
+    to zero, the rest is factored directly, and the mean is removed
+    afterwards.  The dropped equation holds once the others do: as
+    1^T B = 0, the equations sum to zero.
     """
     B = operators.B
-    n = B.shape[0]
-    normal = (B @ B.T).tocsc()
-    ones = np.ones((n, 1))
-    bordered = sparse.bmat([[normal, ones], [ones.T, None]], format="csc")
     Av = operators.A @ v
-    rhs = np.concatenate([-(B @ Av), [0.0]])
-    p = factor(bordered).solve(rhs)[:n]
+    rhs = -(B @ Av)
+    p = np.zeros(B.shape[0])
+    if len(p) > 1:
+        p[1:] = factor((B @ B.T)[1:, 1:]).solve(rhs[1:])
     p -= p.mean()
     momentum = np.linalg.norm(Av + B.T @ p)
     if momentum > 1e-5 * max(np.linalg.norm(Av), 1e-300):

@@ -62,7 +62,10 @@ class SaddleFactorization:
         return x
 
 
-def factor(matrix, pivot_rtol: float = 1e-14) -> SaddleFactorization:
+_PIVOT_RTOL = 1e-14
+
+
+def factor(matrix) -> SaddleFactorization:
     """Factor a square sparse matrix, rejecting near-singular pivots.
 
     The pivot threshold is relative to the largest entry of the matrix;
@@ -82,12 +85,12 @@ def factor(matrix, pivot_rtol: float = 1e-14) -> SaddleFactorization:
     except RuntimeError as err:
         raise SingularMatrixError(f"sparse LU failed: {err}") from err
     pivots = np.abs(lu.U.diagonal())
-    bad = np.flatnonzero(pivots < pivot_rtol * scale)
+    bad = np.flatnonzero(pivots < _PIVOT_RTOL * scale)
     if len(bad):
         k = int(bad[0])
         raise SingularMatrixError(
             f"pivot {k} of {n} is {pivots[k]:.3e}, below "
-            f"{pivot_rtol:.0e} * max entry {scale:.3e}"
+            f"{_PIVOT_RTOL:.0e} * max entry {scale:.3e}"
         )
     return SaddleFactorization(matrix=matrix, lu=lu)
 
@@ -131,8 +134,7 @@ def condition_estimate(alphas, betas) -> float:
 
 
 def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
-        max_iter: int = 500, reorthogonalize: bool = False,
-        abs_floor: float = 0.0):
+        max_iter: int = 500, abs_floor: float = 0.0):
     """Preconditioned conjugate gradients in the natural norm.
 
     `apply_operator` and `apply_preconditioner` are callables mapping a
@@ -156,7 +158,6 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
     r = rhs.copy()
     alphas, betas = [], []
     history = []
-    past = []  # normalized (r, z) pairs, kept only when reorthogonalizing
 
     z = apply_preconditioner(r)
     rho = float(r @ z)
@@ -174,7 +175,6 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
     floor_rel = abs_floor / norm0
     p = z.copy()
     converged = False
-    sqrt_rho = np.sqrt(rho)
     for it in range(1, max_iter + 1):
         Ap = apply_operator(p)
         curvature = float(p @ Ap)
@@ -187,13 +187,8 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
             raise err
         alpha = rho / curvature
         x += alpha * p
-        if reorthogonalize:
-            past.append((r / sqrt_rho, z / sqrt_rho))
         r -= alpha * Ap
         z = apply_preconditioner(r)
-        if reorthogonalize:
-            for r_hat, z_hat in past:
-                z -= (z @ r_hat) * z_hat
         rho_next = float(r @ z)
         if rho_next < 0:
             err = PcgBreakdownError(

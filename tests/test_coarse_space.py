@@ -67,6 +67,47 @@ def test_rt0_ramp_profile():
     assert np.allclose(vals, [1 / 3, 2 / 3, 1.0])
 
 
+@pytest.mark.parametrize("fine, coarse", [((12, 8), (4, 2)),
+                                          ((6, 6, 4), (3, 1, 2)),
+                                          ((4, 4), (4, 2))])
+def test_rt0_columns_by_layer(fine, coarse):
+    # one-block axes and one-cell blocks included; the oracle walks each
+    # block's cells and their upper faces
+    grid = mesh.build_grid(fine, coarse)
+    basis = coarse_space.build_rt0_space(grid)
+    P_v = basis.P_v.toarray()
+    faces = mesh.coarse_faces(grid)
+    assert P_v.shape == (grid.n_velocity, len(faces))
+    for face in faces:
+        m = grid.block_size[face.axis]
+        _, upper_face = mesh.cell_face_ids(grid, face.axis)
+        expected = np.zeros(grid.n_velocity)
+        expected[face.fine_faces] = 1.0
+        for side, block in enumerate(face.blocks):
+            cells = mesh.block_cells(grid, block)
+            j = mesh.cell_multi(grid, cells)[:, face.axis] % m + 1
+            inner = j < m
+            ramp = j[inner] / m
+            expected[upper_face[cells[inner]]] = ramp if side == 0 else 1.0 - ramp
+        assert np.array_equal(P_v[:, face.index], expected)
+    expected_p = np.zeros((grid.n_cells, grid.n_blocks))
+    for block in range(grid.n_blocks):
+        expected_p[mesh.block_cells(grid, block), block] = 1.0
+    assert np.array_equal(basis.P_p.toarray(), expected_p)
+
+
+@pytest.mark.parametrize("fine, coarse", [((12, 8), (3, 2)),
+                                          ((6, 6, 4), (3, 1, 2))])
+def test_msfem_is_all_ones_combination_of_snapshots(rng, fine, coarse):
+    grid, field, ops = _setup(fine, coarse, rng=rng)
+    P_v = coarse_space.build_msfem_space(grid, field, ops).P_v.toarray()
+    for face in mesh.coarse_faces(grid):
+        family = coarse_space.snapshot_face(grid, ops, face)
+        expected = family.dense(grid.n_velocity).sum(axis=1)
+        error = np.abs(P_v[:, face.index] - expected).max()
+        assert error <= 1e-12 * np.abs(expected).max()
+
+
 def test_eigenpairs_residual_and_orthonormality(rng):
     grid, field, ops = _setup((12, 12), (3, 3), rng=rng)
     for face in mesh.coarse_faces(grid)[:4]:

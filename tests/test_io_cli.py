@@ -271,14 +271,17 @@ def test_build_config_rejects_unknown_keys():
     # BLAS reads its thread count when numpy loads, before any config
     with pytest.raises(ValueError, match="unknown config key 'threads'"):
         build_config({"threads": "4"}, {})
+    # pre- and post-smoothing are one setting, `sweeps`
+    with pytest.raises(ValueError, match="unknown config key 'm1'"):
+        build_config({"m1": "2"}, {})
 
 
 def test_settings_mapping():
     assert ExperimentConfig().settings() == SolverSettings()
-    custom = build_config({}, {"rtol": "1e-9", "eta": "0.3", "m1": "2",
-                               "m2": "2", "overlap": "1"}).settings()
-    assert custom == SolverSettings(rel_tol=1e-9, eta=0.3, pre_smooth=2,
-                                    post_smooth=2, overlap=1)
+    custom = build_config({}, {"rtol": "1e-9", "eta": "0.3", "sweeps": "2",
+                               "overlap": "1"}).settings()
+    assert custom == SolverSettings(rel_tol=1e-9, eta=0.3, sweeps=2,
+                                    overlap=1)
 
 
 def test_load_field_requires_a_raster():

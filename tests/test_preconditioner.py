@@ -27,8 +27,7 @@ def _channel_setup(fine=(16, 16), coarse=(4, 4), contrast=1e6):
 def test_settings_defaults():
     s = pc.SolverSettings()
     assert (s.rel_tol, s.max_iter) == (1e-7, 500)
-    assert (s.eta, s.pre_smooth, s.post_smooth, s.overlap) == (0.2, 1, 1, 2)
-    assert s.reorthogonalize is False
+    assert (s.eta, s.sweeps, s.overlap) == (0.2, 1, 2)
 
 
 def test_stage_outputs_are_divergence_free(rng):
@@ -169,8 +168,7 @@ def test_solve_variant_settings(rng):
     tight = pc.solve(grid, ops, basis, ops.F,
                      settings=pc.SolverSettings(rel_tol=1e-11)).velocity
     for settings in (pc.SolverSettings(overlap=1),
-                     pc.SolverSettings(pre_smooth=2, post_smooth=2),
-                     pc.SolverSettings(reorthogonalize=True)):
+                     pc.SolverSettings(sweeps=2)):
         result = pc.solve(grid, ops, basis, ops.F, settings=settings)
         assert result.report.converged
         scale = np.abs(tight).max()
@@ -182,11 +180,10 @@ def test_degenerate_settings_rejected():
     field = mixed_fem.uniform_field(grid)
     ops = mixed_fem.assemble_operators(grid, field)
     basis = coarse_space.build_rt0_space(grid)
-    # uncovered dofs or asymmetric sweeps make the V-cycle unusable as a
-    # CG preconditioner, so the factory refuses them up front
+    # uncovered dofs or no smoothing make the V-cycle unusable as a CG
+    # preconditioner, so the factory refuses them up front
     for bad in (pc.SolverSettings(overlap=0),
-                pc.SolverSettings(pre_smooth=0, post_smooth=0),
-                pc.SolverSettings(pre_smooth=2, post_smooth=1),
+                pc.SolverSettings(sweeps=0),
                 pc.SolverSettings(eta=0.0),
                 pc.SolverSettings(eta=-0.1),
                 pc.SolverSettings(eta=float("nan"))):
@@ -216,6 +213,13 @@ def test_breakdown_reraised_with_divergence_norm(monkeypatch):
     monkeypatch.setattr(pc, "pcg", bare_pcg)
     with pytest.raises(PcgBreakdownError, match="plain failure$"):
         pc.solve(grid, ops, basis, ops.F)
+
+
+def test_recover_pressure_single_cell():
+    # the pinned Laplacian is empty: the one pressure is the zero mean
+    grid = mesh.build_grid((1, 1), (1, 1))
+    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    assert pc.recover_pressure(ops, np.zeros(grid.n_velocity)).tolist() == [0.0]
 
 
 def test_recover_pressure_warns_on_bad_velocity(rng):
