@@ -120,13 +120,13 @@ def _block_trace_solve(grid, operators, solver, face, side, trace):
     return sol[:nv]
 
 
-def _face_solve(grid, operators, block_solvers, face, trace):
+def _face_solve(grid, operators, face, trace):
     """Glue the two block solves of a coarse face for the trace matrix
     `trace` (J, k): (dofs, values) with one column of values per trace
     column, the interior dofs of both blocks first, then the face's."""
     dof_parts, val_parts = [], []
     for side, block in enumerate(face.blocks):
-        solver = block_solvers[block]
+        solver = operators.solvers(0)[block]
         dof_parts.append(solver.velocity_idx)
         val_parts.append(_block_trace_solve(grid, operators, solver, face,
                                             side, trace))
@@ -135,13 +135,10 @@ def _face_solve(grid, operators, block_solvers, face, trace):
     return np.concatenate(dof_parts), np.vstack(val_parts)
 
 
-def snapshot_face(grid, operators, face, block_solvers=None) -> SnapshotFamily:
+def snapshot_face(grid, operators, face) -> SnapshotFamily:
     """Snapshot family of one coarse face: unit trace per fine face,
     glued from the two independent block solves."""
-    if block_solvers is None:
-        block_solvers = mixed_fem.block_solvers(grid, operators)
-    dofs, values = _face_solve(grid, operators, block_solvers, face,
-                               np.eye(face.n_fine))
+    dofs, values = _face_solve(grid, operators, face, np.eye(face.n_fine))
     return SnapshotFamily(face=face, dofs=dofs, values=values)
 
 
@@ -267,10 +264,9 @@ def build_msfem_space(grid, field, operators=None) -> CoarseBasis:
     """
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
-    solvers = mixed_fem.block_solvers(grid, operators)
     faces = mesh.coarse_faces(grid)
-    columns = [_face_solve(grid, operators, solvers, face,
-                           np.ones((face.n_fine, 1))) for face in faces]
+    columns = [_face_solve(grid, operators, face, np.ones((face.n_fine, 1)))
+               for face in faces]
     return CoarseBasis(kind="msfem", grid=grid,
                        P_v=_assemble_velocity_prolongation(grid, columns),
                        P_p=_pressure_prolongation(grid),
@@ -282,12 +278,11 @@ def build_gmsfem_space(grid, field, operators=None, tol: float = 10.0) -> Coarse
     eigenvalue at most `tol` (at least one)."""
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
-    solvers = mixed_fem.block_solvers(grid, operators)
     columns = []
     selections = []
     counts = []
     for face in mesh.coarse_faces(grid):
-        family = snapshot_face(grid, operators, face, block_solvers=solvers)
+        family = snapshot_face(grid, operators, face)
         w, X = face_eigenpairs(grid, field, operators, family)
         sel = select_modes(w, X, tol, face_index=face.index)
         selections.append(sel)

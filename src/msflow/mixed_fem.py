@@ -10,12 +10,16 @@ cell and axis the two opposing face dofs couple through the block
 and faces of different axes never couple.  The divergence matrix has one
 row per cell with signed face measures, so constant fields are exactly
 divergence free and column sums vanish (interior faces only).
+
+Block saddles are solved directly: `_BoxFactor` factors one box,
+`BlockBatch` solves a set of boxes as one block-diagonal system, and
+`MixedOperators` owns the factors of its coefficient, per overlap.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -23,6 +27,17 @@ from scipy.linalg import lapack
 
 from . import mesh
 from .sparse_linalg import SingularMatrixError
+
+
+def _positive_finite(name, values) -> np.ndarray:
+    """`values` as a flat float array; rejects the first cell that is not
+    positive and finite (NaN included)."""
+    values = np.asarray(values, dtype=float).ravel()
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        raise ValueError(f"{name} must be positive and finite; cell "
+                         f"{bad[0]} has value {float(values[bad[0]])!r}")
+    return values
 
 
 @dataclass
@@ -38,19 +53,11 @@ class PermeabilityField:
     mobility: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
-        if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
-            bad = int(np.argmin(self.values))
-            raise ValueError(
-                f"permeability must be positive and finite; cell {bad} has "
-                f"value {self.values[bad]!r}"
-            )
+        self.values = _positive_finite("permeability", self.values)
         if self.mobility is not None:
-            self.mobility = np.asarray(self.mobility, dtype=float).ravel()
+            self.mobility = _positive_finite("mobility", self.mobility)
             if self.mobility.shape != self.values.shape:
                 raise ValueError("mobility and permeability sizes differ")
-            if np.any(self.mobility <= 0):
-                raise ValueError("mobility must be positive")
 
     def coefficient(self) -> np.ndarray:
         """Effective cell coefficient (permeability times mobility)."""
@@ -66,7 +73,9 @@ class MixedOperators:
 
     `coefficient` keeps the cell coefficient the mass matrix was built
     from; the structured block solvers rebuild their local systems from
-    it instead of slicing A.
+    it instead of slicing A.  Operators are never mutated after assembly,
+    so they own the block factors: `solvers` and `batch` build them on
+    first use, once per overlap, for every caller.
     """
 
     grid: mesh.CartesianTwoScaleGrid
@@ -74,6 +83,23 @@ class MixedOperators:
     B: sparse.csr_matrix
     F: np.ndarray
     coefficient: np.ndarray | None = None
+
+    def __post_init__(self):
+        self._solvers, self._batches = {}, {}
+
+    def solvers(self, overlap: int = 0) -> list:
+        """`block_solvers` of these operators for `overlap`."""
+        if overlap not in self._solvers:
+            self._solvers[overlap] = block_solvers(self.grid, self,
+                                                   overlap=overlap)
+        return self._solvers[overlap]
+
+    def batch(self, overlap: int = 0) -> BlockBatch:
+        """`BlockBatch` of `solvers(overlap)`."""
+        if overlap not in self._batches:
+            self._batches[overlap] = BlockBatch(self.solvers(overlap),
+                                                self.grid.n_velocity)
+        return self._batches[overlap]
 
 
 def uniform_field(grid, value=1.0) -> PermeabilityField:
@@ -179,20 +205,42 @@ def bordered_saddle_matrix(A, B) -> sparse.csc_matrix:
     return sparse.bmat(blocks, format="csc")
 
 
-def _block_product(M, x):
-    """Apply the matrices M (..., nblocks, m, m) to x (..., m, k).
+class _BoxLines:
+    """Grid lines of a box shape, numbering its velocities line-major
+    (axis by axis, line by line).  `order` maps them to the F-order of
+    `mesh.velocity_dofs_interior_to`; `axes` holds (axis, cell ids per
+    line), `lens` every line's length, and velocity i joins the cells
+    `cells[i]` with divergence entries `div[i]` (+area, -area)."""
 
-    Column j of x goes with block j when nblocks = k, and every column
-    with the single block when nblocks = 1, so both cases are one
-    `matmul`: k matrix-vector products or one matrix-matrix product.
-    """
-    shape = x.shape
-    x = x.reshape(*shape[:-1], M.shape[-3], -1).swapaxes(-2, -3)
-    return np.matmul(M, x).swapaxes(-2, -3).reshape(shape)
+    def __init__(self, grid, shape):
+        self.shape = tuple(int(s) for s in shape)
+        self.n_cells = int(np.prod(self.shape))
+        cell_idx = np.arange(self.n_cells).reshape(self.shape, order="F")
+        # the empty first part serves boxes without velocity dofs
+        parts = [(np.zeros(0, int),) * 2 + (np.zeros((0, 2), int),
+                                             np.zeros((0, 2)))]
+        self.axes, start = [], 0
+        for a, s in enumerate(self.shape):
+            if s < 2:
+                continue
+            ids = np.moveaxis(cell_idx, a, -1).reshape(-1, s)
+            face_shape = self.shape[:a] + (s - 1,) + self.shape[a + 1:]
+            n_a = int(np.prod(face_shape))
+            faces = start + np.arange(n_a).reshape(face_shape, order="F")
+            start += n_a
+            self.axes.append((a, ids))
+            parts.append((np.moveaxis(faces, a, -1).ravel(),
+                          np.full(len(ids), s - 1),
+                          np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], 1),
+                          np.tile([grid.face_area(a), -grid.face_area(a)],
+                                  (n_a, 1))))
+        self.n_velocity = start
+        self.order, self.lens, self.cells, self.div = map(np.concatenate,
+                                                          zip(*parts))
 
 
 class _BoxFactor:
-    """Direct solver of the bordered saddle on a box of cells.
+    """Factors of the bordered saddle on a box of cells.
 
     On a tensor grid the velocity mass matrix decouples into independent
     tridiagonal systems along grid lines, one per axis and transverse
@@ -207,163 +255,66 @@ class _BoxFactor:
     divergence rows need.
 
     Instances depend on the box shape and cell coefficients only, so
-    identical blocks (uniform background) share one factor.
-
-    The line matrices carry a block axis, shaped (lines, nblocks, len,
-    len), and L^-1 is (nblocks, n_cells, n_cells).  Right-hand sides are
-    (rows, k) with column j solved on block j.  A factor built for one
-    box has nblocks = 1 and solves any number of columns together;
-    `stack` joins same-shape factors so that one `solve_core` call
-    solves one column per box.  Either way each line and Schur product
-    is one `matmul` (`_block_product`).  The smoother and preprocessing
-    run one such batched solve per box shape.
+    identical blocks (uniform background) share one factor.  `BlockBatch`
+    solves with its arrays, numbered by `lines`: the line matrices `T`
+    and `T_inv` row by row, and `L_inv` of shape (1, n, n).
     """
 
-    def __init__(self, grid, shape, coeff_box: np.ndarray):
-        self.shape = tuple(int(s) for s in shape)
-        self.dim = grid.dim
-        self.n_cells = int(np.prod(self.shape))
-        vol = grid.cell_volume
-        self.areas = [grid.face_area(a) for a in range(grid.dim)]
-        w = (vol / np.asarray(coeff_box, dtype=float)).reshape(
-            self.shape, order="F")
-
-        # per axis: local (cell, velocity) indices laid out as
-        # (lines, len), velocities numbered axis by axis in F order, and
-        # the line matrices with their inverses
-        self._lines = []
-        self._tri = []
-        cell_idx = np.arange(self.n_cells).reshape(self.shape, order="F")
-        n = self.n_cells
-        schur = np.zeros((n, n))
-        start = 0
-        for a in range(self.dim):
-            s = self.shape[a]
-            if s < 2:
-                self._lines.append(None)
-                self._tri.append(None)
-                continue
+    def __init__(self, grid, lines: _BoxLines, coeff_box: np.ndarray):
+        self.lines = lines
+        w = (grid.cell_volume / np.asarray(coeff_box, dtype=float)).reshape(
+            lines.shape, order="F")
+        parts = [(np.zeros(0), np.zeros(0))]
+        schur = np.zeros((lines.n_cells,) * 2)
+        for a, ids in lines.axes:
+            s = ids.shape[1]
             w_lines = np.moveaxis(w, a, -1).reshape(-1, s)
             j = np.arange(s - 1)
-            T = np.zeros((len(w_lines), 1, s - 1, s - 1))
-            T[:, 0, j, j] = (w_lines[:, :-1] + w_lines[:, 1:]) / 3.0
-            T[:, 0, j[1:], j[:-1]] = T[:, 0, j[:-1], j[1:]] = \
-                w_lines[:, 1:-1] / 6.0
+            T = np.zeros((len(w_lines), s - 1, s - 1))
+            T[:, j, j] = (w_lines[:, :-1] + w_lines[:, 1:]) / 3.0
+            T[:, j[1:], j[:-1]] = T[:, j[:-1], j[1:]] = w_lines[:, 1:-1] / 6.0
             T_inv = np.linalg.inv(T)
-            self._tri.append((T, T_inv))
-            ids = np.moveaxis(cell_idx, a, -1).reshape(-1, s)
-            face_shape = self.shape[:a] + (s - 1,) + self.shape[a + 1:]
-            n_a = int(np.prod(face_shape))
-            faces = start + np.arange(n_a).reshape(face_shape, order="F")
-            faces = np.moveaxis(faces, a, -1).reshape(-1, s - 1)
-            self._lines.append((ids, faces))
-            start += n_a
+            parts.append((T.ravel(), T_inv.ravel()))
 
             # Schur contribution G T^-1 G^T, a dense (s x s) block per
             # line; the lines of one axis are disjoint, so no entry of
             # the fancy-indexed sum repeats
             G = np.zeros((s, s - 1))
-            G[j, j] = self.areas[a]
-            G[j + 1, j] = -self.areas[a]
-            schur[ids[:, :, None], ids[:, None, :]] += G @ T_inv[:, 0] @ G.T
+            G[j, j] = grid.face_area(a)
+            G[j + 1, j] = -grid.face_area(a)
+            schur[ids[:, :, None], ids[:, None, :]] += G @ T_inv @ G.T
 
-        self.n_velocity = start
+        self.T, self.T_inv = map(np.concatenate, zip(*parts))
         # c = trace / n^2 puts the constant mode of S + c 1 1^T among the
         # others, at the mean diagonal entry
-        shift = np.trace(schur) / n ** 2 or 1.0
+        schur += np.trace(schur) / schur.size or 1.0
         try:
-            chol = np.linalg.cholesky(schur + shift)
+            chol = np.linalg.cholesky(schur)
         except np.linalg.LinAlgError as err:
             raise SingularMatrixError(
-                f"box {self.shape}: pressure Schur complement is not "
+                f"box {lines.shape}: pressure Schur complement is not "
                 f"positive definite ({err})") from err
-        self._chol_inv = lapack.dtrtri(chol, lower=1)[0][None]
+        schur.T[...] = chol  # L^-1 is formed in place, in Fortran order
+        self.L_inv = lapack.dtrtri(schur.T, lower=1, overwrite_c=1)[0][None]
 
-    @classmethod
-    def stack(cls, factors):
-        """One factor solving column j on the box of `factors[j]`.
 
-        The factors are single-box ones of one shape; their line
-        matrices and Schur factors are concatenated along the block
-        axis.
-        """
-        first = factors[0]
-        if any(f.shape != first.shape for f in factors):
-            raise ValueError("stacked box factors must share one shape")
-        out = copy.copy(first)
-        out._tri = [None if tri is None else tuple(
-            np.concatenate([f._tri[a][i] for f in factors], axis=1)
-            for i in range(len(tri))) for a, tri in enumerate(first._tri)]
-        out._chol_inv = np.concatenate([f._chol_inv for f in factors])
-        return out
-
-    def _axes(self):
-        """(area, cell lines, velocity lines, line matrices) per axis
-        that has velocity dofs; line arrays are (lines, len)."""
-        return [(self.areas[a], *self._lines[a], self._tri[a])
-                for a in range(self.dim) if self._lines[a] is not None]
-
-    def _mass_solve(self, rhs):
-        out = np.empty_like(rhs)
-        for _, _, faces, (_, T_inv) in self._axes():
-            out[faces] = _block_product(T_inv, rhs[faces])
-        return out
-
-    def _mass_apply(self, v):
-        out = np.empty_like(v)
-        for _, _, faces, (T, _) in self._axes():
-            out[faces] = _block_product(T, v[faces])
-        return out
-
-    def _div_apply(self, v):
-        out = np.zeros((self.n_cells, v.shape[1]))
-        for area, cells, faces, _ in self._axes():
-            flux = area * v[faces]
-            net = np.zeros(cells.shape + (v.shape[1],))
-            net[:, :-1] += flux
-            net[:, 1:] -= flux
-            # each axis' cell lines hold every cell once
-            out[cells] += net
-        return out
-
-    def _grad_apply(self, p):
-        out = np.empty((self.n_velocity, p.shape[1]))
-        for area, cells, faces, _ in self._axes():
-            lines = p[cells]
-            out[faces] = area * (lines[:, :-1] - lines[:, 1:])
-        return out
-
-    def _pass(self, a, b, tau):
-        g = self._div_apply(self._mass_solve(a)) - b
-        # bordered Schur system S p - mu 1 = g, 1^T p = tau: 1^T S = 0
-        # gives mu = -mean(g), and as S 1 = 0 the zero-mean part of p
-        # solves (S + c 1 1^T) p0 = g + mu
-        mu = -g.mean(axis=0)
-        y = _block_product(self._chol_inv, g + mu)
-        p = (_block_product(self._chol_inv.transpose(0, 2, 1), y)
-             + tau / self.n_cells)
-        v = self._mass_solve(a - self._grad_apply(p))
-        return v, p, mu
-
-    def solve_core(self, a, b, tau):
-        """One Schur pass, then one refinement pass on its residual."""
-        v, p, mu = self._pass(a, b, tau)
-        ra = a - self._mass_apply(v) - self._grad_apply(p)
-        rb = b - self._div_apply(v) - mu[None, :]
-        # summed along contiguous rows: each column then adds up in
-        # the same order whatever the number of columns
-        rt = tau - np.ascontiguousarray(p.T).sum(axis=1)
-        dv, dp, dmu = self._pass(ra, rb, rt)
-        return v + dv, p + dp, mu + dmu
+def _held_once(factors, name):
+    """Attribute `name` of the factors, concatenated; each factor keeps a
+    view of its part, so the data is held once (one array: no copy)."""
+    parts = [getattr(f, name) for f in factors]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    for f, part, end in zip(factors, parts, np.cumsum([len(p) for p in parts])):
+        setattr(f, name, out[end - len(part):end])
+    return out
 
 
 class BlockSolver:
     """Bordered saddle solver on one coarse block, optionally oversampled.
 
-    Thin wrapper pairing the global index sets with a `_BoxFactor`.
-    Right-hand sides and solutions are laid out as in
-    `bordered_saddle_matrix`: [velocity; pressure; border].  Sweeps over all blocks go through
-    `BlockBatch` instead, one batched solve per box shape.
+    Pairs the global index sets with a `_BoxFactor` and solves through a
+    one-box `BlockBatch`, built on the first solve.  Right-hand sides and
+    solutions are laid out as in `bordered_saddle_matrix`: [velocity;
+    pressure; border], velocities in the order of `velocity_idx`.
     """
 
     def __init__(self, block: int, velocity_idx, pressure_idx,
@@ -372,10 +323,10 @@ class BlockSolver:
         self.velocity_idx = velocity_idx
         self.pressure_idx = pressure_idx
         self.factor = factor
-        if len(velocity_idx) != factor.n_velocity:
+        if len(velocity_idx) != factor.lines.n_velocity:
             raise ValueError(
                 f"block {block}: {len(velocity_idx)} interior dofs but the "
-                f"box factor expects {factor.n_velocity}")
+                f"box factor expects {factor.lines.n_velocity}")
 
     @property
     def n_velocity(self) -> int:
@@ -389,77 +340,135 @@ class BlockSolver:
     def size(self) -> int:
         return self.n_velocity + self.n_pressure + 1
 
+    @cached_property
+    def _system(self):
+        return BlockBatch([self], self.n_velocity)
+
     def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        single = rhs.ndim == 1
-        if single:
-            rhs = rhs[:, None]
+        cols = rhs.reshape(len(rhs), -1)
         nv = self.n_velocity
-        v, p, mu = self.factor.solve_core(rhs[:nv], rhs[nv:-1], rhs[-1])
-        out = np.vstack([v, p, mu[None, :]])
-        return out[:, 0] if single else out
-
-
-class _ShapeGroup:
-    """Blocks of one box shape; column j of a local array is block
-    `blocks[j]`, and the index arrays are (nblocks, n_velocity) and
-    (nblocks, n_cells)."""
-
-    def __init__(self, solvers):
-        self.blocks = np.array([bs.block for bs in solvers])
-        self.velocity_idx = np.stack([bs.velocity_idx for bs in solvers])
-        self.pressure_idx = np.stack([bs.pressure_idx for bs in solvers])
-        self.factor = _BoxFactor.stack([bs.factor for bs in solvers])
+        order = self.factor.lines.order
+        v, p, mu = self._system.solve_core(cols[:nv][order], cols[nv:-1],
+                                           cols[-1:])
+        out = np.vstack([np.empty_like(v), p, mu])
+        out[:nv][order] = v
+        return out.reshape(rhs.shape)
 
 
 class BlockBatch:
-    """Block solvers grouped by box shape for batched local solves.
+    """The saddles of a set of boxes as one block-diagonal system.
 
-    A 2D decomposition has at most 9 box shapes and a 3D one at most 27,
-    so a pass over all blocks is that many `solve_core` calls, whatever
-    the number of blocks.
+    The local unknowns of all boxes are concatenated, boxes grouped by
+    shape (`blocks[i]` is box i's block), so every grid line is a
+    contiguous diagonal block: the line matrices `T` and their inverses
+    `T_inv` are CSR on one pattern, the divergence `D` is CSC with two
+    entries per column and `G = D.T`.  The Cholesky inverses of
+    S + c 1 1^T stay dense, stacked per shape as (nboxes, n, n), and the
+    factors keep views of the batch's arrays.  A solve is a dozen sparse
+    products plus two `matmul`s per shape.  `velocity_idx` and
+    `pressure_idx` give the global dof of every local unknown,
+    `velocity_box` and `cell_box` its box, `counts` each box's cells.
     """
 
     def __init__(self, solvers, n_velocity: int):
         by_shape = {}
         for bs in solvers:
-            by_shape.setdefault(bs.factor.shape, []).append(bs)
-        self.groups = [_ShapeGroup(group) for group in by_shape.values()]
+            by_shape.setdefault(bs.factor.lines.shape, []).append(bs)
+        boxes = [bs for group in by_shape.values() for bs in group]
+        factors = [bs.factor for bs in boxes]
+        lines = [f.lines for f in factors]
         self.n_velocity = n_velocity
-        # local values come group by group as (n_velocity, nblocks);
-        # taken block by block instead, every dof adds up its shares in
-        # block order, exactly as a loop over the solvers does
-        idx = np.concatenate([g.velocity_idx.T.ravel() for g in self.groups])
-        owner = np.concatenate([np.tile(g.blocks, g.velocity_idx.shape[1])
-                                for g in self.groups])
-        self._scatter_order = np.argsort(owner, kind="stable")
-        self._scatter_idx = idx[self._scatter_order]
+        self.blocks = np.array([bs.block for bs in boxes])
+        self.velocity_idx = np.concatenate(
+            [bs.velocity_idx[bs.factor.lines.order] for bs in boxes])
+        self.pressure_idx = np.concatenate([bs.pressure_idx for bs in boxes])
+        nv = np.array([box.n_velocity for box in lines])
+        self.counts = np.array([box.n_cells for box in lines])
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.velocity_box = np.repeat(np.arange(len(boxes)), nv)
+        self.cell_box = np.repeat(np.arange(len(boxes)), self.counts)
+        n_loc, n_cells = len(self.velocity_idx), len(self.pressure_idx)
 
-    def solve(self, velocity_rhs, pressure_rhs=None) -> list:
-        """Local velocities of every block saddle, one (n_velocity,
-        nblocks) array per group.
+        # dense line blocks, stored row by row: a row of line i holds
+        # columns first .. first + m[i] - 1 (int32, as scipy keeps them)
+        m = np.concatenate([box.lens for box in lines]).astype(np.int32)
+        row_len = np.repeat(m, m)
+        indptr = np.cumsum(np.concatenate([[0], row_len]), dtype=np.int32)
+        first = np.repeat(np.cumsum(m, dtype=np.int32) - m, m)
+        indices = (np.arange(indptr[-1], dtype=np.int32)
+                   + np.repeat(first - indptr[:-1], row_len))
+        self.T = sparse.csr_matrix((_held_once(factors, "T"), indices, indptr),
+                                   shape=(n_loc, n_loc))
+        self.T_inv = sparse.csr_matrix(
+            (_held_once(factors, "T_inv"), self.T.indices, self.T.indptr),
+            shape=(n_loc, n_loc))
 
-        Each block's right-hand side is gathered from the global vectors
-        (`pressure_rhs` None is zero; the border entry is zero), solved
-        with one refinement pass like `BlockSolver.solve`.
-        """
-        out = []
-        for g in self.groups:
-            a = velocity_rhs[g.velocity_idx.T]
-            if pressure_rhs is None:
-                b = np.zeros(g.pressure_idx.T.shape)
-            else:
-                b = pressure_rhs[g.pressure_idx.T]
-            v, _, _ = g.factor.solve_core(a, b, np.zeros(len(g.blocks)))
-            out.append(v)
-        return out
+        cells = np.concatenate([box.cells for box in lines])
+        cells += self.starts[self.velocity_box][:, None]
+        self.D = sparse.csc_matrix(
+            (np.concatenate([box.div for box in lines]).ravel(), cells.ravel(),
+             np.arange(0, 2 * n_loc + 1, 2)), shape=(n_cells, n_loc))
+        self.G = self.D.T
+
+        # (local cell rows, stacked L^-1) per shape
+        self.schur, first = [], 0
+        for group in by_shape.values():
+            L = _held_once([bs.factor for bs in group], "L_inv")
+            self.schur.append((slice(first, first + L[:, 0].size), L))
+            first += L[:, 0].size
+
+    def box_sums(self, x):
+        """Per-box sums of local cell values (rows of `x`)."""
+        return np.add.reduceat(x, self.starts, axis=0)
+
+    def _schur_solve(self, g):
+        """(S + c 1 1^T)^-1 g on every box, as L^-T (L^-1 g)."""
+        p = np.empty_like(g)
+        for rows, L in self.schur:
+            x = g[rows].reshape(L.shape[0], L.shape[1], -1)
+            np.matmul(L.transpose(0, 2, 1), L @ x,
+                      out=p[rows].reshape(x.shape))
+        return p
+
+    def _pass(self, a, b, tau):
+        g = self.D @ (self.T_inv @ a) - b
+        # bordered Schur system S p - mu 1 = g, 1^T p = tau per box:
+        # 1^T S = 0 gives mu = -mean(g), and as S 1 = 0 the zero-mean
+        # part of p solves (S + c 1 1^T) p0 = g + mu
+        counts = self.counts[:, None]
+        mu = -self.box_sums(g) / counts
+        p = self._schur_solve(g + mu[self.cell_box])
+        p += (tau / counts)[self.cell_box]
+        v = self.T_inv @ (a - self.G @ p)
+        return v, p, mu
+
+    def solve_core(self, a, b, tau):
+        """Every box saddle for local right-hand sides a, b and tau (one
+        row per box) with k columns: one Schur pass, then one refinement
+        pass on its residual.  Returns (v, p, mu) in the same layout."""
+        v, p, mu = self._pass(a, b, tau)
+        ra = a - self.T @ v - self.G @ p
+        rb = b - self.D @ v - mu[self.cell_box]
+        rt = tau - self.box_sums(p)
+        dv, dp, dmu = self._pass(ra, rb, rt)
+        return v + dv, p + dp, mu + dmu
+
+    def solve(self, velocity_rhs, pressure_rhs=None) -> np.ndarray:
+        """Local velocities of every box saddle for global right-hand
+        sides (n,) or (n, k); `pressure_rhs` None and the borders are 0."""
+        a = velocity_rhs[self.velocity_idx]
+        k = velocity_rhs.shape[1] if velocity_rhs.ndim > 1 else 1
+        b = (np.zeros((len(self.pressure_idx), k)) if pressure_rhs is None
+             else pressure_rhs[self.pressure_idx].reshape(-1, k))
+        v, _, _ = self.solve_core(a.reshape(-1, k), b,
+                                  np.zeros((len(self.blocks), k)))
+        return v.reshape(a.shape)
 
     def scatter(self, local) -> np.ndarray:
-        """Sum the local velocities into a global vector; dofs shared
-        by overlapping blocks add up."""
-        weights = np.concatenate([v.ravel() for v in local])
-        return np.bincount(self._scatter_idx,
-                           weights=weights[self._scatter_order],
+        """Sum one column of local velocities into a global vector; dofs
+        shared by overlapping boxes add up."""
+        return np.bincount(self.velocity_idx, weights=local,
                            minlength=self.n_velocity)
 
 
@@ -476,19 +485,18 @@ def block_solvers(grid, operators: MixedOperators,
         raise ValueError("operators carry no cell coefficient; assemble "
                          "them with assemble_operators")
     coeff = operators.coefficient
-    solvers = []
-    cache: dict = {}
+    solvers, lines, factors = [], {}, {}
     for b in range(grid.n_blocks):
         cells = mesh.oversample(grid, b, overlap)
         lo = mesh.cell_multi(grid, cells[0])
         hi = mesh.cell_multi(grid, cells[-1])
         shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
         coeff_box = coeff[cells]
+        lines[shape] = lines.get(shape) or _BoxLines(grid, shape)
         key = (shape, coeff_box.tobytes())
-        factor = cache.get(key)
+        factor = factors.get(key)
         if factor is None:
-            factor = _BoxFactor(grid, shape, coeff_box)
-            cache[key] = factor
+            factor = factors[key] = _BoxFactor(grid, lines[shape], coeff_box)
         vidx = mesh.velocity_dofs_interior_to(grid, cells)
         solvers.append(BlockSolver(b, vidx, cells, factor))
     return solvers

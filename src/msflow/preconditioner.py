@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixed_fem import BlockBatch, MixedOperators, block_solvers
+from .mixed_fem import BlockBatch, MixedOperators
 from .sparse_linalg import PcgBreakdownError, factor, pcg, PcgReport
 from .coarse_space import CoarseBasis, CoarseOperator, coarse_operator
 
@@ -49,18 +49,18 @@ class TwoGridPreconditioner:
     """
 
     def __init__(self, grid, operators: MixedOperators, coarse: CoarseOperator,
-                 blocks: list, eta: float, sweeps: int = 1):
+                 batch: BlockBatch, eta: float, sweeps: int = 1):
         self.grid = grid
         self.operators = operators
         self.coarse = coarse
-        self.batch = BlockBatch(blocks, grid.n_velocity)
+        self.batch = batch
         self.eta = eta
         self.sweeps = sweeps
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
-        """One damped additive sweep: sum of local saddle solves of r,
-        one batched solve per box shape."""
-        return self.batch.scatter([self.eta * v for v in self.batch.solve(r)])
+        """One damped additive sweep: sum of the local saddle solves of
+        r, all boxes in one block-diagonal solve."""
+        return self.batch.scatter(self.eta * self.batch.solve(r))
 
     def coarse_correct(self, r: np.ndarray) -> np.ndarray:
         P_v = self.coarse.basis.P_v
@@ -96,8 +96,8 @@ def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
             f"{settings.eta!r}")
     if coarse is None:
         coarse = coarse_operator(basis, operators)
-    blocks = block_solvers(grid, operators, overlap=settings.overlap)
-    return TwoGridPreconditioner(grid, operators, coarse, blocks,
+    return TwoGridPreconditioner(grid, operators, coarse,
+                                 operators.batch(settings.overlap),
                                  settings.eta, settings.sweeps)
 
 
@@ -133,22 +133,19 @@ def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
     scale = max(1.0, float(np.max(np.abs(source))))
     residual = source - operators.B @ v_coarse
     Av = operators.A @ v_coarse
-    solvers = block_solvers(grid, operators, overlap=0)
-    batch = BlockBatch(solvers, grid.n_velocity)
-    bad = []
-    for g in batch.groups:
-        imbalance = np.abs(residual[g.pressure_idx].sum(axis=1))
-        over = imbalance > 1e-10 * scale * g.pressure_idx.shape[1]
-        bad += zip(g.blocks[over], imbalance[over])
-    if bad:
-        block, imbalance = min(bad)
+    batch = operators.batch(0)
+    imbalance = np.abs(batch.box_sums(residual[batch.pressure_idx]))
+    over = imbalance > 1e-10 * scale * batch.counts
+    if over.any():
+        block, imbalance = min(zip(batch.blocks[over], imbalance[over]))
         raise RuntimeError(
             f"block {block} source imbalance {imbalance:.3e} after the "
             f"coarse solve; the coarse pressure space is inconsistent")
     corrections = batch.solve(-Av, residual)
-    norms = np.zeros(len(solvers))
-    for g, correction in zip(batch.groups, corrections):
-        norms[g.blocks] = np.linalg.norm(correction, axis=0)
+    norms = np.zeros(len(batch.blocks))
+    norms[batch.blocks] = np.sqrt(np.bincount(
+        batch.velocity_box, weights=corrections ** 2,
+        minlength=len(batch.blocks)))
     v = v_coarse + batch.scatter(corrections)
 
     err = float(np.max(np.abs(operators.B @ v - source)))

@@ -54,6 +54,13 @@ def test_field_validation():
         mixed_fem.PermeabilityField(np.ones(4), mobility=np.ones(3))
     with pytest.raises(ValueError, match="mobility"):
         mixed_fem.PermeabilityField(np.ones(4), mobility=np.zeros(4))
+    # non-finite values fail at construction, naming the first bad cell
+    with pytest.raises(ValueError, match="cell 1 has value inf"):
+        mixed_fem.PermeabilityField(np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match="mobility .* cell 1 has value nan"):
+        mixed_fem.PermeabilityField(np.ones(2), mobility=[1.0, np.nan])
+    with pytest.raises(ValueError, match="mobility .* cell 2 has value inf"):
+        mixed_fem.PermeabilityField(np.ones(3), mobility=[1.0, 2.0, np.inf])
     field = mixed_fem.PermeabilityField(np.full(4, 2.0), mobility=np.full(4, 0.5))
     assert np.allclose(field.coefficient(), 1.0)
 
@@ -235,6 +242,15 @@ def assert_relative_close(got, want, rtol=1e-14):
     assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
+def block_loop_rhs(bs, r, q=None):
+    """Bordered right-hand side of one block gathered from global r, q."""
+    rhs = np.zeros(bs.size)
+    rhs[:bs.n_velocity] = r[bs.velocity_idx]
+    if q is not None:
+        rhs[bs.n_velocity:-1] = q[bs.pressure_idx]
+    return rhs
+
+
 @pytest.mark.parametrize("overlap", [0, 2])
 @pytest.mark.parametrize("case", BATCH_CASES)
 def test_block_batch_matches_block_loop(case, overlap, rng):
@@ -247,29 +263,41 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
     if case == "uniform-2d":
         assert unique < grid.n_blocks
     if case == "singleton-axis" and overlap == 0:
-        assert solvers[0].factor._tri[0] is None
+        # one-cell-wide boxes: every line runs along axis 1
+        assert solvers[0].factor.lines.shape[0] == 1
+        assert np.all(solvers[0].factor.lines.lens == grid.block_size[1] - 1)
 
     batch = mixed_fem.BlockBatch(solvers, grid.n_velocity)
-    assert len(batch.groups) <= 3 ** grid.dim
-    assert sorted(np.concatenate([g.blocks for g in batch.groups])) == \
-        list(range(grid.n_blocks))
+    # one stacked Schur factor per box shape
+    assert len(batch.schur) <= 3 ** grid.dim
+    assert sorted(batch.blocks) == list(range(grid.n_blocks))
     r = rng.standard_normal(grid.n_velocity)
     q = rng.standard_normal(grid.n_cells)
     for pressure_rhs in (None, q):
         local = batch.solve(r, pressure_rhs)
         want = np.zeros(grid.n_velocity)
-        for g, v in zip(batch.groups, local):
-            assert v.shape == (g.velocity_idx.shape[1], len(g.blocks))
-            for j, block in enumerate(g.blocks):
-                bs = solvers[block]
-                rhs = np.zeros(bs.size)
-                rhs[:bs.n_velocity] = r[bs.velocity_idx]
-                if pressure_rhs is not None:
-                    rhs[bs.n_velocity:-1] = q[bs.pressure_idx]
-                ref = bs.solve(rhs)[:bs.n_velocity]
-                want[bs.velocity_idx] += ref
-                assert_relative_close(v[:, j], ref)
+        for box, block in enumerate(batch.blocks):
+            bs = solvers[block]
+            ref = bs.solve(block_loop_rhs(bs, r, pressure_rhs))
+            want[bs.velocity_idx] += ref[:bs.n_velocity]
+            # the batch keeps each box's velocities in line-major order
+            got = local[batch.velocity_box == box]
+            assert_relative_close(got, ref[:bs.n_velocity][
+                bs.factor.lines.order])
         assert_relative_close(batch.scatter(local), want)
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_block_batch_columns_match_single_solves(case, rng):
+    grid, field = batch_case(case, rng)
+    ops = mixed_fem.assemble_operators(grid, field)
+    batch = ops.batch(2)
+    r = rng.standard_normal((grid.n_velocity, 3))
+    q = rng.standard_normal((grid.n_cells, 3))
+    many = batch.solve(r, q)
+    assert many.shape == (len(batch.velocity_idx), 3)
+    for j in range(3):
+        assert_relative_close(many[:, j], batch.solve(r[:, j], q[:, j]))
 
 
 def test_block_solvers_need_coefficient():
