@@ -17,8 +17,8 @@ from .preconditioner import (SolverSettings, SolveResult, build_preconditioner,
                              preprocess, recover_pressure, solve)
 from .two_phase import (FluidModel, IMPESConfig, TransportState, UpwindFlow,
                         WellConfig, five_spot_wells, fractional_flow,
-                        impes_run, pressure_step, total_mobility,
-                        transport_step)
+                        impes_run, mobility_field, pressure_step,
+                        total_mobility, transport_step)
 from .bench_cli import (FieldSpec, bench_field, read_raster, synth_field,
                         write_raster, write_vtk)
 
@@ -32,8 +32,8 @@ __all__ = [
     "SolverSettings", "SolveResult", "build_preconditioner", "preprocess",
     "recover_pressure", "solve",
     "FluidModel", "IMPESConfig", "TransportState", "UpwindFlow", "WellConfig",
-    "five_spot_wells", "fractional_flow", "impes_run", "pressure_step",
-    "total_mobility", "transport_step",
+    "five_spot_wells", "fractional_flow", "impes_run", "mobility_field",
+    "pressure_step", "total_mobility", "transport_step",
     "FieldSpec", "bench_field", "read_raster", "synth_field",
     "write_raster", "write_vtk",
 ]

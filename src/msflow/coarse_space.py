@@ -17,9 +17,11 @@ the right subspace.
   flux through the face distributed by local Neumann solves with unit
   normal trace and compatible constant divergence.
 
-The snapshot family and msfem share one gluing of the two block solves
-of a face (`_face_solve`), with the identity and the all-ones trace
-matrix respectively.
+All faces of an axis are built together (`_FaceGroup`): their block
+solves are two multi-column solves on the overlap-0 `BlockBatch`, and
+the right-hand sides and S-forms come from face geometry and box data,
+since a fine face couples only to its adjacent cell and to the next
+velocity on that cell's grid line.  Their pencils are one stack.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ class SnapshotFamily:
 
     Column l solves the two-block Neumann problem with unit normal
     trace on fine face l of the coarse face and zero trace on the rest;
-    rows are indexed by `dofs` (interior faces of both blocks, then the
-    coarse-face fine faces, so the trailing J rows form an identity).
+    rows are indexed by `dofs` (interior faces of the lower, then of the
+    upper block, each in its box's order in `operators.batch(0)`, then
+    the coarse-face fine faces, so the trailing J rows form an identity).
     """
 
     face: mesh.CoarseFace
@@ -97,58 +100,121 @@ class CoarseBasis:
         return self.n_velocity_modes + self.n_pressure_modes
 
 
-def _block_trace_solve(grid, operators, solver, face, side, trace):
-    """Solve one block's Neumann problem with prescribed normal trace.
+class _FaceGroup:
+    """Coarse faces of one axis and the box data of their blocks.
 
-    `trace` is (J, k): prescribed dof values on the coarse-face fine
-    faces for k right-hand sides.  The compatible constant divergence is
-    determined by the net trace flux over the block boundary; its sign
-    is resolved by whether the block sits below (`side` 0) or above
-    (`side` 1) the face.
+    The overlap-0 boxes of `operators.batch(0)` are the blocks: one
+    shape, disjoint, so a box is the lower (side 0) block of at most one
+    face of an axis and the upper (side 1) block of at most one.  Per
+    side: `boxes` of the faces, local `cells` next to each fine face,
+    their mass weights `w` (cell volume / coefficient), and `coupled`,
+    the local velocity beyond that cell on its grid line (None for
+    blocks one cell thick along the axis).
     """
-    e_ids = face.fine_faces
-    nv, npr = solver.n_velocity, solver.n_pressure
-    block_volume = npr * grid.cell_volume
-    sign = 1.0 if side == 0 else -1.0
-    net_flux = sign * grid.face_area(face.axis) * trace.sum(axis=0)
-    rhs = np.zeros((solver.size, trace.shape[1]))
-    if nv:
-        rhs[:nv] = -(operators.A[solver.velocity_idx][:, e_ids] @ trace)
-    rhs[nv:-1] = (net_flux / block_volume) * grid.cell_volume \
-        - operators.B[solver.pressure_idx][:, e_ids] @ trace
-    sol = solver.solve(rhs)
-    return sol[:nv]
+
+    def __init__(self, grid, operators, faces):
+        self.grid, self.axis, self.nf = grid, faces[0].axis, len(faces)
+        self.batch = batch = operators.batch(0)
+        self.n_box = len(batch.blocks)
+        self.nv = len(batch.velocity_idx) // self.n_box
+        self.nc = len(batch.pressure_idx) // self.n_box
+        box = np.empty(grid.n_blocks, dtype=int)
+        box[batch.blocks] = np.arange(self.n_box)
+        cell_row = np.empty(grid.n_cells, dtype=int)
+        cell_row[batch.pressure_idx] = np.arange(len(batch.pressure_idx))
+        self.fine = np.array([face.fine_faces for face in faces])
+        adjacent = mesh.face_adjacent_cells(grid, self.fine)
+        self.boxes = [box[[face.blocks[side] for face in faces]]
+                      for side in (0, 1)]
+        self.cells = [cell_row[c] for c in adjacent]
+        self.w = [grid.cell_volume / operators.coefficient[c] for c in adjacent]
+        self.coupled = None
+        if grid.block_size[self.axis] > 1:
+            v_row = np.empty(grid.n_velocity, dtype=int)
+            v_row[batch.velocity_idx] = np.arange(len(batch.velocity_idx))
+            # low face of the lower block's cell, high face of the upper's
+            beyond = mesh.cell_face_ids(grid, self.axis)
+            self.coupled = [v_row[beyond[side][c]]
+                            for side, c in enumerate(adjacent)]
+
+    def solve(self, trace):
+        """Block solves of every face for the trace matrix (J, k), one
+        `solve_core` per side: dofs and values as in `SnapshotFamily`,
+        stacked to (nf, 2 nv + J) and (nf, 2 nv + J, k)."""
+        batch, nv, nc, k = self.batch, self.nv, self.nc, trace.shape[1]
+        area = self.grid.face_area(self.axis)
+        parts = []
+        for side, sign in ((0, 1.0), (1, -1.0)):
+            a = np.zeros((len(batch.velocity_idx), k))
+            b = np.zeros((len(batch.pressure_idx), k))
+            if self.coupled is not None:
+                a[self.coupled[side]] = -(self.w[side] / 6.0)[..., None] * trace
+            # the compatible divergence spreads the net flux over the block
+            b.reshape(self.n_box, nc, k)[self.boxes[side]] = \
+                sign * area * trace.sum(axis=0) / nc
+            b[self.cells[side]] -= sign * area * trace
+            v, _, _ = batch.solve_core(a, b, np.zeros((self.n_box, k)))
+            parts.append(v.reshape(self.n_box, nv, k)[self.boxes[side]])
+        vidx = batch.velocity_idx.reshape(self.n_box, nv)
+        dofs = np.concatenate([vidx[self.boxes[0]], vidx[self.boxes[1]],
+                               self.fine], axis=1)
+        parts.append(np.broadcast_to(trace, (self.nf,) + trace.shape))
+        return dofs, np.concatenate(parts, axis=1)
+
+    def bilinear_s(self, values):
+        """`face_bilinear_s` of every face from stacked snapshot values:
+        `batch.T` on the interior parts, the face-face mass diagonal, the
+        1/6 couplings of the trace to the velocities beyond it, and the
+        compatible divergence constants the block solves satisfy."""
+        grid, nv = self.grid, self.nv
+        trace = values[:, 2 * nv:]
+        k = trace.shape[2]
+        face_mass = (self.w[0] + self.w[1])[..., None] / 3.0
+        S = trace.transpose(0, 2, 1) @ (face_mass * trace)
+        # each block's nc cells diverge by +-area * (net trace) / nc
+        net = trace.sum(axis=1)
+        S += (2.0 * grid.face_area(self.axis) ** 2 / (self.nc * grid.cell_volume)
+              * net[:, :, None] * net[:, None])
+        for side in (0, 1):
+            V = values[:, side * nv:(side + 1) * nv]
+            full = np.zeros((self.n_box, nv, k))
+            full[self.boxes[side]] = V
+            full = full.reshape(-1, k)
+            TV = (self.batch.T @ full).reshape(self.n_box, nv, k)
+            S += V.transpose(0, 2, 1) @ TV[self.boxes[side]]
+            if self.coupled is not None:
+                Y = (self.w[side] / 6.0)[..., None] * full[self.coupled[side]]
+                C = Y.transpose(0, 2, 1) @ trace
+                S += C + C.transpose(0, 2, 1)
+        return 0.5 * (S + S.transpose(0, 2, 1))
 
 
-def _face_solve(grid, operators, face, trace):
-    """Glue the two block solves of a coarse face for the trace matrix
-    `trace` (J, k): (dofs, values) with one column of values per trace
-    column, the interior dofs of both blocks first, then the face's."""
-    dof_parts, val_parts = [], []
-    for side, block in enumerate(face.blocks):
-        solver = operators.solvers(0)[block]
-        dof_parts.append(solver.velocity_idx)
-        val_parts.append(_block_trace_solve(grid, operators, solver, face,
-                                            side, trace))
-    dof_parts.append(face.fine_faces)
-    val_parts.append(trace)
-    return np.concatenate(dof_parts), np.vstack(val_parts)
+def _faces_by_axis(grid):
+    faces = mesh.coarse_faces(grid)
+    groups = [[f for f in faces if f.axis == axis] for axis in range(grid.dim)]
+    return [group for group in groups if group]
 
 
 def snapshot_face(grid, operators, face) -> SnapshotFamily:
     """Snapshot family of one coarse face: unit trace per fine face,
     glued from the two independent block solves."""
-    dofs, values = _face_solve(grid, operators, face, np.eye(face.n_fine))
-    return SnapshotFamily(face=face, dofs=dofs, values=values)
+    dofs, values = _FaceGroup(grid, operators, [face]).solve(
+        np.eye(face.n_fine))
+    return SnapshotFamily(face=face, dofs=dofs[0], values=values[0])
+
+
+def _trace_weights(grid, coeff, axis, fine_faces):
+    """|e_l| / kappa_face(e_l) per fine face, kappa_face the harmonic
+    mean across e_l."""
+    lo, hi = mesh.face_adjacent_cells(grid, fine_faces)
+    return grid.face_area(axis) * 0.5 * (1.0 / coeff[lo] + 1.0 / coeff[hi])
 
 
 def face_bilinear_a(grid, field, face) -> np.ndarray:
     """Trace bilinear form in snapshot coordinates: diagonal with entry
     |e_l| / kappa_face(e_l), kappa_face the harmonic mean across e_l."""
-    coeff = field.coefficient()
-    lo, hi = mesh.face_adjacent_cells(grid, face.fine_faces)
-    inv_face = 0.5 * (1.0 / coeff[lo] + 1.0 / coeff[hi])
-    return np.diag(grid.face_area(face.axis) * inv_face)
+    return np.diag(_trace_weights(grid, field.coefficient(), face.axis,
+                                  face.fine_faces))
 
 
 def face_bilinear_s(grid, operators, family: SnapshotFamily) -> np.ndarray:
@@ -161,15 +227,8 @@ def face_bilinear_s(grid, operators, family: SnapshotFamily) -> np.ndarray:
     high-permeability channel modes stay far below, so a tolerance of
     order 10 keeps exactly the dominant modes.
     """
-    sup = family.dofs
-    V = family.values
-    A_sub = operators.A[sup][:, sup]
-    term_mass = V.T @ (A_sub @ V)
-    cells = mesh.neighborhood_cells(grid, family.face)
-    BV = operators.B[cells][:, sup] @ V
-    term_div = (BV.T @ BV) / grid.cell_volume
-    S = term_mass + term_div
-    return 0.5 * (S + S.T)
+    group = _FaceGroup(grid, operators, [family.face])
+    return group.bilinear_s(family.values[None])[0]
 
 
 def face_eigenpairs(grid, field, operators, family: SnapshotFamily):
@@ -264,35 +323,41 @@ def build_msfem_space(grid, field, operators=None) -> CoarseBasis:
     """
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
-    faces = mesh.coarse_faces(grid)
-    columns = [_face_solve(grid, operators, face, np.ones((face.n_fine, 1)))
-               for face in faces]
+    columns = []
+    for faces in _faces_by_axis(grid):
+        group = _FaceGroup(grid, operators, faces)
+        columns += zip(*group.solve(np.ones((faces[0].n_fine, 1))))
     return CoarseBasis(kind="msfem", grid=grid,
                        P_v=_assemble_velocity_prolongation(grid, columns),
                        P_p=_pressure_prolongation(grid),
-                       face_mode_counts=np.ones(len(faces), dtype=int))
+                       face_mode_counts=np.ones(len(columns), dtype=int))
 
 
 def build_gmsfem_space(grid, field, operators=None, tol: float = 10.0) -> CoarseBasis:
     """Spectrally enriched space: per face keep the pencil modes with
-    eigenvalue at most `tol` (at least one)."""
+    eigenvalue at most `tol` (at least one).  The faces of an axis share
+    one size, so their snapshots, S-forms and pencils are computed as
+    stacks."""
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
+    coeff = field.coefficient()
     columns = []
     selections = []
-    counts = []
-    for face in mesh.coarse_faces(grid):
-        family = snapshot_face(grid, operators, face)
-        w, X = face_eigenpairs(grid, field, operators, family)
-        sel = select_modes(w, X, tol, face_index=face.index)
-        selections.append(sel)
-        counts.append(sel.count)
-        modes = family.values @ sel.vectors[:, : sel.count]
-        columns.append((family.dofs, modes))
+    for faces in _faces_by_axis(grid):
+        group = _FaceGroup(grid, operators, faces)
+        J = faces[0].n_fine
+        dofs, values = group.solve(np.eye(J))
+        a = _trace_weights(grid, coeff, group.axis, group.fine)[..., None] \
+            * np.eye(J)
+        w, X = generalized_symmetric_eig(a, group.bilinear_s(values))
+        for face, d, V, w_f, X_f in zip(faces, dofs, values, w, X):
+            sel = select_modes(w_f, X_f, tol, face_index=face.index)
+            selections.append(sel)
+            columns.append((d, V @ sel.vectors[:, : sel.count]))
     return CoarseBasis(kind="gmsfem", grid=grid,
                        P_v=_assemble_velocity_prolongation(grid, columns),
                        P_p=_pressure_prolongation(grid),
-                       face_mode_counts=np.asarray(counts),
+                       face_mode_counts=np.array([s.count for s in selections]),
                        selections=tuple(selections))
 
 

@@ -14,8 +14,10 @@ Orderings are fixed once and relied upon everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,11 +49,11 @@ class CartesianTwoScaleGrid:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.fine))
+        return math.prod(self.fine)
 
     @property
     def n_blocks(self) -> int:
-        return int(np.prod(self.coarse))
+        return math.prod(self.coarse)
 
     @property
     def cell_volume(self) -> float:
@@ -66,13 +68,13 @@ class CartesianTwoScaleGrid:
         return tuple(n - 1 if a == axis else n for a, n in enumerate(self.fine))
 
     def axis_face_count(self, axis: int) -> int:
-        return int(np.prod(self.axis_face_shape(axis)))
+        return math.prod(self.axis_face_shape(axis))
 
     @property
     def face_offsets(self) -> tuple:
         """Start of each axis block in the global velocity numbering."""
         counts = [self.axis_face_count(a) for a in range(self.dim)]
-        return tuple(int(c) for c in np.concatenate([[0], np.cumsum(counts)[:-1]]))
+        return tuple(accumulate(counts[:-1], initial=0))
 
     @property
     def n_velocity(self) -> int:
@@ -185,21 +187,23 @@ def block_multi(grid, ids) -> np.ndarray:
     return np.stack(unraveled, axis=-1)
 
 
+def _lattice_box(lo, hi, shape) -> np.ndarray:
+    """Ids of the box [lo, hi) of an F-ordered lattice, ascending."""
+    ids, stride = 0, 1
+    for l, h, n in zip(lo, hi, shape):
+        ids = np.add.outer(np.arange(l, h) * stride, ids)
+        stride *= n
+    return np.ravel(ids)
+
+
 def box_cells(grid, lo, hi) -> np.ndarray:
     """Ascending cell ids of the box [lo, hi) in cell coordinates."""
-    axes = [np.arange(lo[a], hi[a]) for a in range(grid.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    multi = np.stack([m.ravel() for m in mesh], axis=-1)
-    return np.sort(cell_ids(grid, multi))
+    return _lattice_box(lo, hi, grid.fine)
 
 
 def block_cells(grid, block) -> np.ndarray:
     """Fine cells of one coarse block, ascending."""
-    m = grid.block_size
-    b = block_multi(grid, block)
-    lo = [b[a] * m[a] for a in range(grid.dim)]
-    hi = [(b[a] + 1) * m[a] for a in range(grid.dim)]
-    return box_cells(grid, lo, hi)
+    return oversample(grid, block, 0)
 
 
 def oversample(grid, block, layers: int) -> np.ndarray:
@@ -217,21 +221,24 @@ def oversample(grid, block, layers: int) -> np.ndarray:
 def velocity_dofs_interior_to(grid, cells) -> np.ndarray:
     """Velocity dofs whose two neighbouring cells both lie in `cells`.
 
-    Returned ascending, which groups them x-faces first exactly like the
-    global numbering.
+    `cells` must be the ascending ids of a box of cells, as `box_cells`
+    returns them; the faces follow from the box bounds by index
+    arithmetic.  Returned ascending, which groups them x-faces first
+    exactly like the global numbering.
     """
-    mask = np.zeros(grid.n_cells, dtype=bool)
-    mask[np.asarray(cells)] = True
-    spatial = mask.reshape(grid.fine, order="F")
+    cells = np.asarray(cells)
+    corners = np.unravel_index(cells[[0, -1]], grid.fine, order="F")
+    lo = [int(first) for first, _ in corners]
+    hi = [int(last) + 1 for _, last in corners]
+    if len(cells) != math.prod(h - l for l, h in zip(lo, hi)):
+        raise ValueError(f"{len(cells)} cells do not fill the box from "
+                         f"{lo} to {[h - 1 for h in hi]}")
     picked = []
     for axis in range(grid.dim):
-        index_lo = [slice(None)] * grid.dim
-        index_lo[axis] = slice(None, -1)
-        index_hi = [slice(None)] * grid.dim
-        index_hi[axis] = slice(1, None)
-        both = spatial[tuple(index_lo)] & spatial[tuple(index_hi)]
-        local = np.flatnonzero(both.ravel(order="F"))
-        picked.append(local + grid.face_offsets[axis])
+        # the faces whose lower cell lies below the box's top layer
+        top = [h - (a == axis) for a, h in enumerate(hi)]
+        picked.append(grid.face_offsets[axis] + _lattice_box(
+            lo, top, grid.axis_face_shape(axis)))
     return np.concatenate(picked)
 
 
@@ -265,17 +272,12 @@ def coarse_faces(grid) -> tuple:
 def _coarse_face_fine_faces(grid, axis, coords):
     """Fine-face dofs on the coarse face at block coords, lexicographic
     in the orthogonal coordinates."""
-    m = grid.block_size
-    ranges = []
-    for a in range(grid.dim):
-        if a == axis:
-            # lower neighbouring cell sits one layer below the interface
-            ranges.append(np.array([(coords[a] + 1) * m[a] - 1]))
-        else:
-            ranges.append(np.arange(coords[a] * m[a], (coords[a] + 1) * m[a]))
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    multi = np.stack([mm.ravel(order="F") for mm in mesh], axis=-1)
-    return np.asarray(face_id_from_low_cell(grid, axis, multi))
+    lo = [c * m for c, m in zip(coords, grid.block_size)]
+    hi = [l + m for l, m in zip(lo, grid.block_size)]
+    # the faces' lower cells are the top layer of the lower block
+    lo[axis] = hi[axis] - 1
+    return grid.face_offsets[axis] + _lattice_box(lo, hi,
+                                                  grid.axis_face_shape(axis))
 
 
 def neighborhood_cells(grid, face: CoarseFace) -> np.ndarray:

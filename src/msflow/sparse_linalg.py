@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal, solve_triangular
 from scipy.sparse.linalg import splu
 
 
@@ -227,22 +227,28 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
 
 
 def generalized_symmetric_eig(a, s):
-    """Dense generalized symmetric eigensolve a x = lambda s x.
+    """Dense generalized symmetric eigensolve a x = lambda s x, for one
+    pencil (n, n) or a stack (..., n, n).
 
     `a` must be symmetric positive semidefinite and `s` symmetric
     positive definite; eigenvalues come back ascending with
-    s-orthonormal eigenvectors (LAPACK's Cholesky reduction).
+    s-orthonormal eigenvectors.  The reduction is LAPACK's sygv, done on
+    the whole stack at once: s = L L^T by Cholesky, the standard problem
+    L^-1 a L^-T y = lambda y, and x = L^-T y.
     """
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
-    if a.shape != s.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.shape != s.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"shape mismatch: a {a.shape}, s {s.shape}")
     try:
-        np.linalg.cholesky(s)
+        L = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as err:
         raise ValueError(
             "metric matrix is not positive definite; cannot reduce the "
             "generalized problem"
         ) from err
-    w, v = eigh(a, s)
-    return w, v
+    L_inv = solve_triangular(L, np.broadcast_to(np.eye(s.shape[-1]), s.shape),
+                             lower=True)
+    L_inv_T = np.swapaxes(L_inv, -1, -2)
+    w, y = np.linalg.eigh(L_inv @ a @ L_inv_T)
+    return w, L_inv_T @ y

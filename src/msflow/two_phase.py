@@ -183,31 +183,36 @@ def fractional_flow(fluid: FluidModel, s):
     return fw, dfw
 
 
-def pressure_step(grid, kappa: PermeabilityField, fluid: FluidModel,
-                  state: TransportState, basis, wells: WellConfig,
+def mobility_field(kappa: PermeabilityField, fluid: FluidModel,
+                   s: np.ndarray) -> PermeabilityField:
+    """The rock permeability scaled by the total mobility at `s`."""
+    return PermeabilityField(values=kappa.values,
+                             mobility=total_mobility(fluid, s))
+
+
+def pressure_step(grid, operators, basis, wells: WellConfig,
                   settings: SolverSettings | None = None):
-    """Total-velocity solve with the mobility-scaled permeability.
+    """Total-velocity solve on operators assembled from a
+    `mobility_field`.
 
     The coarse basis is whatever the caller froze; only the coarse
     Galerkin operator and the block factorizations see the updated
     coefficient.  Returns (velocity, PcgReport).
     """
-    lam = total_mobility(fluid, state.s)
-    mobile = PermeabilityField(values=kappa.values, mobility=lam)
-    ops = assemble_operators(grid, mobile)
-    coarse = coarse_operator(basis, ops)
-    precond = build_preconditioner(grid, ops, basis, settings, coarse=coarse)
+    coarse = coarse_operator(basis, operators)
+    precond = build_preconditioner(grid, operators, basis, settings,
+                                   coarse=coarse)
     f = wells.source_vector(grid.n_cells)
     try:
-        result = solve(grid, ops, basis, f, settings, preconditioner=precond)
+        result = solve(grid, operators, basis, f, settings,
+                       preconditioner=precond)
     except RuntimeError as exc:
-        raise RuntimeError(f"pressure solve failed at t={state.time:g}: "
-                           f"{exc}") from exc
+        raise RuntimeError(f"pressure solve failed: {exc}") from exc
     if not result.report.converged:
         raise RuntimeError(
-            f"pressure solve stalled at t={state.time:g}: "
-            f"{result.report.iterations} iterations reached relative "
-            f"residual {result.report.residuals[-1]:.3e}")
+            f"pressure solve stalled: {result.report.iterations} "
+            f"iterations reached relative residual "
+            f"{result.report.residuals[-1]:.3e}")
     return result.velocity, result.report
 
 
@@ -426,10 +431,9 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
     state = TransportState.initial(grid, porosity=config.porosity)
     state.dt = config.dt
 
-    lam0 = total_mobility(config.fluid, state.s)
-    field0 = PermeabilityField(values=config.kappa.values, mobility=lam0)
-    basis = build_space(config.space, grid, field0,
-                        assemble_operators(grid, field0), tol=config.tol)
+    field = mobility_field(config.kappa, config.fluid, state.s)
+    ops = assemble_operators(grid, field)
+    basis = build_space(config.space, grid, field, ops, tol=config.tol)
 
     producer = wells.producer_cells
     weights = np.array([-rate for cell, rate in wells.wells if rate < 0])
@@ -442,19 +446,22 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
     v = flow = None
     for step in range(config.n_steps):
         if step % config.pressure_interval == 0:
-            if config.rebuild_basis and step > 0:
-                lam = total_mobility(config.fluid, state.s)
-                fld = PermeabilityField(values=config.kappa.values,
-                                        mobility=lam)
-                basis = build_space(config.space, grid, fld,
-                                    assemble_operators(grid, fld),
-                                    tol=config.tol)
+            # the first pressure solve shares the basis build's operators
+            # and with them its block factors
+            if ops is None:
+                field = mobility_field(config.kappa, config.fluid, state.s)
+                ops = assemble_operators(grid, field)
+                if config.rebuild_basis:
+                    basis = build_space(config.space, grid, field, ops,
+                                        tol=config.tol)
             try:
-                v, report = pressure_step(grid, config.kappa, config.fluid,
-                                          state, basis, wells,
+                v, report = pressure_step(grid, ops, basis, wells,
                                           config.settings)
             except RuntimeError as exc:
-                raise RuntimeError(f"step {step}: {exc}") from exc
+                raise RuntimeError(f"step {step} (t={state.time:g}): "
+                                   f"{exc}") from exc
+            # its factors would stay resident through the transport steps
+            ops = None
             reports.append(report)
             flow = UpwindFlow.build(grid, v, wells)
         try:

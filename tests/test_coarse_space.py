@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from msflow import coarse_space, mesh, mixed_fem
+from msflow.sparse_linalg import generalized_symmetric_eig
 
-from conftest import random_log_field
+from conftest import dense_saddle_solve, random_log_field
 
 
 def _setup(fine, coarse, values=None, rng=None, orders=6.0):
@@ -39,6 +40,102 @@ def test_snapshot_family_structure(rng):
         block_rows = div[mesh.block_cells(grid, block)]
         assert np.abs(block_rows - block_rows[0]).max() < 1e-9
     assert np.abs(div.sum(axis=0)).max() < 1e-9
+
+
+BATCHED_GRIDS = [((12, 8), (3, 2)), ((6, 6, 4), (3, 1, 2)),
+                 ((6, 6), (6, 3))]
+
+
+def _dense_snapshots(grid, ops, face):
+    """Snapshot family of `face` by dense solves of its two block saddles
+    with rows and columns sliced out of the global A and B."""
+    A, B = ops.A.toarray(), ops.B.toarray()
+    J = face.n_fine
+    out = np.zeros((grid.n_velocity, J))
+    out[face.fine_faces] = np.eye(J)
+    for side, block in enumerate(face.blocks):
+        cells = mesh.block_cells(grid, block)
+        inner = mesh.velocity_dofs_interior_to(grid, cells)
+        # unit outflow (lower block) or inflow (upper block) through
+        # fine face l, balanced by a constant divergence over the block
+        sign = 1.0 if side == 0 else -1.0
+        const = sign * grid.face_area(face.axis) / len(cells)
+        for l, e in enumerate(face.fine_faces):
+            v, _, _ = dense_saddle_solve(
+                A[np.ix_(inner, inner)], B[np.ix_(cells, inner)],
+                -A[inner, e], const - B[cells, e])
+            out[inner, l] = v
+    return out
+
+
+@pytest.mark.parametrize("fine, coarse", BATCHED_GRIDS)
+def test_snapshots_match_dense_block_solves(rng, fine, coarse):
+    grid, field, ops = _setup(fine, coarse, rng=rng)
+    for face in mesh.coarse_faces(grid):
+        got = coarse_space.snapshot_face(grid, ops, face).dense(grid.n_velocity)
+        want = _dense_snapshots(grid, ops, face)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("fine, coarse", BATCHED_GRIDS)
+def test_bilinear_s_matches_dense_form(rng, fine, coarse):
+    grid, field, ops = _setup(fine, coarse, rng=rng)
+    A, B = ops.A.toarray(), ops.B.toarray()
+    for face in mesh.coarse_faces(grid):
+        family = coarse_space.snapshot_face(grid, ops, face)
+        V = family.dense(grid.n_velocity)
+        want = V.T @ A @ V + (B @ V).T @ (B @ V) / grid.cell_volume
+        got = coarse_space.face_bilinear_s(grid, ops, family)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_stacked_pencils_meet_spectral_bounds(rng):
+    # the pencils of criterion 6's grid, solved as one stack
+    grid, field, ops = _setup((16, 16), (4, 4), rng=rng, orders=4.0)
+    faces = mesh.coarse_faces(grid)
+    families = [coarse_space.snapshot_face(grid, ops, f) for f in faces]
+    a = np.array([coarse_space.face_bilinear_a(grid, field, f) for f in faces])
+    s = np.array([coarse_space.face_bilinear_s(grid, ops, fam)
+                  for fam in families])
+    w, X = generalized_symmetric_eig(a, s)
+    assert w.shape == (len(faces), faces[0].n_fine) and X.shape == a.shape
+    for a_f, s_f, w_f, X_f, fam in zip(a, s, w, X, families):
+        scale = np.abs(a_f).max() + np.abs(w_f).max() * np.abs(s_f).max()
+        assert np.abs(a_f @ X_f - s_f @ X_f * w_f).max() <= 1e-10 * scale
+        assert np.abs(X_f.T @ s_f @ X_f - np.eye(len(w_f))).max() <= 1e-10
+        assert w_f.min() > 0.0 and np.all(np.diff(w_f) >= -1e-12 * w_f[-1])
+        one, _ = coarse_space.face_eigenpairs(grid, field, ops, fam)
+        assert np.abs(one - w_f).max() <= 1e-12 * w_f[-1]
+
+
+@pytest.mark.parametrize("fine, coarse", [((12, 12), (3, 3)),
+                                          ((8, 8, 8), (2, 2, 2))])
+def test_batched_build_call_counts(monkeypatch, rng, fine, coarse):
+    grid, field, ops = _setup(fine, coarse, rng=rng)
+    calls = {"solve_core": 0, "solve": 0, "overlap0": 0}
+    solve_core = mixed_fem.BlockBatch.solve_core
+    solve = mixed_fem.BlockSolver.solve
+    block_solvers = mixed_fem.block_solvers
+
+    def counted_core(self, *args):
+        calls["solve_core"] += 1
+        return solve_core(self, *args)
+
+    def counted_solve(self, *args):
+        calls["solve"] += 1
+        return solve(self, *args)
+
+    def counted_solvers(grid, operators, overlap=0):
+        calls["overlap0"] += overlap == 0
+        return block_solvers(grid, operators, overlap=overlap)
+
+    monkeypatch.setattr(mixed_fem.BlockBatch, "solve_core", counted_core)
+    monkeypatch.setattr(mixed_fem.BlockSolver, "solve", counted_solve)
+    monkeypatch.setattr(mixed_fem, "block_solvers", counted_solvers)
+    coarse_space.build_gmsfem_space(grid, field, ops)
+    assert calls == {"solve_core": 2 * grid.dim, "solve": 0, "overlap0": 1}
+    coarse_space.build_msfem_space(grid, field, ops)
+    assert calls == {"solve_core": 4 * grid.dim, "solve": 0, "overlap0": 1}
 
 
 def test_msfem_equals_rt0_on_uniform_field():

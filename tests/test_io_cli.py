@@ -19,13 +19,14 @@ from msflow.bench_cli import (
     main,
     parse_config_file,
     read_raster,
+    run_comparison,
     run_robustness_sweep,
     synth_field,
     write_raster,
     write_vtk,
     _parse_dims,
 )
-from msflow.preconditioner import SolverSettings
+from msflow.preconditioner import SolverSettings, TwoGridPreconditioner
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +330,8 @@ def test_cli_robustness_writes_report(tmp_path, capsys):
 
     rows = _read_csv(out)
     assert rows[0] == ["field", "contrast", "space", "dim", "iterations",
-                       "condition", "setup_seconds", "solve_seconds"]
+                       "condition", "setup_seconds", "solve_seconds",
+                       "face_modes"]
     assert len(rows) == 3
     assert [r[1] for r in rows[1:]] == ["0.0", "2.0"]
     for row in rows[1:]:
@@ -337,11 +339,16 @@ def test_cli_robustness_writes_report(tmp_path, capsys):
         assert int(row[3]) > 0 and 0 < int(row[4]) <= 60
         assert float(row[5]) >= 1.0
         float(row[6]), float(row[7])
+        # one count per coarse face (2 * 3 * 4 on 4x4 blocks), plus one
+        # pressure mode per block make up the dimension
+        modes = [int(n) for n in row[8].split(";")]
+        assert len(modes) == 24 and min(modes) >= 1
+        assert sum(modes) + 16 == int(row[3])
 
     # a second identical run reproduces everything but the wall times
     assert main(argv[:-1] + [str(tmp_path / "b")]) == 0
     rerun = _read_csv(tmp_path / "b" / "robustness.csv")
-    assert [r[:6] for r in rerun] == [r[:6] for r in rows]
+    assert [r[:6] + r[8:] for r in rerun] == [r[:6] + r[8:] for r in rows]
 
 
 def test_cli_comparison_defaults_to_all_spaces(tmp_path, capsys):
@@ -351,6 +358,24 @@ def test_cli_comparison_defaults_to_all_spaces(tmp_path, capsys):
     rows = _read_csv(tmp_path / "comparison.csv")
     assert [r[2] for r in rows[1:]] == ["gmsfem", "msfem", "rt0"]
     assert all(r[0] == "comparison" for r in rows[1:])
+    # msfem and rt0 keep one mode on each of the 4 coarse faces
+    assert [r[8] for r in rows[2:]] == ["1;1;1;1"] * 2
+
+
+def test_solve_one_times_the_preconditioner_build_as_setup(monkeypatch):
+    received = []
+    original = bench_cli.solve
+
+    def solve(*args, preconditioner=None, **kwargs):
+        received.append(preconditioner)
+        return original(*args, preconditioner=preconditioner, **kwargs)
+
+    monkeypatch.setattr(bench_cli, "solve", solve)
+    config = build_config({}, {"grid": (8, 8), "coarse": (2, 2),
+                               "spaces": ("rt0",)})
+    run_comparison(config)
+    assert len(received) == 1
+    assert isinstance(received[0], TwoGridPreconditioner)
 
 
 def test_cli_config_file_with_overrides(tmp_path, capsys):

@@ -115,6 +115,38 @@ def test_velocity_dofs_interior_to_block():
     assert np.all(np.isin(lo, cells)) and np.all(np.isin(up, cells))
 
 
+def _interior_by_mask(grid, cells):
+    """Faces with both cells in `cells`, from a full-grid cell mask."""
+    flat = np.zeros(grid.n_cells, dtype=bool)
+    flat[cells] = True
+    mask = flat.reshape(grid.fine, order="F")
+    picked = []
+    for axis in range(grid.dim):
+        lo = [slice(None)] * grid.dim
+        hi = [slice(None)] * grid.dim
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        both = mask[tuple(lo)] & mask[tuple(hi)]
+        picked.append(np.flatnonzero(both.ravel(order="F"))
+                      + grid.face_offsets[axis])
+    return np.concatenate(picked)
+
+
+@pytest.mark.parametrize("fine, coarse", [((12, 8), (3, 2)),
+                                          ((6, 6, 4), (3, 1, 2)),
+                                          ((5, 6, 1), (5, 2, 1))])
+def test_velocity_dofs_interior_to_boxes_match_mask(fine, coarse):
+    # oversampled boxes clipped at the domain boundary, one-cell blocks
+    # and a singleton axis included
+    g = mesh.build_grid(fine, coarse)
+    for block in range(g.n_blocks):
+        for layers in (0, 1, 2, 7):
+            cells = mesh.oversample(g, block, layers)
+            got = mesh.velocity_dofs_interior_to(g, cells)
+            assert np.array_equal(got, _interior_by_mask(g, cells))
+    with pytest.raises(ValueError, match="do not fill the box"):
+        mesh.velocity_dofs_interior_to(g, np.array([0, g.n_cells - 1]))
+
+
 def test_coarse_faces_2d_counts_and_orientation():
     g = mesh.build_grid((20, 20), (4, 4))
     faces = mesh.coarse_faces(g)

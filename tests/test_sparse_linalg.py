@@ -156,3 +156,23 @@ def test_generalized_eig_residuals(rng):
         assert np.linalg.norm(r) <= 1e-10 * max(1.0, abs(vals[k]))
     gram = vecs.T @ S @ vecs
     assert np.allclose(gram, np.eye(n), atol=1e-10)
+
+
+def test_generalized_eig_stack_and_indefinite_metric(rng):
+    n = 6
+    M = rng.standard_normal((3, n, n))
+    A = M @ M.transpose(0, 2, 1) + n * np.eye(n)
+    W = rng.standard_normal((3, n, n))
+    S = W @ W.transpose(0, 2, 1) + n * np.eye(n)
+    vals, vecs = generalized_symmetric_eig(A, S)
+    for k in range(3):
+        one_vals, one_vecs = generalized_symmetric_eig(A[k], S[k])
+        assert np.abs(vals[k] - one_vals).max() <= 1e-13 * one_vals[-1]
+        assert np.abs(vecs[k] - one_vecs).max() <= 1e-12 * np.abs(one_vecs).max()
+    # one indefinite metric fails the whole stack, as it fails alone
+    S[1] = -S[1]
+    for a, s in ((A, S), (A[1], S[1])):
+        with pytest.raises(ValueError, match="not positive definite"):
+            generalized_symmetric_eig(a, s)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        generalized_symmetric_eig(A, S[0])

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 
 import msflow.two_phase as tp
 from msflow import mesh, mixed_fem, preconditioner as pc
-from msflow.coarse_space import build_rt0_space
+from msflow.coarse_space import build_rt0_space, build_space
 
 from conftest import random_log_field
 
@@ -202,8 +202,9 @@ def five_spot_velocity(orders):
         random_log_field(np.random.default_rng(3), grid.n_cells, orders))
     wells = tp.five_spot_wells(grid)
     state = tp.TransportState.initial(grid, s0=0.0)
-    v, _ = tp.pressure_step(grid, kappa, tp.FluidModel(), state,
-                            build_rt0_space(grid), wells)
+    ops = mixed_fem.assemble_operators(
+        grid, tp.mobility_field(kappa, tp.FluidModel(), state.s))
+    v, _ = tp.pressure_step(grid, ops, build_rt0_space(grid), wells)
     return grid, wells, v
 
 
@@ -277,8 +278,9 @@ def test_newton_gives_up_on_a_cycling_step():
     wells = tp.five_spot_wells(grid)
     fluid = tp.FluidModel()
     state = tp.TransportState.initial(grid, s0=0.0)
-    v, _ = tp.pressure_step(grid, mixed_fem.uniform_field(grid), fluid,
-                            state, build_rt0_space(grid), wells)
+    ops = mixed_fem.assemble_operators(
+        grid, tp.mobility_field(mixed_fem.uniform_field(grid), fluid, state.s))
+    v, _ = tp.pressure_step(grid, ops, build_rt0_space(grid), wells)
     flow = tp.UpwindFlow.build(grid, v, wells)
     solves = []
     jacobian = flow.jacobian
@@ -300,8 +302,10 @@ def test_pressure_step_reduces_to_single_phase(rng):
     basis = build_rt0_space(grid)
     wells = tp.five_spot_wells(grid)
     state = tp.TransportState.initial(grid, s0=0.0)
-    v, report = tp.pressure_step(grid, kappa, tp.FluidModel(), state, basis,
-                                 wells, pc.SolverSettings(rel_tol=1e-10))
+    mobile = mixed_fem.assemble_operators(
+        grid, tp.mobility_field(kappa, tp.FluidModel(), state.s))
+    v, report = tp.pressure_step(grid, mobile, basis, wells,
+                                 pc.SolverSettings(rel_tol=1e-10))
     assert report.converged
 
     ops = mixed_fem.assemble_operators(grid, kappa)
@@ -381,3 +385,37 @@ def test_frozen_basis_tracks_rebuilt(rng):
     # both runs transport the same physics
     gap = np.abs(frozen.states[-1].s - rebuilt.states[-1].s).max()
     assert gap < 1e-5
+
+
+def test_first_pressure_step_shares_the_basis_operators(monkeypatch, rng):
+    # the t=0 basis build and the first pressure solve see one mobility,
+    # so one set of operators and overlap-0 factors serves both
+    grid = mesh.build_grid((12, 12), (3, 3))
+    kappa = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells, 4.0))
+    built = []
+    original = mixed_fem.block_solvers
+
+    def counted(grid, operators, overlap=0):
+        built.append(overlap)
+        return original(grid, operators, overlap=overlap)
+
+    monkeypatch.setattr(mixed_fem, "block_solvers", counted)
+    config = tp.IMPESConfig(grid=grid, kappa=kappa, dt=2e-3, n_steps=4,
+                            pressure_interval=2)
+    assert len(tp.impes_run(config).reports) == 2
+    assert sorted(built) == [0, 0, 2, 2]
+    built.clear()
+    config.rebuild_basis = True
+    tp.impes_run(config)
+    assert sorted(built) == [0, 0, 2, 2]
+
+    # shared factors give the velocity of freshly assembled ones, bit for bit
+    state = tp.TransportState.initial(grid)
+    field = tp.mobility_field(kappa, config.fluid, state.s)
+    shared = mixed_fem.assemble_operators(grid, field)
+    basis = build_space("gmsfem", grid, field, shared)
+    wells = tp.five_spot_wells(grid)
+    v_shared, _ = tp.pressure_step(grid, shared, basis, wells)
+    fresh = mixed_fem.assemble_operators(grid, field)
+    v_fresh, _ = tp.pressure_step(grid, fresh, basis, wells)
+    assert np.array_equal(v_shared, v_fresh)
