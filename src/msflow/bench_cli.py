@@ -22,7 +22,7 @@ from . import mesh
 from .mixed_fem import PermeabilityField, assemble_operators
 from .coarse_space import build_space
 from .preconditioner import SolverSettings, build_preconditioner, solve
-from .two_phase import FluidModel, IMPESConfig, impes_run
+from .two_phase import FluidModel, IMPESConfig, five_spot_wells, impes_run
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +233,10 @@ class ExperimentConfig:
         return SolverSettings(rel_tol=self.rtol, eta=self.eta,
                               sweeps=self.sweeps, overlap=self.overlap)
 
-    def load_field(self) -> PermeabilityField:
+    def field_at(self, contrast) -> PermeabilityField:
+        """The bench field at `contrast`, or the raster, which ignores it."""
         if self.field == "synth":
-            raise ValueError("synthetic fields are built per contrast")
+            return bench_field(self.grid, contrast, seed=self.seed)
         return read_raster(self.field, self.grid, self.layout, self.layers)
 
 
@@ -367,10 +368,7 @@ def run_robustness_sweep(config: ExperimentConfig) -> RunReport:
     grid = mesh.build_grid(config.grid, config.coarse)
     rows = []
     for k in config.contrasts:
-        if config.field == "synth":
-            field = bench_field(config.grid, k, seed=config.seed)
-        else:
-            field = config.load_field()
+        field = config.field_at(k)
         for kind in config.spaces:
             try:
                 _solve_one(grid, field, kind, config, "bench", k, rows)
@@ -384,10 +382,7 @@ def run_comparison(config: ExperimentConfig) -> RunReport:
     """All requested coarse spaces on a single field."""
     grid = mesh.build_grid(config.grid, config.coarse)
     contrast = config.contrasts[0] if config.contrasts else 0.0
-    if config.field == "synth":
-        field = bench_field(config.grid, contrast, seed=config.seed)
-    else:
-        field = config.load_field()
+    field = config.field_at(contrast)
     rows = []
     for kind in config.spaces:
         try:
@@ -402,13 +397,10 @@ def run_two_phase(config: ExperimentConfig) -> dict:
     grid = mesh.build_grid(config.grid, config.coarse)
     # uniform rock unless the config pins a single contrast exponent
     contrast = config.contrasts[0] if len(config.contrasts) == 1 else 0.0
-    if config.field == "synth":
-        field = bench_field(config.grid, contrast, seed=config.seed)
-    else:
-        field = config.load_field()
-    fluid = FluidModel(mu_w=config.mu_w, mu_o=config.mu_o)
-    impes = IMPESConfig(grid=grid, kappa=field, fluid=fluid, dt=config.dt,
-                        n_steps=config.steps,
+    impes = IMPESConfig(grid=grid, kappa=config.field_at(contrast),
+                        fluid=FluidModel(mu_w=config.mu_w, mu_o=config.mu_o),
+                        wells=five_spot_wells(grid, config.rate),
+                        dt=config.dt, n_steps=config.steps,
                         pressure_interval=config.pressure_interval,
                         space=config.spaces[0], tol=config.tol,
                         porosity=config.porosity,

@@ -337,18 +337,18 @@ def build_gmsfem_space(grid, field, operators=None, tol: float = 10.0) -> Coarse
     """Spectrally enriched space: per face keep the pencil modes with
     eigenvalue at most `tol` (at least one).  The faces of an axis share
     one size, so their snapshots, S-forms and pencils are computed as
-    stacks."""
+    stacks.  Both pencil forms come from `operators.coefficient`; `field`
+    is read only to assemble the operators when none are given."""
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
-    coeff = field.coefficient()
     columns = []
     selections = []
     for faces in _faces_by_axis(grid):
         group = _FaceGroup(grid, operators, faces)
         J = faces[0].n_fine
         dofs, values = group.solve(np.eye(J))
-        a = _trace_weights(grid, coeff, group.axis, group.fine)[..., None] \
-            * np.eye(J)
+        a = _trace_weights(grid, operators.coefficient, group.axis,
+                           group.fine)[..., None] * np.eye(J)
         w, X = generalized_symmetric_eig(a, group.bilinear_s(values))
         for face, d, V, w_f, X_f in zip(faces, dofs, values, w, X):
             sel = select_modes(w_f, X_f, tol, face_index=face.index)

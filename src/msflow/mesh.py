@@ -95,7 +95,6 @@ class CoarseFace:
     axis: int
     blocks: tuple
     fine_faces: np.ndarray
-    measure: float
 
     @property
     def n_fine(self) -> int:
@@ -253,7 +252,6 @@ def coarse_faces(grid) -> tuple:
         axes = [np.arange(c) for c in layer_counts]
         mesh = np.meshgrid(*axes, indexing="ij")
         multi = np.stack([mm.ravel(order="F") for mm in mesh], axis=-1)
-        measure = float(np.prod(grid.H) / grid.H[axis])
         for coords in multi:
             lower = coords.copy()
             upper = coords.copy()
@@ -264,7 +262,6 @@ def coarse_faces(grid) -> tuple:
                 axis=axis,
                 blocks=(int(block_ids(grid, lower)), int(block_ids(grid, upper))),
                 fine_faces=fine_faces,
-                measure=measure,
             ))
     return tuple(faces)
 

@@ -68,37 +68,29 @@ class PermeabilityField:
 
 @dataclass
 class MixedOperators:
-    """Assembled fine-scale operators A (velocity mass), B (divergence)
-    and the source functional F.
+    """The discretized problem: A (velocity mass) and B (divergence) on
+    `grid`, and the cell `coefficient` A was built from.
 
-    `coefficient` keeps the cell coefficient the mass matrix was built
-    from; the structured block solvers rebuild their local systems from
-    it instead of slicing A.  Operators are never mutated after assembly,
-    so they own the block factors: `solvers` and `batch` build them on
+    The structured block solvers rebuild their local systems from
+    `coefficient` instead of slicing A.  Operators are never mutated
+    after assembly, so they own the block factors: `batch` builds them on
     first use, once per overlap, for every caller.
     """
 
     grid: mesh.CartesianTwoScaleGrid
     A: sparse.csr_matrix
     B: sparse.csr_matrix
-    F: np.ndarray
-    coefficient: np.ndarray | None = None
+    coefficient: np.ndarray
 
     def __post_init__(self):
-        self._solvers, self._batches = {}, {}
-
-    def solvers(self, overlap: int = 0) -> list:
-        """`block_solvers` of these operators for `overlap`."""
-        if overlap not in self._solvers:
-            self._solvers[overlap] = block_solvers(self.grid, self,
-                                                   overlap=overlap)
-        return self._solvers[overlap]
+        self._batches = {}
 
     def batch(self, overlap: int = 0) -> BlockBatch:
-        """`BlockBatch` of `solvers(overlap)`."""
+        """`BlockBatch` of the `block_solvers` for `overlap`."""
         if overlap not in self._batches:
-            self._batches[overlap] = BlockBatch(self.solvers(overlap),
-                                                self.grid.n_velocity)
+            self._batches[overlap] = BlockBatch(
+                block_solvers(self.grid, self, overlap=overlap),
+                self.grid.n_velocity)
         return self._batches[overlap]
 
 
@@ -155,35 +147,11 @@ def assemble_divergence(grid) -> sparse.csr_matrix:
     return B.tocsr()
 
 
-def assemble_source(grid, density=None, wells=None) -> np.ndarray:
-    """Source functional: cell average of a density field plus point
-    rates, rejected unless it integrates to zero (pure Neumann flow)."""
-    F = np.zeros(grid.n_cells)
-    if density is not None:
-        density = np.asarray(density, dtype=float).ravel()
-        if density.size != grid.n_cells:
-            raise ValueError(f"density has {density.size} values for "
-                             f"{grid.n_cells} cells")
-        F += density * grid.cell_volume
-    if wells is not None:
-        for cell, rate in wells:
-            F[int(cell)] += float(rate)
-    total = abs(F.sum())
-    scale = np.abs(F).sum()
-    if total > 1e-12 * max(1.0, scale):
-        raise ValueError(
-            f"source does not balance: net rate {F.sum():.3e} "
-            f"(gross {scale:.3e}); a compatible Neumann problem needs zero net"
-        )
-    return F
-
-
-def assemble_operators(grid, field, density=None, wells=None) -> MixedOperators:
+def assemble_operators(grid, field) -> MixedOperators:
     return MixedOperators(
         grid=grid,
         A=assemble_velocity_mass(grid, field),
         B=assemble_divergence(grid),
-        F=assemble_source(grid, density=density, wells=wells),
         coefficient=field.coefficient(),
     )
 
@@ -481,9 +449,6 @@ def block_solvers(grid, operators: MixedOperators,
     factorization, which collapses the setup cost on fields with a
     uniform background.
     """
-    if operators.coefficient is None:
-        raise ValueError("operators carry no cell coefficient; assemble "
-                         "them with assemble_operators")
     coeff = operators.coefficient
     solvers, lines, factors = [], {}, {}
     for b in range(grid.n_blocks):

@@ -48,9 +48,8 @@ class TwoGridPreconditioner:
     symmetric positive definite, which CG requires.
     """
 
-    def __init__(self, grid, operators: MixedOperators, coarse: CoarseOperator,
+    def __init__(self, operators: MixedOperators, coarse: CoarseOperator,
                  batch: BlockBatch, eta: float, sweeps: int = 1):
-        self.grid = grid
         self.operators = operators
         self.coarse = coarse
         self.batch = batch
@@ -79,8 +78,7 @@ class TwoGridPreconditioner:
 
 
 def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
-                         settings: SolverSettings | None = None,
-                         coarse: CoarseOperator | None = None):
+                         settings: SolverSettings | None = None):
     settings = settings or SolverSettings()
     if settings.overlap < 1:
         # without oversampling the block interiors miss every coarse-face
@@ -94,9 +92,7 @@ def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
         raise ValueError(
             f"smoother damping eta must be positive and finite, got "
             f"{settings.eta!r}")
-    if coarse is None:
-        coarse = coarse_operator(basis, operators)
-    return TwoGridPreconditioner(grid, operators, coarse,
+    return TwoGridPreconditioner(operators, coarse_operator(basis, operators),
                                  operators.batch(settings.overlap),
                                  settings.eta, settings.sweeps)
 
@@ -114,12 +110,28 @@ def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
                source: np.ndarray) -> PreprocessResult:
     """Velocity matching the source divergence exactly, cell by cell.
 
-    A coarse saddle solve balances the source between blocks; local
-    block solves then absorb the within-block mismatch.  The coarse
-    pressure space contains the block indicators, so each local problem
-    is compatible by construction; a large block imbalance therefore
-    means the coarse solve itself went wrong and is treated as fatal.
+    `source` holds one finite rate per cell and must integrate to zero,
+    since a pure Neumann problem is compatible only then; anything else
+    raises ValueError before any solve.  A coarse saddle solve balances
+    the source between blocks; local block solves then absorb the
+    within-block mismatch.  The coarse pressure space contains the block
+    indicators, so each local problem is compatible by construction; a
+    large block imbalance therefore means the coarse solve itself went
+    wrong and is treated as fatal.
     """
+    source = np.asarray(source, dtype=float)
+    if source.shape != (grid.n_cells,):
+        raise ValueError(f"source has shape {source.shape}; expected one "
+                         f"value per cell, ({grid.n_cells},)")
+    bad = np.flatnonzero(~np.isfinite(source))
+    if bad.size:
+        raise ValueError(f"source must be finite; cell {bad[0]} has value "
+                         f"{float(source[bad[0]])!r}")
+    net, gross = float(source.sum()), float(np.abs(source).sum())
+    if abs(net) > 1e-12 * max(1.0, gross):
+        raise ValueError(
+            f"source does not balance: net rate {net:.3e} (gross "
+            f"{gross:.3e}); a compatible Neumann problem needs zero net")
     P_v = coarse.basis.P_v
     P_p = coarse.basis.P_p
     rhs_p = P_p.T @ source

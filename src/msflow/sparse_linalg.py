@@ -47,10 +47,6 @@ class SaddleFactorization:
     matrix: sparse.csc_matrix
     lu: object
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
     def solve(self, rhs, refine: int = 1) -> np.ndarray:
         """Solve to LU accuracy, then polish with `refine` residual
         correction passes (cheap: one triangular solve each)."""

@@ -30,7 +30,7 @@ from scipy.sparse.linalg import splu
 
 from . import mesh
 from .mixed_fem import PermeabilityField, assemble_operators
-from .coarse_space import build_space, coarse_operator
+from .coarse_space import build_space
 from .preconditioner import SolverSettings, build_preconditioner, solve
 
 
@@ -199,9 +199,7 @@ def pressure_step(grid, operators, basis, wells: WellConfig,
     Galerkin operator and the block factorizations see the updated
     coefficient.  Returns (velocity, PcgReport).
     """
-    coarse = coarse_operator(basis, operators)
-    precond = build_preconditioner(grid, operators, basis, settings,
-                                   coarse=coarse)
+    precond = build_preconditioner(grid, operators, basis, settings)
     f = wells.source_vector(grid.n_cells)
     try:
         result = solve(grid, operators, basis, f, settings,
@@ -302,23 +300,23 @@ class _NewtonFailure(Exception):
 # iterations in a row without a new lowest residual that give a step up;
 # converging five-spot steps go at most two without one
 _NEWTON_STALL = 4
+_NEWTON_MAX_ITER = 25
 
 
-def _newton_transport(grid, fluid: FluidModel, s0, porosity, v, wells, dt,
-                      flow: UpwindFlow, max_iter: int = 25):
-    """One implicit upwind step for the velocity `v` and `wells`, as
-    prebuilt in `flow`.
+def _newton_transport(grid, fluid: FluidModel, s0, porosity, dt,
+                      flow: UpwindFlow):
+    """One implicit upwind step for the velocity and wells in `flow`.
 
     Returns (saturation, Newton iterations); raises _NewtonFailure when
-    stuck: after `max_iter` iterations, or as soon as the residual
-    max-norm has gone `_NEWTON_STALL` iterations without falling below
-    its lowest value so far.
+    stuck: after `_NEWTON_MAX_ITER` iterations, or as soon as the
+    residual max-norm has gone `_NEWTON_STALL` iterations without falling
+    below its lowest value so far.
     """
     n = grid.n_cells
     pv = porosity * grid.cell_volume
     s = s0
     best, stalled = np.inf, 0
-    for iteration in range(max_iter):
+    for iteration in range(_NEWTON_MAX_ITER):
         fw, dfw = fractional_flow(fluid, np.clip(s, 0.0, 1.0))
         net_out = np.bincount(flow.rows, weights=flow.flux * fw[flow.cols],
                               minlength=n)
@@ -336,7 +334,7 @@ def _newton_transport(grid, fluid: FluidModel, s0, porosity, v, wells, dt,
                 raise _NewtonFailure(f"residual stalled at {best:.3e}")
         lu = splu(flow.jacobian(dt, dfw, pv), permc_spec="NATURAL")
         s = s - lu.solve(residual[flow.order])[flow.rank]
-    raise _NewtonFailure(f"no convergence in {max_iter} iterations")
+    raise _NewtonFailure(f"no convergence in {_NEWTON_MAX_ITER} iterations")
 
 
 def transport_step(grid, fluid: FluidModel, state: TransportState,
@@ -362,7 +360,7 @@ def transport_step(grid, fluid: FluidModel, state: TransportState,
         try:
             for _ in range(pieces):
                 s, done = _newton_transport(grid, fluid, s, state.porosity,
-                                            v, wells, dt / pieces, flow)
+                                            dt / pieces, flow)
                 iterations += done
         except _NewtonFailure:
             continue

@@ -248,6 +248,19 @@ def test_uniform_field_minimal_space():
         assert sel.kept_eigenvalues[0] <= tol
 
 
+def test_gmsfem_reads_the_coefficient_of_its_operators():
+    # the field is only a recipe for operators: with operators given, a
+    # different field changes nothing (uniform here: dim 101, not 55)
+    grid, field, ops = _setup((16, 16), (4, 4),
+                              rng=np.random.default_rng(0), orders=6.0)
+    want = coarse_space.build_gmsfem_space(grid, field, ops)
+    got = coarse_space.build_gmsfem_space(grid, mixed_fem.uniform_field(grid),
+                                          ops)
+    assert want.dim == 55
+    assert np.array_equal(got.face_mode_counts, want.face_mode_counts)
+    assert (got.P_v != want.P_v).nnz == 0
+
+
 def test_default_tolerance_keeps_one_mode_per_face():
     # blocks of 10x10 cells with h = 0.01: the net-flux eigenvalue sits
     # near 0.05 and the next one near 15.7, so the default 10 keeps one

@@ -285,9 +285,14 @@ def test_settings_mapping():
                                     overlap=1)
 
 
-def test_load_field_requires_a_raster():
-    with pytest.raises(ValueError, match="per contrast"):
-        ExperimentConfig().load_field()
+def test_field_at_builds_synth_or_reads_the_raster(tmp_path):
+    path = tmp_path / "k.txt"
+    write_raster(path, np.arange(1.0, 17.0))
+    synth = build_config({}, {"grid": (4, 4), "seed": 3})
+    assert np.array_equal(synth.field_at(2.0).values,
+                          bench_field((4, 4), 2.0, seed=3).values)
+    raster = build_config({}, {"grid": (4, 4), "field": str(path)})
+    assert np.array_equal(raster.field_at(2.0).values, np.arange(1.0, 17.0))
 
 
 def test_parse_dims():
@@ -436,6 +441,23 @@ def test_cli_stalled_solve_exits_three(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: space rt0: solve stalled")
     assert "500 iterations" in err
+
+
+def test_two_phase_runs_the_configured_rate(tmp_path, monkeypatch):
+    received = []
+    original = bench_cli.impes_run
+
+    def impes_run(impes):
+        received.append(impes.wells)
+        return original(impes)
+
+    monkeypatch.setattr(bench_cli, "impes_run", impes_run)
+    config = build_config({"rate": "4"}, {
+        "grid": (8, 8), "coarse": (2, 2), "spaces": ("rt0",), "steps": 2,
+        "checkpoints": (), "out": str(tmp_path)})
+    bench_cli.run_two_phase(config)
+    [wells] = received
+    assert sum(rate for _, rate in wells.wells if rate > 0) == 4.0
 
 
 def test_cli_two_phase_artifacts(tmp_path, capsys):

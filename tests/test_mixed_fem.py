@@ -76,32 +76,16 @@ def test_mobility_equivalent_to_scaled_permeability(rng):
     assert abs(A1 - A2).max() < 1e-15
 
 
-def test_source_assembly():
-    grid = mesh.build_grid((4, 4), (2, 2), domain_lengths=(2.0, 2.0))
-    density = np.zeros(grid.n_cells)
-    density[0] = 4.0
-    density[-1] = -4.0
-    F = mixed_fem.assemble_source(grid, density=density, wells=[(1, 0.5), (2, -0.5)])
-    vol = grid.cell_volume
-    assert F[0] == pytest.approx(4.0 * vol)
-    assert F[1] == pytest.approx(0.5)
-    assert abs(F.sum()) < 1e-14
-
-    with pytest.raises(ValueError, match="does not balance"):
-        mixed_fem.assemble_source(grid, wells=[(0, 1.0)])
-    with pytest.raises(ValueError, match="cells"):
-        mixed_fem.assemble_source(grid, density=np.ones(3))
-
-
 def test_bordered_solve_is_a_neumann_solution(rng):
     grid = mesh.build_grid((6, 4), (3, 2))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
-    wells = [(0, 1.0), (grid.n_cells - 1, -1.0)]
-    ops = mixed_fem.assemble_operators(grid, field, wells=wells)
+    ops = mixed_fem.assemble_operators(grid, field)
+    F = np.zeros(grid.n_cells)
+    F[0], F[-1] = 1.0, -1.0
     v, p, mu = dense_saddle_solve(ops.A.toarray(), ops.B.toarray(),
-                                  np.zeros(grid.n_velocity), ops.F)
+                                  np.zeros(grid.n_velocity), F)
     assert np.abs(ops.A @ v + ops.B.T @ p).max() < 1e-12
-    assert np.abs(ops.B @ v - ops.F).max() < 1e-12
+    assert np.abs(ops.B @ v - F).max() < 1e-12
     assert abs(p.sum()) < 1e-10
     assert abs(mu) < 1e-12  # compatible data leaves the border inactive
 
@@ -299,10 +283,3 @@ def test_block_batch_columns_match_single_solves(case, rng):
     for j in range(3):
         assert_relative_close(many[:, j], batch.solve(r[:, j], q[:, j]))
 
-
-def test_block_solvers_need_coefficient():
-    grid = mesh.build_grid((4, 4), (2, 2))
-    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
-    stripped = mixed_fem.MixedOperators(grid=grid, A=ops.A, B=ops.B, F=ops.F)
-    with pytest.raises(ValueError, match="coefficient"):
-        mixed_fem.block_solvers(grid, stripped)

@@ -7,6 +7,7 @@ import pytest
 import msflow.preconditioner as pc
 from msflow import coarse_space, mesh, mixed_fem
 from msflow.sparse_linalg import PcgBreakdownError
+from msflow.two_phase import WellConfig
 
 from conftest import DivFreeProjector, dense_saddle_solve, random_log_field
 from test_mixed_fem import BATCH_CASES, assert_relative_close, batch_case
@@ -102,6 +103,24 @@ def test_preprocess_rejects_unbalanced_coarse_space():
     F[0], F[-1] = 1.0, -1.0
     with pytest.raises(RuntimeError, match="imbalance"):
         pc.preprocess(grid, ops, coarse_op, F)
+
+
+@pytest.mark.parametrize("cell,value,size,message", [
+    (0, 1.0, 64, "source does not balance"),
+    (5, np.nan, 64, "source must be finite; cell 5"),
+    (0, 0.0, 63, r"source has shape \(63,\)"),
+])
+def test_bad_sources_rejected_before_any_solve(cell, value, size, message):
+    grid = mesh.build_grid((8, 8), (2, 2))
+    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    basis = coarse_space.build_rt0_space(grid)
+    coarse_op = coarse_space.coarse_operator(basis, ops)
+    source = np.zeros(size)
+    source[cell] = value
+    with pytest.raises(ValueError, match=message):
+        pc.preprocess(grid, ops, coarse_op, source)
+    with pytest.raises(ValueError, match=message):
+        pc.solve(grid, ops, basis, source)
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
@@ -205,17 +224,18 @@ def test_operators_build_block_factors_once_per_overlap(monkeypatch, rng):
 def test_solve_matches_dense_oracle(rng):
     grid = mesh.build_grid((12, 12), (3, 3))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
-    wells = [(0, 1.0), (grid.n_cells - 1, -1.0)]
-    ops = mixed_fem.assemble_operators(grid, field, wells=wells)
+    F = WellConfig([(0, 1.0), (grid.n_cells - 1, -1.0)]).source_vector(
+        grid.n_cells)
+    ops = mixed_fem.assemble_operators(grid, field)
     basis = coarse_space.build_gmsfem_space(grid, field, ops)
     settings = pc.SolverSettings(rel_tol=1e-10)
-    result = pc.solve(grid, ops, basis, ops.F, settings=settings,
+    result = pc.solve(grid, ops, basis, F, settings=settings,
                       with_pressure=True)
     assert result.report.converged
     assert result.divergence_error <= 1e-10
 
     v_ref, p_ref, _ = dense_saddle_solve(
-        ops.A.toarray(), ops.B.toarray(), np.zeros(grid.n_velocity), ops.F)
+        ops.A.toarray(), ops.B.toarray(), np.zeros(grid.n_velocity), F)
     scale = np.abs(v_ref).max()
     assert np.abs(result.velocity - v_ref).max() <= 1e-6 * scale
     p_ref -= p_ref.mean()
@@ -225,14 +245,14 @@ def test_solve_matches_dense_oracle(rng):
 def test_solve_variant_settings(rng):
     grid = mesh.build_grid((12, 12), (3, 3))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells, 4.0))
-    wells = [(3, 1.0), (100, -1.0)]
-    ops = mixed_fem.assemble_operators(grid, field, wells=wells)
+    F = WellConfig([(3, 1.0), (100, -1.0)]).source_vector(grid.n_cells)
+    ops = mixed_fem.assemble_operators(grid, field)
     basis = coarse_space.build_gmsfem_space(grid, field, ops)
-    tight = pc.solve(grid, ops, basis, ops.F,
+    tight = pc.solve(grid, ops, basis, F,
                      settings=pc.SolverSettings(rel_tol=1e-11)).velocity
     for settings in (pc.SolverSettings(overlap=1),
                      pc.SolverSettings(sweeps=2)):
-        result = pc.solve(grid, ops, basis, ops.F, settings=settings)
+        result = pc.solve(grid, ops, basis, F, settings=settings)
         assert result.report.converged
         scale = np.abs(tight).max()
         assert np.abs(result.velocity - tight).max() < 1e-4 * scale
@@ -256,10 +276,10 @@ def test_degenerate_settings_rejected():
 
 def test_breakdown_reraised_with_divergence_norm(monkeypatch):
     grid = mesh.build_grid((8, 8), (2, 2))
-    field = mixed_fem.uniform_field(grid)
-    wells = [(0, 1.0), (grid.n_cells - 1, -1.0)]
-    ops = mixed_fem.assemble_operators(grid, field, wells=wells)
+    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
     basis = coarse_space.build_rt0_space(grid)
+    F = np.zeros(grid.n_cells)
+    F[0], F[-1] = 1.0, -1.0
 
     def broken_pcg(*args, **kwargs):
         err = PcgBreakdownError("non-positive curvature -1.0 at iteration 3")
@@ -268,14 +288,14 @@ def test_breakdown_reraised_with_divergence_norm(monkeypatch):
 
     monkeypatch.setattr(pc, "pcg", broken_pcg)
     with pytest.raises(PcgBreakdownError, match="iterate divergence norm"):
-        pc.solve(grid, ops, basis, ops.F)
+        pc.solve(grid, ops, basis, F)
 
     def bare_pcg(*args, **kwargs):
         raise PcgBreakdownError("plain failure")
 
     monkeypatch.setattr(pc, "pcg", bare_pcg)
     with pytest.raises(PcgBreakdownError, match="plain failure$"):
-        pc.solve(grid, ops, basis, ops.F)
+        pc.solve(grid, ops, basis, F)
 
 
 def test_recover_pressure_single_cell():
@@ -288,10 +308,11 @@ def test_recover_pressure_single_cell():
 def test_recover_pressure_warns_on_bad_velocity(rng):
     grid = mesh.build_grid((10, 10), (2, 2))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
-    wells = [(0, 1.0), (grid.n_cells - 1, -1.0)]
-    ops = mixed_fem.assemble_operators(grid, field, wells=wells)
+    ops = mixed_fem.assemble_operators(grid, field)
+    F = np.zeros(grid.n_cells)
+    F[0], F[-1] = 1.0, -1.0
     v_ref, p_ref, _ = dense_saddle_solve(
-        ops.A.toarray(), ops.B.toarray(), np.zeros(grid.n_velocity), ops.F)
+        ops.A.toarray(), ops.B.toarray(), np.zeros(grid.n_velocity), F)
     p = pc.recover_pressure(ops, v_ref)
     assert abs(p.mean()) < 1e-12
     p_ref -= p_ref.mean()
