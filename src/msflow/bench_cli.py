@@ -339,7 +339,7 @@ def corner_source(grid) -> np.ndarray:
     return f
 
 
-def _solve_one(grid, field, kind, config, label, contrast, rows):
+def _solve_one(grid, field, kind, config, label, contrast) -> RunRow:
     """Setup (operators, basis, smoother and coarse factors) and solve,
     timed apart."""
     settings = config.settings()
@@ -355,26 +355,38 @@ def _solve_one(grid, field, kind, config, label, contrast, rows):
         raise RuntimeError(
             f"solve stalled after {result.report.iterations} iterations at "
             f"relative residual {result.report.residuals[-1]:.3e}")
-    rows.append(RunRow(label, contrast, kind, basis.dim,
-                       result.report.iterations,
-                       result.report.condition_estimate, t1 - t0, t2 - t1,
-                       tuple(basis.face_mode_counts)))
+    return RunRow(label, contrast, kind, basis.dim, result.report.iterations,
+                  result.report.condition_estimate, t1 - t0, t2 - t1,
+                  tuple(basis.face_mode_counts))
+
+
+def _solve_spaces(grid, field, config, label, contrast) -> list:
+    """One row per coarse kind of `config` on `field`."""
+    rows = []
+    for kind in config.spaces:
+        try:
+            rows.append(_solve_one(grid, field, kind, config, label, contrast))
+        except RuntimeError as exc:
+            raise RuntimeError(f"space {kind}: {exc}") from exc
+    return rows
 
 
 def run_robustness_sweep(config: ExperimentConfig) -> RunReport:
-    """One row per (contrast exponent, coarse kind) on the bench field."""
+    """One row per (contrast exponent, coarse kind) on the bench field.
+    A raster has no contrast: it is read and solved once per coarse
+    kind, in rows labelled `raster` with an empty contrast."""
+    grid = mesh.build_grid(config.grid, config.coarse)
+    if config.field != "synth":
+        return RunReport(_solve_spaces(grid, config.field_at(None), config,
+                                       "raster", None))
     if not config.contrasts:
         raise ValueError("contrast exponent list is empty")
-    grid = mesh.build_grid(config.grid, config.coarse)
     rows = []
     for k in config.contrasts:
-        field = config.field_at(k)
-        for kind in config.spaces:
-            try:
-                _solve_one(grid, field, kind, config, "bench", k, rows)
-            except RuntimeError as exc:
-                raise RuntimeError(
-                    f"contrast {k:g}, space {kind}: {exc}") from exc
+        try:
+            rows += _solve_spaces(grid, config.field_at(k), config, "bench", k)
+        except RuntimeError as exc:
+            raise RuntimeError(f"contrast {k:g}, {exc}") from exc
     return RunReport(rows)
 
 
@@ -382,14 +394,8 @@ def run_comparison(config: ExperimentConfig) -> RunReport:
     """All requested coarse spaces on a single field."""
     grid = mesh.build_grid(config.grid, config.coarse)
     contrast = config.contrasts[0] if config.contrasts else 0.0
-    field = config.field_at(contrast)
-    rows = []
-    for kind in config.spaces:
-        try:
-            _solve_one(grid, field, kind, config, "comparison", contrast, rows)
-        except RuntimeError as exc:
-            raise RuntimeError(f"space {kind}: {exc}") from exc
-    return RunReport(rows)
+    return RunReport(_solve_spaces(grid, config.field_at(contrast), config,
+                                   "comparison", contrast))
 
 
 def run_two_phase(config: ExperimentConfig) -> dict:

@@ -89,7 +89,7 @@ class MixedOperators:
         """`BlockBatch` of the `block_solvers` for `overlap`."""
         if overlap not in self._batches:
             self._batches[overlap] = BlockBatch(
-                block_solvers(self.grid, self, overlap=overlap),
+                block_solvers(self, overlap=overlap),
                 self.grid.n_velocity)
         return self._batches[overlap]
 
@@ -440,16 +440,15 @@ class BlockBatch:
                            minlength=self.n_velocity)
 
 
-def block_solvers(grid, operators: MixedOperators,
-                  overlap: int = 0) -> list:
-    """Factorized solvers for every coarse block, oversampled by
-    `overlap` fine layers (clipped at the domain boundary).
+def block_solvers(operators: MixedOperators, overlap: int = 0) -> list:
+    """Factorized solvers for every coarse block of `operators.grid`,
+    oversampled by `overlap` fine layers (clipped at the domain boundary).
 
     Blocks whose region shape and coefficients coincide share one
     factorization, which collapses the setup cost on fields with a
     uniform background.
     """
-    coeff = operators.coefficient
+    grid, coeff = operators.grid, operators.coefficient
     solvers, lines, factors = [], {}, {}
     for b in range(grid.n_blocks):
         cells = mesh.oversample(grid, b, overlap)

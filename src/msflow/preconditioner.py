@@ -97,28 +97,10 @@ def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
                                  settings.eta, settings.sweeps)
 
 
-@dataclass
-class PreprocessResult:
-    velocity: np.ndarray
-    coarse_velocity: np.ndarray
-    divergence_error: float
-    coarse_residual: float = 0.0
-    block_correction_norms: np.ndarray | None = None
-
-
-def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
-               source: np.ndarray) -> PreprocessResult:
-    """Velocity matching the source divergence exactly, cell by cell.
-
-    `source` holds one finite rate per cell and must integrate to zero,
-    since a pure Neumann problem is compatible only then; anything else
-    raises ValueError before any solve.  A coarse saddle solve balances
-    the source between blocks; local block solves then absorb the
-    within-block mismatch.  The coarse pressure space contains the block
-    indicators, so each local problem is compatible by construction; a
-    large block imbalance therefore means the coarse solve itself went
-    wrong and is treated as fatal.
-    """
+def check_source(grid, source) -> np.ndarray:
+    """`source` as a float array, or ValueError unless it holds one
+    finite rate per cell and integrates to zero: a pure Neumann problem
+    is compatible only then."""
     source = np.asarray(source, dtype=float)
     if source.shape != (grid.n_cells,):
         raise ValueError(f"source has shape {source.shape}; expected one "
@@ -132,6 +114,31 @@ def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
         raise ValueError(
             f"source does not balance: net rate {net:.3e} (gross "
             f"{gross:.3e}); a compatible Neumann problem needs zero net")
+    return source
+
+
+@dataclass
+class PreprocessResult:
+    velocity: np.ndarray
+    coarse_velocity: np.ndarray
+    divergence_error: float
+    coarse_residual: float = 0.0
+    block_correction_norms: np.ndarray | None = None
+
+
+def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
+               source: np.ndarray) -> PreprocessResult:
+    """Velocity matching the source divergence exactly, cell by cell.
+
+    A `source` that `check_source` rejects raises ValueError before any
+    solve.  A coarse saddle solve balances the source between blocks;
+    local block solves then absorb the within-block mismatch.  The
+    coarse pressure space contains the block indicators, so each local
+    problem is compatible by construction; a large block imbalance
+    therefore means the coarse solve itself went wrong and is treated as
+    fatal.
+    """
+    source = check_source(grid, source)
     P_v = coarse.basis.P_v
     P_p = coarse.basis.P_p
     rhs_p = P_p.T @ source
@@ -183,9 +190,11 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     CG runs on the mass operator restricted to divergence-free
     velocities, starting from the preprocessed field; the reported
     residual history is in the preconditioner norm, relative to the
-    first residual.
+    first residual.  A bad `source` raises ValueError before any factor
+    is built.
     """
     settings = settings or SolverSettings()
+    source = check_source(grid, source)
     if preconditioner is None:
         preconditioner = build_preconditioner(grid, operators, basis, settings)
     pre = preprocess(grid, operators, preconditioner.coarse, source)

@@ -10,14 +10,15 @@ mobility changes.
 
 The velocity is fixed between pressure solves, so everything the
 transport step needs from it is built once per pressure solve as an
-`UpwindFlow`: the upwind and downwind cell of every moving face, the
-well rates, and an upwind order of the cells, in which every cell
-comes after the cells that feed it (Kwok & Tchelepi, JCP 227, 2007;
-Natvig & Lie, JCP 227, 2008).  In that order the Newton Jacobian of an
-acyclic flow is lower triangular, so each Newton iteration only fills
-the values of one fixed sparse pattern and factors it without fill; a
-circulating flow keeps each cycle together as one block and gets fill
-inside it only.
+`UpwindFlow`: an upwind order of the cells, in which every cell comes
+after the cells that feed it (Kwok & Tchelepi, JCP 227, 2007; Natvig &
+Lie, JCP 227, 2008), and in that order one matrix `K` of face fluxes
+and producer rates that maps the fractional flows of the cells to their
+net water outflow.  The Newton residual and Jacobian both come from
+`K`, and the Jacobian has its fixed pattern.  For an acyclic flow that
+pattern is lower triangular and factors without fill; a circulating
+flow keeps each cycle together as one block and gets fill inside it
+only.
 """
 
 import numbers
@@ -218,27 +219,24 @@ def pressure_step(grid, operators, basis, wells: WellConfig,
 class UpwindFlow:
     """What the implicit upwind step needs from one fixed velocity.
 
-    Faces with zero flux are dropped.  Every other face appears twice
-    as a flux term, once for each adjacent cell: cell `rows[k]` loses
-    `flux[k] * f_w(s[cols[k]])` of water per unit time, where `cols[k]`
-    is the upwind cell of the face (lower cells first, then upper
-    cells).  `order` lists the cells so that every upwind cell comes
-    before the cells it feeds, with each cycle of the upwind graph kept
-    together; `rank` is its inverse.  `indptr` and `indices` are the
-    CSC pattern of the Jacobian in that order, and `slots` gives the
-    data position of every flux term and then of every cell's diagonal.
+    `order` lists the cells so that every upwind cell comes before the
+    cells it feeds, with each cycle of the upwind graph kept together;
+    `rank` is its inverse.  The rest is in that order.  `K` maps the
+    fractional flows of the cells to their net water outflow: a face
+    with a nonzero flux puts its rate in the column of its upwind cell,
+    in the row of the cell it leaves and, negated, of the cell it
+    enters; the producers put `-q_minus` on the diagonal, which is
+    stored for every cell.  `columns` is the column of every stored
+    entry, `diagonal` the data position of every diagonal and `q_plus`
+    the injection rate of every cell.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    flux: np.ndarray
+    K: sparse.csc_matrix
+    columns: np.ndarray
+    diagonal: np.ndarray
     q_plus: np.ndarray
-    q_minus: np.ndarray
     order: np.ndarray
     rank: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: np.ndarray
 
     @classmethod
     def build(cls, grid, v: np.ndarray, wells: WellConfig) -> "UpwindFlow":
@@ -262,35 +260,16 @@ class UpwindFlow:
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
 
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([upwind, upwind])
-        cells = np.arange(n)
-        keys, slots = np.unique(rank[np.concatenate([cols, cells])] * n +
-                                rank[np.concatenate([rows, cells])],
-                                return_inverse=True)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         q_plus, q_minus = wells.split(n)
-        return cls(rows=rows, cols=cols, flux=np.concatenate([rate, -rate]),
-                   q_plus=q_plus, q_minus=q_minus, order=order, rank=rank,
-                   indptr=indptr, indices=keys % n, slots=slots)
-
-    def jacobian(self, dt: float, dfw: np.ndarray,
-                 pv: np.ndarray) -> sparse.csc_matrix:
-        """Residual Jacobian for f_w' = `dfw`, rows and columns in `order`.
-
-        Every column sums to pv - dt * dfw * q_minus >= pv and its only
-        positive entry is the diagonal, so the matrix is strictly
-        column diagonally dominant: partial pivoting keeps the diagonal
-        pivots, and an acyclic flow factors without fill.
-        """
-        values = np.concatenate([dt * self.flux * dfw[self.cols],
-                                 pv - dt * dfw * self.q_minus])
-        data = np.bincount(self.slots, weights=values,
-                           minlength=len(self.indices))
-        n = len(pv)
-        return sparse.csc_matrix((data, self.indices, self.indptr),
-                                 shape=(n, n))
+        cells = np.arange(n)
+        K = sparse.csc_matrix(
+            (np.concatenate([rate, -rate, -q_minus]),
+             (rank[np.concatenate([lo, hi, cells])],
+              rank[np.concatenate([upwind, upwind, cells])])), shape=(n, n))
+        columns = np.repeat(cells, np.diff(K.indptr))
+        return cls(K=K, columns=columns,
+                   diagonal=np.flatnonzero(K.indices == columns),
+                   q_plus=q_plus[order], order=order, rank=rank)
 
 
 class _NewtonFailure(Exception):
@@ -310,30 +289,37 @@ def _newton_transport(grid, fluid: FluidModel, s0, porosity, dt,
     Returns (saturation, Newton iterations); raises _NewtonFailure when
     stuck: after `_NEWTON_MAX_ITER` iterations, or as soon as the
     residual max-norm has gone `_NEWTON_STALL` iterations without falling
-    below its lowest value so far.
+    below its lowest value so far.  It runs in upwind order, with the
+    Jacobian diag(pv) + dt K diag(f_w').  Every column of it sums to
+    pv - dt f_w' q_minus >= pv and has its only positive entry on the
+    diagonal, so partial pivoting keeps the diagonal pivots, and an
+    acyclic flow factors without fill.
     """
-    n = grid.n_cells
-    pv = porosity * grid.cell_volume
+    pv = (porosity * grid.cell_volume)[flow.order]
+    s0 = s0[flow.order]
+    jacobian = flow.K.copy()
+    dt_flux = dt * flow.K.data
     s = s0
     best, stalled = np.inf, 0
     for iteration in range(_NEWTON_MAX_ITER):
         fw, dfw = fractional_flow(fluid, np.clip(s, 0.0, 1.0))
-        net_out = np.bincount(flow.rows, weights=flow.flux * fw[flow.cols],
-                              minlength=n)
-        residual = pv * (s - s0) - dt * (flow.q_plus - net_out +
-                                         fw * flow.q_minus)
+        residual = pv * (s - s0) - dt * (flow.q_plus - flow.K @ fw)
         norm = float(np.max(np.abs(residual)))
         scale = max(1.0, float(np.max(np.abs(s))))
         if norm <= 1e-10 * scale:
-            return s, iteration
+            return s[flow.rank], iteration
         if norm < best:
             best, stalled = norm, 0
         else:
             stalled += 1
             if stalled == _NEWTON_STALL:
                 raise _NewtonFailure(f"residual stalled at {best:.3e}")
-        lu = splu(flow.jacobian(dt, dfw, pv), permc_spec="NATURAL")
-        s = s - lu.solve(residual[flow.order])[flow.rank]
+        np.multiply(dt_flux, dfw[flow.columns], out=jacobian.data)
+        jacobian.data[flow.diagonal] += pv
+        # a fill-free factor needs no supernode panels; SuperLU's default
+        # panel workspace would be allocated and faulted in on every call
+        lu = splu(jacobian, permc_spec="NATURAL", panel_size=1, relax=1)
+        s = s - lu.solve(residual)
     raise _NewtonFailure(f"no convergence in {_NEWTON_MAX_ITER} iterations")
 
 

@@ -367,6 +367,19 @@ def test_cli_comparison_defaults_to_all_spaces(tmp_path, capsys):
     assert [r[8] for r in rows[2:]] == ["1;1;1;1"] * 2
 
 
+def test_cli_robustness_solves_a_raster_once_per_space(tmp_path, capsys):
+    # a raster has no contrast, so the exponents do not multiply its rows
+    path = tmp_path / "k.txt"
+    write_raster(path, 10.0 ** np.random.default_rng(5).uniform(-2, 2, 64))
+    argv = ["robustness", "--grid", "8x8", "--coarse", "2x2", "--field",
+            str(path), "--contrasts=-4,0,4", "--space", "rt0",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    rows = _read_csv(capsys.readouterr().out.strip())
+    assert len(rows) == 2
+    assert rows[1][:3] == ["raster", "", "rt0"]
+
+
 def test_solve_one_times_the_preconditioner_build_as_setup(monkeypatch):
     received = []
     original = bench_cli.solve

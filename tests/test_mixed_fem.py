@@ -124,7 +124,7 @@ def test_block_solver_matches_dense(fine, coarse, overlap, rng):
     grid = mesh.build_grid(fine, coarse)
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
     ops = mixed_fem.assemble_operators(grid, field)
-    solvers = mixed_fem.block_solvers(grid, ops, overlap=overlap)
+    solvers = mixed_fem.block_solvers(ops, overlap=overlap)
     assert len(solvers) == grid.n_blocks
     for bs in solvers[:: max(1, grid.n_blocks // 5)]:
         local = local_bordered_matrix(ops, bs.velocity_idx, bs.pressure_idx)
@@ -144,7 +144,7 @@ def test_block_solver_singleton_axis(rng):
     grid = mesh.build_grid((4, 4), (4, 2))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
     ops = mixed_fem.assemble_operators(grid, field)
-    for bs in mixed_fem.block_solvers(grid, ops, overlap=0):
+    for bs in mixed_fem.block_solvers(ops, overlap=0):
         local = local_bordered_matrix(ops, bs.velocity_idx, bs.pressure_idx)
         rhs = rng.standard_normal(bs.size)
         want = np.linalg.solve(local, rhs)
@@ -159,7 +159,7 @@ def test_block_solver_high_contrast(fine):
     grid = mesh.build_grid(fine, (1,) * len(fine))
     coeff = 10.0 ** rng.uniform(-6.0, 6.0, grid.n_cells)
     ops = mixed_fem.assemble_operators(grid, mixed_fem.PermeabilityField(coeff))
-    [bs] = mixed_fem.block_solvers(grid, ops)
+    [bs] = mixed_fem.block_solvers(ops)
     local = local_bordered_matrix(ops, bs.velocity_idx, bs.pressure_idx)
     rhs = rng.standard_normal((bs.size, 4))
     got = bs.solve(rhs)
@@ -184,15 +184,15 @@ def test_block_solver_rejects_unresolvable_contrast():
                      1e10, 1e-10)
     ops = mixed_fem.assemble_operators(grid, mixed_fem.PermeabilityField(coeff))
     with pytest.raises(SingularMatrixError, match="not positive definite"):
-        mixed_fem.block_solvers(grid, ops)
+        mixed_fem.block_solvers(ops)
 
 
 def test_block_factor_cache_on_uniform_field():
     grid = mesh.build_grid((12, 12), (4, 4))
     ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid, 3.0))
-    solvers = mixed_fem.block_solvers(grid, ops, overlap=0)
+    solvers = mixed_fem.block_solvers(ops, overlap=0)
     assert len({id(s.factor) for s in solvers}) == 1
-    clipped = mixed_fem.block_solvers(grid, ops, overlap=1)
+    clipped = mixed_fem.block_solvers(ops, overlap=1)
     # per axis the region is 4 cells at the boundary and 5 inside, and the
     # cache keys on shape, so {4,5}^2 regions share 4 factors
     assert len({id(s.factor) for s in clipped}) == 4
@@ -240,7 +240,7 @@ def block_loop_rhs(bs, r, q=None):
 def test_block_batch_matches_block_loop(case, overlap, rng):
     grid, field = batch_case(case, rng)
     ops = mixed_fem.assemble_operators(grid, field)
-    solvers = mixed_fem.block_solvers(grid, ops, overlap=overlap)
+    solvers = mixed_fem.block_solvers(ops, overlap=overlap)
     unique = len({id(bs.factor) for bs in solvers})
     if case == "synth-2d":
         assert unique == grid.n_blocks

@@ -123,6 +123,22 @@ def test_bad_sources_rejected_before_any_solve(cell, value, size, message):
         pc.solve(grid, ops, basis, source)
 
 
+def test_solve_checks_the_source_before_building_factors(monkeypatch):
+    grid = mesh.build_grid((8, 8), (2, 2))
+    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    basis = coarse_space.build_rt0_space(grid)
+
+    def unexpected(*args, **kw):
+        raise AssertionError("coarse operator built for a bad source")
+
+    monkeypatch.setattr(pc, "coarse_operator", unexpected)
+    source = np.zeros(grid.n_cells)
+    source[0] = 1.0
+    with pytest.raises(ValueError, match="source does not balance"):
+        pc.solve(grid, ops, basis, source)
+    assert not ops._batches
+
+
 @pytest.mark.parametrize("case", BATCH_CASES)
 def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
     grid, field = batch_case(case, rng)
@@ -134,7 +150,7 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
     # reference: one BlockSolver.solve per block, summed in block order
     r = rng.standard_normal(grid.n_velocity)
     want = np.zeros(grid.n_velocity)
-    for bs in mixed_fem.block_solvers(grid, ops, overlap=settings.overlap):
+    for bs in mixed_fem.block_solvers(ops, overlap=settings.overlap):
         rhs = np.zeros(bs.size)
         rhs[:bs.n_velocity] = r[bs.velocity_idx]
         want[bs.velocity_idx] += settings.eta * bs.solve(rhs)[:bs.n_velocity]
@@ -147,7 +163,7 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
     Av = ops.A @ pre.coarse_velocity
     want = pre.coarse_velocity.copy()
     norms = np.zeros(grid.n_blocks)
-    for bs in mixed_fem.block_solvers(grid, ops, overlap=0):
+    for bs in mixed_fem.block_solvers(ops, overlap=0):
         rhs = np.concatenate([-Av[bs.velocity_idx],
                               residual[bs.pressure_idx], [0.0]])
         correction = bs.solve(rhs)[:bs.n_velocity]
@@ -204,9 +220,9 @@ def test_operators_build_block_factors_once_per_overlap(monkeypatch, rng):
     built = []
     original = mixed_fem.block_solvers
 
-    def counted(grid, operators, overlap=0):
+    def counted(operators, overlap=0):
         built.append(overlap)
-        return original(grid, operators, overlap=overlap)
+        return original(operators, overlap=overlap)
 
     monkeypatch.setattr(mixed_fem, "block_solvers", counted)
     basis = coarse_space.build_gmsfem_space(grid, field, ops)
