@@ -80,7 +80,6 @@ class CoarseBasis:
     """Prolongations from coarse coefficients to fine dofs."""
 
     kind: str
-    grid: mesh.CartesianTwoScaleGrid
     P_v: sparse.csr_matrix
     P_p: sparse.csr_matrix
     face_mode_counts: np.ndarray | None = None
@@ -112,8 +111,9 @@ class _FaceGroup:
     blocks one cell thick along the axis).
     """
 
-    def __init__(self, grid, operators, faces):
-        self.grid, self.axis, self.nf = grid, faces[0].axis, len(faces)
+    def __init__(self, operators, faces):
+        self.grid = grid = operators.grid
+        self.axis, self.nf = faces[0].axis, len(faces)
         self.batch = batch = operators.batch(0)
         self.n_box = len(batch.blocks)
         self.nv = len(batch.velocity_idx) // self.n_box
@@ -198,7 +198,7 @@ def _faces_by_axis(grid):
 def snapshot_face(grid, operators, face) -> SnapshotFamily:
     """Snapshot family of one coarse face: unit trace per fine face,
     glued from the two independent block solves."""
-    dofs, values = _FaceGroup(grid, operators, [face]).solve(
+    dofs, values = _FaceGroup(operators, [face]).solve(
         np.eye(face.n_fine))
     return SnapshotFamily(face=face, dofs=dofs[0], values=values[0])
 
@@ -227,12 +227,18 @@ def face_bilinear_s(grid, operators, family: SnapshotFamily) -> np.ndarray:
     high-permeability channel modes stay far below, so a tolerance of
     order 10 keeps exactly the dominant modes.
     """
-    group = _FaceGroup(grid, operators, [family.face])
+    group = _FaceGroup(operators, [family.face])
     return group.bilinear_s(family.values[None])[0]
 
 
 def face_eigenpairs(grid, field, operators, family: SnapshotFamily):
-    """Ascending eigenpairs of the trace-vs-neighbourhood pencil."""
+    """Ascending eigenpairs of the trace-vs-neighbourhood pencil.
+
+    Both forms must see one coefficient, so `field` must be the one the
+    operators were assembled from; ValueError otherwise."""
+    if not np.array_equal(field.coefficient(), operators.coefficient):
+        raise ValueError("field is not the coefficient of the operators; "
+                         "the pencil would mix two coefficients")
     a = face_bilinear_a(grid, field, family.face)
     s = face_bilinear_s(grid, operators, family)
     return generalized_symmetric_eig(a, s)
@@ -309,25 +315,24 @@ def build_rt0_space(grid) -> CoarseBasis:
     P_v = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.n_velocity, len(faces))).tocsr()
-    return CoarseBasis(kind="rt0", grid=grid, P_v=P_v,
+    return CoarseBasis(kind="rt0", P_v=P_v,
                        P_p=_pressure_prolongation(grid),
                        face_mode_counts=np.ones(len(faces), dtype=int))
 
 
-def build_msfem_space(grid, field, operators=None) -> CoarseBasis:
+def build_msfem_space(operators) -> CoarseBasis:
     """One flux mode per coarse face from unit-trace local solves.
 
     The all-ones combination of the snapshot family, solved as one
     right-hand side; with a uniform coefficient the local solution is
     the linear ramp, i.e. the rt0 prolongation.
     """
-    if operators is None:
-        operators = mixed_fem.assemble_operators(grid, field)
+    grid = operators.grid
     columns = []
     for faces in _faces_by_axis(grid):
-        group = _FaceGroup(grid, operators, faces)
+        group = _FaceGroup(operators, faces)
         columns += zip(*group.solve(np.ones((faces[0].n_fine, 1))))
-    return CoarseBasis(kind="msfem", grid=grid,
+    return CoarseBasis(kind="msfem",
                        P_v=_assemble_velocity_prolongation(grid, columns),
                        P_p=_pressure_prolongation(grid),
                        face_mode_counts=np.ones(len(columns), dtype=int))
@@ -338,13 +343,17 @@ def build_gmsfem_space(grid, field, operators=None, tol: float = 10.0) -> Coarse
     eigenvalue at most `tol` (at least one).  The faces of an axis share
     one size, so their snapshots, S-forms and pencils are computed as
     stacks.  Both pencil forms come from `operators.coefficient`; `field`
-    is read only to assemble the operators when none are given."""
+    is read only to assemble the operators when none are given.  A `tol`
+    that is not positive and finite raises ValueError before any solve."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"eigenvalue tolerance tol must be positive and "
+                         f"finite, got {tol!r}")
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
     columns = []
     selections = []
     for faces in _faces_by_axis(grid):
-        group = _FaceGroup(grid, operators, faces)
+        group = _FaceGroup(operators, faces)
         J = faces[0].n_fine
         dofs, values = group.solve(np.eye(J))
         a = _trace_weights(grid, operators.coefficient, group.axis,
@@ -354,7 +363,7 @@ def build_gmsfem_space(grid, field, operators=None, tol: float = 10.0) -> Coarse
             sel = select_modes(w_f, X_f, tol, face_index=face.index)
             selections.append(sel)
             columns.append((d, V @ sel.vectors[:, : sel.count]))
-    return CoarseBasis(kind="gmsfem", grid=grid,
+    return CoarseBasis(kind="gmsfem",
                        P_v=_assemble_velocity_prolongation(grid, columns),
                        P_p=_pressure_prolongation(grid),
                        face_mode_counts=np.array([s.count for s in selections]),
@@ -365,11 +374,13 @@ def build_space(kind, grid, field, operators=None, tol: float = 10.0) -> CoarseB
     kind = kind.lower()
     if kind == "rt0":
         return build_rt0_space(grid)
-    if kind == "msfem":
-        return build_msfem_space(grid, field, operators)
     if kind == "gmsfem":
         return build_gmsfem_space(grid, field, operators, tol)
-    raise ValueError(f"unknown coarse space kind {kind!r}")
+    if kind != "msfem":
+        raise ValueError(f"unknown coarse space kind {kind!r}")
+    if operators is None:
+        operators = mixed_fem.assemble_operators(grid, field)
+    return build_msfem_space(operators)
 
 
 @dataclass(eq=False)

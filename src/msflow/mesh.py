@@ -148,15 +148,6 @@ def cell_multi(grid, ids) -> np.ndarray:
     return np.stack(unraveled, axis=-1)
 
 
-def face_id_from_low_cell(grid, axis, multi) -> np.ndarray:
-    """Global id of the `axis`-normal face whose lower cell is `multi`."""
-    multi = np.asarray(multi)
-    shape = grid.axis_face_shape(axis)
-    local = np.ravel_multi_index(tuple(multi[..., a] for a in range(grid.dim)),
-                                 shape, order="F")
-    return grid.face_offsets[axis] + local
-
-
 @lru_cache(maxsize=128)
 def cell_face_ids(grid, axis):
     """(low, high) face ids per cell along `axis`, -1 where the face is
@@ -243,38 +234,33 @@ def velocity_dofs_interior_to(grid, cells) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def coarse_faces(grid) -> tuple:
-    """All interior coarse faces, axis-major then lexicographic."""
+    """All interior coarse faces, axis-major, then by lower block in
+    F-order.
+
+    The F-order ravel of a face lattice is linear, so along one axis the
+    fine faces of every coarse face are those of the first one (above
+    block 0) shifted by one offset: the ravelled lattice corner of the
+    face's lower block.
+    """
     faces = []
-    m = grid.block_size
+    m = np.array(grid.block_size)
     for axis in range(grid.dim):
-        layer_counts = [grid.coarse[a] - 1 if a == axis else grid.coarse[a]
-                        for a in range(grid.dim)]
-        axes = [np.arange(c) for c in layer_counts]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        multi = np.stack([mm.ravel(order="F") for mm in mesh], axis=-1)
-        for coords in multi:
-            lower = coords.copy()
-            upper = coords.copy()
-            upper[axis] += 1
-            fine_faces = _coarse_face_fine_faces(grid, axis, coords)
-            faces.append(CoarseFace(
-                index=len(faces),
-                axis=axis,
-                blocks=(int(block_ids(grid, lower)), int(block_ids(grid, upper))),
-                fine_faces=fine_faces,
-            ))
+        layers = tuple(N - (a == axis) for a, N in enumerate(grid.coarse))
+        lower = np.stack(np.unravel_index(np.arange(math.prod(layers)),
+                                          layers, order="F"), axis=-1)
+        step = np.eye(grid.dim, dtype=int)[axis]
+        blocks = zip(block_ids(grid, lower), block_ids(grid, lower + step))
+        shape = grid.axis_face_shape(axis)
+        # the faces' lower cells are the top layer of the lower block
+        first = [m[axis] - 1 if a == axis else 0 for a in range(grid.dim)]
+        template = grid.face_offsets[axis] + _lattice_box(first, m, shape)
+        offsets = np.ravel_multi_index(tuple((lower * m).T), shape, order="F")
+        fine = template + offsets[:, None]
+        start = len(faces)
+        faces += [CoarseFace(index=start + k, axis=axis,
+                             blocks=(int(lo), int(hi)), fine_faces=f)
+                  for k, ((lo, hi), f) in enumerate(zip(blocks, fine))]
     return tuple(faces)
-
-
-def _coarse_face_fine_faces(grid, axis, coords):
-    """Fine-face dofs on the coarse face at block coords, lexicographic
-    in the orthogonal coordinates."""
-    lo = [c * m for c, m in zip(coords, grid.block_size)]
-    hi = [l + m for l, m in zip(lo, grid.block_size)]
-    # the faces' lower cells are the top layer of the lower block
-    lo[axis] = hi[axis] - 1
-    return grid.face_offsets[axis] + _lattice_box(lo, hi,
-                                                  grid.axis_face_shape(axis))
 
 
 def neighborhood_cells(grid, face: CoarseFace) -> np.ndarray:

@@ -29,41 +29,30 @@ from . import mesh
 from .sparse_linalg import SingularMatrixError
 
 
-def _positive_finite(name, values) -> np.ndarray:
-    """`values` as a flat float array; rejects the first cell that is not
-    positive and finite (NaN included)."""
-    values = np.asarray(values, dtype=float).ravel()
-    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
-    if bad.size:
-        raise ValueError(f"{name} must be positive and finite; cell "
-                         f"{bad[0]} has value {float(values[bad[0]])!r}")
-    return values
-
-
 @dataclass
 class PermeabilityField:
-    """Cell-wise permeability with an optional mobility multiplier.
+    """Cell-wise coefficient of the flow problem.
 
-    `values` is the rock permeability per cell; `mobility`, when present,
-    scales it cell by cell (two-phase total mobility).  The product is
-    what enters the discretization, always through its inverse.
+    `values` holds one positive, finite coefficient per cell: the rock
+    permeability, or for two-phase flow its product with the total
+    mobility (`two_phase.mobility_field`).  It enters the discretization
+    through its inverse.  Held as a flat float array; the first cell that
+    is not positive and finite (NaN included) raises ValueError.
     """
 
     values: np.ndarray
-    mobility: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = _positive_finite("permeability", self.values)
-        if self.mobility is not None:
-            self.mobility = _positive_finite("mobility", self.mobility)
-            if self.mobility.shape != self.values.shape:
-                raise ValueError("mobility and permeability sizes differ")
+        self.values = np.asarray(self.values, dtype=float).ravel()
+        bad = np.flatnonzero(~(np.isfinite(self.values) & (self.values > 0)))
+        if bad.size:
+            raise ValueError(f"permeability must be positive and finite; "
+                             f"cell {bad[0]} has value "
+                             f"{float(self.values[bad[0]])!r}")
 
     def coefficient(self) -> np.ndarray:
-        """Effective cell coefficient (permeability times mobility)."""
-        if self.mobility is None:
-            return self.values
-        return self.values * self.mobility
+        """The cell coefficient the operators are assembled from."""
+        return self.values
 
 
 @dataclass
@@ -175,8 +164,8 @@ def bordered_saddle_matrix(A, B) -> sparse.csc_matrix:
 
 class _BoxLines:
     """Grid lines of a box shape, numbering its velocities line-major
-    (axis by axis, line by line).  `order` maps them to the F-order of
-    `mesh.velocity_dofs_interior_to`; `axes` holds (axis, cell ids per
+    (axis by axis, line by line).  `order` picks them out of the F-order
+    of `mesh.velocity_dofs_interior_to`; `axes` holds (axis, cell ids per
     line), `lens` every line's length, and velocity i joins the cells
     `cells[i]` with divergence entries `div[i]` (+area, -area)."""
 
@@ -282,7 +271,8 @@ class BlockSolver:
     Pairs the global index sets with a `_BoxFactor` and solves through a
     one-box `BlockBatch`, built on the first solve.  Right-hand sides and
     solutions are laid out as in `bordered_saddle_matrix`: [velocity;
-    pressure; border], velocities in the order of `velocity_idx`.
+    pressure; border], velocities in the order of `velocity_idx`, which
+    is the line order of the factor.
     """
 
     def __init__(self, block: int, velocity_idx, pressure_idx,
@@ -316,12 +306,8 @@ class BlockSolver:
         rhs = np.asarray(rhs, dtype=float)
         cols = rhs.reshape(len(rhs), -1)
         nv = self.n_velocity
-        order = self.factor.lines.order
-        v, p, mu = self._system.solve_core(cols[:nv][order], cols[nv:-1],
-                                           cols[-1:])
-        out = np.vstack([np.empty_like(v), p, mu])
-        out[:nv][order] = v
-        return out.reshape(rhs.shape)
+        v, p, mu = self._system.solve_core(cols[:nv], cols[nv:-1], cols[-1:])
+        return np.vstack([v, p, mu]).reshape(rhs.shape)
 
 
 class BlockBatch:
@@ -348,8 +334,7 @@ class BlockBatch:
         lines = [f.lines for f in factors]
         self.n_velocity = n_velocity
         self.blocks = np.array([bs.block for bs in boxes])
-        self.velocity_idx = np.concatenate(
-            [bs.velocity_idx[bs.factor.lines.order] for bs in boxes])
+        self.velocity_idx = np.concatenate([bs.velocity_idx for bs in boxes])
         self.pressure_idx = np.concatenate([bs.pressure_idx for bs in boxes])
         nv = np.array([box.n_velocity for box in lines])
         self.counts = np.array([box.n_cells for box in lines])
@@ -446,7 +431,8 @@ def block_solvers(operators: MixedOperators, overlap: int = 0) -> list:
 
     Blocks whose region shape and coefficients coincide share one
     factorization, which collapses the setup cost on fields with a
-    uniform background.
+    uniform background.  Each solver keeps its velocity dofs in the line
+    order of its factor.
     """
     grid, coeff = operators.grid, operators.coefficient
     solvers, lines, factors = [], {}, {}
@@ -461,6 +447,6 @@ def block_solvers(operators: MixedOperators, overlap: int = 0) -> list:
         factor = factors.get(key)
         if factor is None:
             factor = factors[key] = _BoxFactor(grid, lines[shape], coeff_box)
-        vidx = mesh.velocity_dofs_interior_to(grid, cells)
+        vidx = mesh.velocity_dofs_interior_to(grid, cells)[lines[shape].order]
         solvers.append(BlockSolver(b, vidx, cells, factor))
     return solvers

@@ -22,14 +22,16 @@ from .sparse_linalg import PcgBreakdownError, factor, pcg, PcgReport
 from .coarse_space import CoarseBasis, CoarseOperator, coarse_operator
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverSettings:
     """Knobs for the preconditioned solve.
 
     `eta` damps the additive smoother; with up to 2**d overlapping
     regions covering a dof, eta <= 2**-d keeps the smoother a
     contraction, and 0.2 is a safe default in 2D and 3D.  `sweeps`
-    smoother sweeps run before and after the coarse correction.
+    smoother sweeps run before and after the coarse correction.  Values
+    that cannot give a converging solve raise ValueError here, and the
+    settings are frozen so that they stay checked.
     """
 
     rel_tol: float = 1e-7
@@ -37,6 +39,27 @@ class SolverSettings:
     eta: float = 0.2
     sweeps: int = 1
     overlap: int = 2
+
+    def __post_init__(self):
+        if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ValueError(f"CG relative tolerance rel_tol must be "
+                             f"finite and not negative, got {self.rel_tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"CG needs max_iter of at least 1, got "
+                             f"{self.max_iter!r}")
+        if self.overlap < 1:
+            # without oversampling the block interiors miss every
+            # coarse-face dof and the V-cycle goes singular there,
+            # stalling CG silently
+            raise ValueError("smoother overlap must be at least 1 fine layer")
+        if self.sweeps < 1:
+            raise ValueError(
+                "CG needs a positive definite V-cycle; use at least 1 "
+                "smoother sweep")
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(
+                f"smoother damping eta must be positive and finite, got "
+                f"{self.eta!r}")
 
 
 class TwoGridPreconditioner:
@@ -80,18 +103,6 @@ class TwoGridPreconditioner:
 def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
                          settings: SolverSettings | None = None):
     settings = settings or SolverSettings()
-    if settings.overlap < 1:
-        # without oversampling the block interiors miss every coarse-face
-        # dof and the V-cycle goes singular there, stalling CG silently
-        raise ValueError("smoother overlap must be at least 1 fine layer")
-    if settings.sweeps < 1:
-        raise ValueError(
-            "CG needs a positive definite V-cycle; use at least 1 "
-            "smoother sweep")
-    if not (np.isfinite(settings.eta) and settings.eta > 0):
-        raise ValueError(
-            f"smoother damping eta must be positive and finite, got "
-            f"{settings.eta!r}")
     return TwoGridPreconditioner(operators, coarse_operator(basis, operators),
                                  operators.batch(settings.overlap),
                                  settings.eta, settings.sweeps)

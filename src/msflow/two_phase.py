@@ -1,18 +1,19 @@
 """Sequential two-phase flow: pressure solves plus implicit transport.
 
 Pressure and saturation are split in time.  The total velocity comes
-from the preconditioned mixed solver with the permeability scaled by
-the current total mobility; the water saturation is then advanced by an
-implicit upwind finite-volume step solved with Newton's method.  The
-multiscale coarse space is built once from the initial mobility field
-and kept frozen; only its Galerkin projection is refreshed when the
-mobility changes.
+from the preconditioned mixed solver on one coefficient per cell, the
+permeability times the current total mobility (`mobility_field`); the
+water saturation is then advanced by an implicit upwind finite-volume
+step solved with Newton's method.  The multiscale coarse space is built
+once from the initial mobility field and kept frozen; only its Galerkin
+projection is refreshed when the mobility changes.
 
 The velocity is fixed between pressure solves, so everything the
-transport step needs from it is built once per pressure solve as an
-`UpwindFlow`: an upwind order of the cells, in which every cell comes
-after the cells that feed it (Kwok & Tchelepi, JCP 227, 2007; Natvig &
-Lie, JCP 227, 2008), and in that order one matrix `K` of face fluxes
+transport step needs from it and from the wells is built once per
+pressure solve as an `UpwindFlow`, which `transport_step` takes in their
+place: an upwind order of the cells, in which every cell comes after the
+cells that feed it (Kwok & Tchelepi, JCP 227, 2007; Natvig & Lie, JCP
+227, 2008), and in that order one matrix `K` of face fluxes
 and producer rates that maps the fractional flows of the cells to their
 net water outflow.  The Newton residual and Jacobian both come from
 `K`, and the Jacobian has its fixed pattern.  For an acyclic flow that
@@ -49,9 +50,11 @@ class FluidModel:
     exp_o: float = 2.0
 
     def __post_init__(self):
-        if self.mu_w <= 0 or self.mu_o <= 0:
-            raise ValueError(f"viscosities must be positive, got "
-                             f"mu_w={self.mu_w} mu_o={self.mu_o}")
+        for name in ("mu_w", "mu_o"):
+            mu = getattr(self, name)
+            if not (np.isfinite(mu) and mu > 0):
+                raise ValueError(f"viscosities must be positive and "
+                                 f"finite, got {name}={mu!r}")
 
     def k_rw(self, s):
         return np.power(s, self.exp_w)
@@ -187,11 +190,10 @@ def fractional_flow(fluid: FluidModel, s):
 def mobility_field(kappa: PermeabilityField, fluid: FluidModel,
                    s: np.ndarray) -> PermeabilityField:
     """The rock permeability scaled by the total mobility at `s`."""
-    return PermeabilityField(values=kappa.values,
-                             mobility=total_mobility(fluid, s))
+    return PermeabilityField(kappa.values * total_mobility(fluid, s))
 
 
-def pressure_step(grid, operators, basis, wells: WellConfig,
+def pressure_step(operators, basis, wells: WellConfig,
                   settings: SolverSettings | None = None):
     """Total-velocity solve on operators assembled from a
     `mobility_field`.
@@ -200,6 +202,7 @@ def pressure_step(grid, operators, basis, wells: WellConfig,
     Galerkin operator and the block factorizations see the updated
     coefficient.  Returns (velocity, PcgReport).
     """
+    grid = operators.grid
     precond = build_preconditioner(grid, operators, basis, settings)
     f = wells.source_vector(grid.n_cells)
     try:
@@ -324,21 +327,17 @@ def _newton_transport(grid, fluid: FluidModel, s0, porosity, dt,
 
 
 def transport_step(grid, fluid: FluidModel, state: TransportState,
-                   v: np.ndarray, wells: WellConfig, dt: float,
-                   flow: UpwindFlow | None = None):
-    """Advance the saturation by dt with the velocity held fixed.
+                   flow: UpwindFlow, dt: float):
+    """Advance the saturation by dt with the velocity and wells of
+    `flow` held fixed.
 
-    The upwind cell of every face is chosen by the sign of the face
-    velocity; `flow` holds that choice when the caller has built it for
-    `v` and `wells` already, otherwise it is built here.  A stalled
-    Newton iteration halves the step and retries, up to four times,
-    before giving up.  The post-solve clip into [0,1] is recorded on
-    the returned state as `bound_violation`; anything beyond roundoff of
-    the Newton tolerance indicates a broken scheme rather than a hard
-    problem.
+    The upwind cell of every face was chosen by `UpwindFlow.build` from
+    the sign of the face velocity.  A stalled Newton iteration halves
+    the step and retries, up to four times, before giving up.  The
+    post-solve clip into [0,1] is recorded on the returned state as
+    `bound_violation`; anything beyond roundoff of the Newton tolerance
+    indicates a broken scheme rather than a hard problem.
     """
-    if flow is None:
-        flow = UpwindFlow.build(grid, v, wells)
     for halvings in range(5):
         pieces = 2 ** halvings
         s = state.s
@@ -390,6 +389,9 @@ class IMPESConfig:
         if self.pressure_interval < 1:
             raise ValueError(f"pressure interval must be at least 1 step, "
                              f"got {self.pressure_interval}")
+        if not (np.isfinite(self.porosity) and 0 < self.porosity <= 1):
+            raise ValueError(f"porosity must lie in (0, 1], got "
+                             f"{self.porosity!r}")
 
 
 @dataclass
@@ -427,7 +429,6 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
     reports = []
     cuts = []
     checkpoints = {}
-    v = flow = None
     for step in range(config.n_steps):
         if step % config.pressure_interval == 0:
             # the first pressure solve shares the basis build's operators
@@ -439,8 +440,7 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
                     basis = build_space(config.space, grid, field, ops,
                                         tol=config.tol)
             try:
-                v, report = pressure_step(grid, ops, basis, wells,
-                                          config.settings)
+                v, report = pressure_step(ops, basis, wells, config.settings)
             except RuntimeError as exc:
                 raise RuntimeError(f"step {step} (t={state.time:g}): "
                                    f"{exc}") from exc
@@ -449,8 +449,8 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
             reports.append(report)
             flow = UpwindFlow.build(grid, v, wells)
         try:
-            state = transport_step(grid, config.fluid, state, v, wells,
-                                   config.dt, flow)
+            state = transport_step(grid, config.fluid, state, flow,
+                                   config.dt)
         except RuntimeError as exc:
             raise RuntimeError(f"step {step}: {exc}") from exc
         states.append(state)

@@ -134,14 +134,14 @@ def test_batched_build_call_counts(monkeypatch, rng, fine, coarse):
     monkeypatch.setattr(mixed_fem, "block_solvers", counted_solvers)
     coarse_space.build_gmsfem_space(grid, field, ops)
     assert calls == {"solve_core": 2 * grid.dim, "solve": 0, "overlap0": 1}
-    coarse_space.build_msfem_space(grid, field, ops)
+    coarse_space.build_msfem_space(ops)
     assert calls == {"solve_core": 4 * grid.dim, "solve": 0, "overlap0": 1}
 
 
 def test_msfem_equals_rt0_on_uniform_field():
     grid, field, ops = _setup((12, 8), (3, 2))
     rt0 = coarse_space.build_rt0_space(grid)
-    ms = coarse_space.build_msfem_space(grid, field, ops)
+    ms = coarse_space.build_msfem_space(ops)
     assert np.abs((rt0.P_v - ms.P_v).toarray()).max() < 1e-10
     assert (rt0.P_p != ms.P_p).nnz == 0
     assert rt0.dim == ms.dim == len(mesh.coarse_faces(grid)) + grid.n_blocks
@@ -197,7 +197,7 @@ def test_rt0_columns_by_layer(fine, coarse):
                                           ((6, 6, 4), (3, 1, 2))])
 def test_msfem_is_all_ones_combination_of_snapshots(rng, fine, coarse):
     grid, field, ops = _setup(fine, coarse, rng=rng)
-    P_v = coarse_space.build_msfem_space(grid, field, ops).P_v.toarray()
+    P_v = coarse_space.build_msfem_space(ops).P_v.toarray()
     for face in mesh.coarse_faces(grid):
         family = coarse_space.snapshot_face(grid, ops, face)
         expected = family.dense(grid.n_velocity).sum(axis=1)
@@ -261,6 +261,34 @@ def test_gmsfem_reads_the_coefficient_of_its_operators():
     assert (got.P_v != want.P_v).nnz == 0
 
 
+def test_face_eigenpairs_rejects_a_field_of_other_operators():
+    # log-uniform over 1e-3..1e3: the uniform field's trace form beside
+    # these operators' S-form would keep 4 modes on face 0 instead of 1
+    grid, field, ops = _setup((16, 16), (4, 4),
+                              rng=np.random.default_rng(0), orders=6.0)
+    face = mesh.coarse_faces(grid)[0]
+    family = coarse_space.snapshot_face(grid, ops, face)
+    w, _ = coarse_space.face_eigenpairs(grid, field, ops, family)
+    assert coarse_space.select_modes(w, None, 10.0).count == 1
+    with pytest.raises(ValueError, match="coefficient of the operators"):
+        coarse_space.face_eigenpairs(grid, mixed_fem.uniform_field(grid),
+                                     ops, family)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -5.0, 0.0])
+def test_gmsfem_rejects_bad_tolerance_before_any_solve(monkeypatch, tol):
+    grid, field, ops = _setup((8, 8), (2, 2))
+
+    def no_solve(*args):
+        raise AssertionError("a block solve ran")
+
+    monkeypatch.setattr(mixed_fem.BlockBatch, "solve_core", no_solve)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        coarse_space.build_gmsfem_space(grid, field, ops, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        coarse_space.build_space("gmsfem", grid, field, tol=tol)
+
+
 def test_default_tolerance_keeps_one_mode_per_face():
     # blocks of 10x10 cells with h = 0.01: the net-flux eigenvalue sits
     # near 0.05 and the next one near 15.7, so the default 10 keeps one
@@ -283,7 +311,7 @@ def test_channels_enrich_the_space():
     field = mixed_fem.PermeabilityField(values)
     ops = mixed_fem.assemble_operators(grid, field)
     enriched = coarse_space.build_gmsfem_space(grid, field, ops)
-    floor = coarse_space.build_msfem_space(grid, field, ops)
+    floor = coarse_space.build_msfem_space(ops)
     assert enriched.dim > floor.dim
     assert enriched.face_mode_counts.max() >= 2
     assert enriched.n_velocity_modes == enriched.face_mode_counts.sum()
@@ -314,7 +342,7 @@ def test_coarse_operator_rejects_dependent_columns():
     grid, field, ops = _setup((8, 8), (2, 2))
     basis = coarse_space.build_rt0_space(grid)
     doubled = coarse_space.CoarseBasis(
-        kind="rt0", grid=grid,
+        kind="rt0",
         P_v=basis.P_v[:, [0, 0, 1, 2, 3]].tocsr(), P_p=basis.P_p)
     from msflow.sparse_linalg import SingularMatrixError
     with pytest.raises(SingularMatrixError, match="dependent"):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from msflow import bench_cli, mesh
+from msflow import bench_cli, coarse_space, mesh, mixed_fem
 from msflow.bench_cli import (
     BENCH_BOXES_2D,
     BENCH_BOXES_3D,
@@ -408,7 +408,13 @@ def test_cli_config_file_with_overrides(tmp_path, capsys):
     assert [r[2] for r in rows[1:]] == ["rt0"]
 
 
-def test_cli_rejects_bad_configuration(tmp_path, capsys):
+def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a factor was built")
+
+    # bad input must stop before any box or coarse factor is built
+    monkeypatch.setattr(mixed_fem, "_BoxFactor", no_factor)
+    monkeypatch.setattr(coarse_space, "factor", no_factor)
     cases = [
         ["robustness", "--grid", "7y7"],
         ["robustness", "--grid", "8x8", "--coarse", "3x3"],
@@ -417,6 +423,10 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys):
         ["comparison", "--grid", "8x8", "--coarse", "2x2", "--space", "rt0",
          "--eta", "0", "--out", str(tmp_path)],
     ]
+    comparison = ["comparison", "--grid", "8x8", "--coarse", "2x2",
+                  "--out", str(tmp_path)]
+    cases += [comparison + ["--tol", "nan"], comparison + ["--tol", "-5"],
+              comparison + ["--rtol", "nan"]]
     for argv in cases:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -427,6 +437,15 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys):
                 ["--dt", "nan"], ["--steps", "0"]):
         assert main(two_phase + bad) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    for line in ("porosity = 0", "porosity = -0.2", "porosity = 1.5",
+                 "porosity = nan", "mu_w = inf", "mu_o = nan"):
+        cfg = tmp_path / "fluid.cfg"
+        cfg.write_text(f"grid = 8x8\ncoarse = 2x2\nsteps = 4\n{line}\n")
+        assert main(["twophase", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert line.split()[0] in err
 
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("grdi = 8x8\n")

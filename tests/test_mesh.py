@@ -53,8 +53,9 @@ def test_face_numbering_axis_major():
     assert g.axis_face_count(1) == 8
     assert g.face_offsets == (0, 9)
     assert g.n_velocity == 17
-    fid = mesh.face_id_from_low_cell(g, 1, np.array([1, 0]))
-    assert fid == 9 + 1
+    # the y-face above cell (1, 0) is the second y-face
+    lo, up = mesh.face_adjacent_cells(g, [9 + 1])
+    assert lo[0] == 1 and up[0] == 1 + 4
 
 
 def test_cell_face_ids_boundaries():
@@ -147,19 +148,45 @@ def test_velocity_dofs_interior_to_boxes_match_mask(fine, coarse):
         mesh.velocity_dofs_interior_to(g, np.array([0, g.n_cells - 1]))
 
 
-def test_coarse_faces_2d_counts_and_orientation():
-    g = mesh.build_grid((20, 20), (4, 4))
+@pytest.mark.parametrize("fine, coarse", [
+    ((20, 20), (4, 4)),
+    ((12, 6, 8), (3, 2, 4)),     # 3D, unequal block sizes 4 x 3 x 2
+    ((4, 6, 3), (4, 3, 3)),      # blocks one cell thick along x and z
+    ((6, 1, 4), (3, 1, 2)),      # a singleton axis, with no faces across it
+], ids=["2d", "3d-unequal", "one-cell-thick", "singleton-axis"])
+def test_coarse_faces_2d_counts_and_orientation(fine, coarse):
+    g = mesh.build_grid(fine, coarse)
     faces = mesh.coarse_faces(g)
-    assert len(faces) == 2 * 3 * 4
-    for f in faces:
-        assert f.n_fine == 5
-        lo_blk, up_blk = f.blocks
-        assert mesh.block_multi(g, np.array([up_blk]))[0, f.axis] == \
-            mesh.block_multi(g, np.array([lo_blk]))[0, f.axis] + 1
+    size = np.array(g.block_size)
+    # axis-major, then the lower blocks in F-order
+    expected = []
+    for axis in range(g.dim):
+        for lower in range(g.n_blocks):
+            multi = mesh.block_multi(g, lower)
+            if multi[axis] + 1 < g.coarse[axis]:
+                multi[axis] += 1
+                expected.append((axis, lower, int(mesh.block_ids(g, multi))))
+    assert [(f.axis,) + f.blocks for f in faces] == expected
+    for position, f in enumerate(faces):
+        assert f.index == position
+        assert f.n_fine == np.prod(size) // size[f.axis]
+        assert np.all(np.diff(f.fine_faces) > 0)
         lo, up = mesh.face_adjacent_cells(g, f.fine_faces)
-        size = np.array(g.block_size)
-        assert np.all(mesh.block_ids(g, mesh.cell_multi(g, lo) // size) == lo_blk)
-        assert np.all(mesh.block_ids(g, mesh.cell_multi(g, up) // size) == up_blk)
+        assert np.all(mesh.block_ids(g, mesh.cell_multi(g, lo) // size)
+                      == f.blocks[0])
+        assert np.all(mesh.block_ids(g, mesh.cell_multi(g, up) // size)
+                      == f.blocks[1])
+        # every fine face of the shared block boundary, and only those
+        top = mesh.cell_multi(g, lo)[:, f.axis]
+        assert np.all(top % size[f.axis] == size[f.axis] - 1)
+    # each fine face on an interior block boundary lies on one coarse face
+    on_faces = np.concatenate([f.fine_faces for f in faces])
+    lo, _ = mesh.face_adjacent_cells(g, np.arange(g.n_velocity))
+    axis_of = np.searchsorted(g.face_offsets, np.arange(g.n_velocity),
+                              side="right") - 1
+    top = mesh.cell_multi(g, lo)[np.arange(g.n_velocity), axis_of]
+    boundary = np.flatnonzero(top % size[axis_of] == size[axis_of] - 1)
+    assert np.array_equal(np.sort(on_faces), boundary)
 
 
 def test_coarse_faces_3d_reference_count():

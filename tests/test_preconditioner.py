@@ -96,7 +96,7 @@ def test_preprocess_rejects_unbalanced_coarse_space():
     # a single global pressure mode cannot balance individual blocks
     from scipy import sparse
     lumped = coarse_space.CoarseBasis(
-        kind="rt0", grid=grid, P_v=basis.P_v,
+        kind="rt0", P_v=basis.P_v,
         P_p=sparse.csr_matrix(np.ones((grid.n_cells, 1))))
     coarse_op = coarse_space.coarse_operator(lumped, ops)
     F = np.zeros(grid.n_cells)
@@ -275,19 +275,17 @@ def test_solve_variant_settings(rng):
 
 
 def test_degenerate_settings_rejected():
-    grid = mesh.build_grid((8, 8), (2, 2))
-    field = mixed_fem.uniform_field(grid)
-    ops = mixed_fem.assemble_operators(grid, field)
-    basis = coarse_space.build_rt0_space(grid)
-    # uncovered dofs or no smoothing make the V-cycle unusable as a CG
-    # preconditioner, so the factory refuses them up front
-    for bad in (pc.SolverSettings(overlap=0),
-                pc.SolverSettings(sweeps=0),
-                pc.SolverSettings(eta=0.0),
-                pc.SolverSettings(eta=-0.1),
-                pc.SolverSettings(eta=float("nan"))):
+    # uncovered dofs, no smoothing or no stopping rule make the V-cycle
+    # or CG unusable, so the settings refuse them before any solve
+    for bad in ({"overlap": 0}, {"sweeps": 0}, {"eta": 0.0}, {"eta": -0.1},
+                {"eta": float("nan")}, {"rel_tol": float("nan")},
+                {"rel_tol": float("inf")}, {"rel_tol": -5.0},
+                {"max_iter": 0}):
         with pytest.raises(ValueError):
-            pc.build_preconditioner(grid, ops, basis, settings=bad)
+            pc.SolverSettings(**bad)
+    # frozen, so checked settings stay checked
+    with pytest.raises(AttributeError):
+        pc.SolverSettings().overlap = 0
 
 
 def test_breakdown_reraised_with_divergence_norm(monkeypatch):
