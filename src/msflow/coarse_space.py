@@ -43,7 +43,7 @@ class SnapshotFamily:
     Column l solves the two-block Neumann problem with unit normal
     trace on fine face l of the coarse face and zero trace on the rest;
     rows are indexed by `dofs` (interior faces of the lower, then of the
-    upper block, each in its box's order in `operators.batch(0)`, then
+    upper block, each in its box's order in `operators.batch()`, then
     the coarse-face fine faces, so the trailing J rows form an identity).
     """
 
@@ -102,7 +102,7 @@ class CoarseBasis:
 class _FaceGroup:
     """Coarse faces of one axis and the box data of their blocks.
 
-    The overlap-0 boxes of `operators.batch(0)` are the blocks: one
+    The overlap-0 boxes of `operators.batch()` are the blocks: one
     shape, disjoint, so a box is the lower (side 0) block of at most one
     face of an axis and the upper (side 1) block of at most one.  Per
     side: `boxes` of the faces, local `cells` next to each fine face,
@@ -114,7 +114,7 @@ class _FaceGroup:
     def __init__(self, operators, faces):
         self.grid = grid = operators.grid
         self.axis, self.nf = faces[0].axis, len(faces)
-        self.batch = batch = operators.batch(0)
+        self.batch = batch = operators.batch()
         self.n_box = len(batch.blocks)
         self.nv = len(batch.velocity_idx) // self.n_box
         self.nc = len(batch.pressure_idx) // self.n_box

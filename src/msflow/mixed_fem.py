@@ -11,22 +11,30 @@ and faces of different axes never couple.  The divergence matrix has one
 row per cell with signed face measures, so constant fields are exactly
 divergence free and column sums vanish (interior faces only).
 
-Block saddles are solved directly: `_BoxFactor` factors one box,
-`BlockBatch` solves a set of boxes as one block-diagonal system, and
-`MixedOperators` owns the factors of its coefficient, per overlap.
+Box saddles are solved directly, all boxes of a set as one
+block-diagonal system.  The exact solves of the coarse blocks
+(`BlockBatch`, one dense `_BoxFactor` per distinct box) serve
+preprocessing and the basis build.  The smoother's boxes, grown by an
+overlap, are mass-lumped (`LumpedBatch`): each box's velocity mass is
+integrated by the trapezoidal rule, which makes it diagonal and the
+mixed method equal to two-point cell fluxes (Russell & Wheeler 1983;
+Arbogast, Wheeler & Yotov, SINUM 34, 1997), so one sparse factor of
+cell Laplacians serves every box.  `MixedOperators` owns both for its
+coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import lapack
 
 from . import mesh
-from .sparse_linalg import SingularMatrixError
+from .sparse_linalg import SingularMatrixError, factor_spd
 
 
 @dataclass
@@ -62,8 +70,10 @@ class MixedOperators:
 
     The structured block solvers rebuild their local systems from
     `coefficient` instead of slicing A.  Operators are never mutated
-    after assembly, so they own the block factors: `batch` builds them on
-    first use, once per overlap, for every caller.
+    after assembly, so they own the box factors and build them on first
+    use, for every caller: `batch` the exact saddles of the coarse
+    blocks, `smoother` the lumped saddles of the blocks grown by an
+    overlap, once per overlap.
     """
 
     grid: mesh.CartesianTwoScaleGrid
@@ -72,15 +82,22 @@ class MixedOperators:
     coefficient: np.ndarray
 
     def __post_init__(self):
-        self._batches = {}
+        self._batch = None
+        self._smoothers = {}
 
-    def batch(self, overlap: int = 0) -> BlockBatch:
-        """`BlockBatch` of the `block_solvers` for `overlap`."""
-        if overlap not in self._batches:
-            self._batches[overlap] = BlockBatch(
-                block_solvers(self, overlap=overlap),
-                self.grid.n_velocity)
-        return self._batches[overlap]
+    def batch(self) -> BlockBatch:
+        """`BlockBatch` of the `block_solvers` for overlap 0: the exact
+        local solves of preprocessing and the basis build."""
+        if self._batch is None:
+            self._batch = BlockBatch(block_solvers(self),
+                                     self.grid.n_velocity)
+        return self._batch
+
+    def smoother(self, overlap: int) -> LumpedBatch:
+        """`LumpedBatch` of the blocks grown by `overlap` fine layers."""
+        if overlap not in self._smoothers:
+            self._smoothers[overlap] = LumpedBatch(self, overlap)
+        return self._smoothers[overlap]
 
 
 def uniform_field(grid, value=1.0) -> PermeabilityField:
@@ -265,8 +282,34 @@ def _held_once(factors, name):
     return out
 
 
+class _Box(NamedTuple):
+    """One coarse block grown by the overlap: its cells, its interior
+    velocities in the line order of `lines`, and the box shape's lines."""
+
+    block: int
+    velocity_idx: np.ndarray
+    pressure_idx: np.ndarray
+    lines: _BoxLines
+
+
+def _boxes(grid, overlap: int) -> list:
+    """The `_Box` of every coarse block, oversampled by `overlap` fine
+    layers and clipped at the domain boundary; boxes of one shape share
+    their `_BoxLines`."""
+    boxes, lines = [], {}
+    for b in range(grid.n_blocks):
+        cells = mesh.oversample(grid, b, overlap)
+        lo = mesh.cell_multi(grid, cells[0])
+        hi = mesh.cell_multi(grid, cells[-1])
+        shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
+        lines[shape] = lines.get(shape) or _BoxLines(grid, shape)
+        vidx = mesh.velocity_dofs_interior_to(grid, cells)[lines[shape].order]
+        boxes.append(_Box(b, vidx, cells, lines[shape]))
+    return boxes
+
+
 class BlockSolver:
-    """Bordered saddle solver on one coarse block, optionally oversampled.
+    """Exact bordered saddle solver on one coarse block.
 
     Pairs the global index sets with a `_BoxFactor` and solves through a
     one-box `BlockBatch`, built on the first solve.  Right-hand sides and
@@ -285,6 +328,10 @@ class BlockSolver:
             raise ValueError(
                 f"block {block}: {len(velocity_idx)} interior dofs but the "
                 f"box factor expects {factor.lines.n_velocity}")
+
+    @property
+    def lines(self) -> _BoxLines:
+        return self.factor.lines
 
     @property
     def n_velocity(self) -> int:
@@ -310,90 +357,63 @@ class BlockSolver:
         return np.vstack([v, p, mu]).reshape(rhs.shape)
 
 
-class BlockBatch:
-    """The saddles of a set of boxes as one block-diagonal system.
+class _BoxSystem:
+    """The bordered saddles of a set of boxes as one block-diagonal system.
 
-    The local unknowns of all boxes are concatenated, boxes grouped by
-    shape (`blocks[i]` is box i's block), so every grid line is a
-    contiguous diagonal block: the line matrices `T` and their inverses
-    `T_inv` are CSR on one pattern, the divergence `D` is CSC with two
-    entries per column and `G = D.T`.  The Cholesky inverses of
-    S + c 1 1^T stay dense, stacked per shape as (nboxes, n, n), and the
-    factors keep views of the batch's arrays.  A solve is a dozen sparse
-    products plus two `matmul`s per shape.  `velocity_idx` and
-    `pressure_idx` give the global dof of every local unknown,
-    `velocity_box` and `cell_box` its box, `counts` each box's cells.
+    Every box solves  M v + G p = a,  D v + mu 1 = b,  1^T p = tau  on
+    its interior velocities and cells, where M is the box's velocity
+    mass, D its divergence and G = D^T.  The local unknowns of all boxes
+    are concatenated, boxes grouped by shape (`blocks[i]` is box i's
+    block), so every grid line is a contiguous run of velocities and D
+    is CSC with two entries per column, built by index arithmetic.
+    `velocity_idx` and `pressure_idx` give the global dof of every local
+    unknown, `velocity_box` and `cell_box` its box, `counts` each box's
+    cells, `lens` every line's length and `velocity_cells` the two local
+    cells of every velocity.  Subclasses supply M and M^-1 (`_mass`,
+    `_mass_inv`) and the solve of the box Schur complements.
     """
 
-    def __init__(self, solvers, n_velocity: int):
+    def __init__(self, boxes, n_velocity: int):
         by_shape = {}
-        for bs in solvers:
-            by_shape.setdefault(bs.factor.lines.shape, []).append(bs)
-        boxes = [bs for group in by_shape.values() for bs in group]
-        factors = [bs.factor for bs in boxes]
-        lines = [f.lines for f in factors]
+        for box in boxes:
+            by_shape.setdefault(box.lines.shape, []).append(box)
+        self.groups = list(by_shape.values())
+        boxes = [box for group in self.groups for box in group]
+        lines = [box.lines for box in boxes]
         self.n_velocity = n_velocity
-        self.blocks = np.array([bs.block for bs in boxes])
-        self.velocity_idx = np.concatenate([bs.velocity_idx for bs in boxes])
-        self.pressure_idx = np.concatenate([bs.pressure_idx for bs in boxes])
+        self.blocks = np.array([box.block for box in boxes])
+        self.velocity_idx = np.concatenate([box.velocity_idx for box in boxes])
+        self.pressure_idx = np.concatenate([box.pressure_idx for box in boxes])
         nv = np.array([box.n_velocity for box in lines])
         self.counts = np.array([box.n_cells for box in lines])
         self.starts = np.cumsum(self.counts) - self.counts
         self.velocity_box = np.repeat(np.arange(len(boxes)), nv)
         self.cell_box = np.repeat(np.arange(len(boxes)), self.counts)
+        self.lens = np.concatenate([box.lens for box in lines]).astype(np.int32)
         n_loc, n_cells = len(self.velocity_idx), len(self.pressure_idx)
-
-        # dense line blocks, stored row by row: a row of line i holds
-        # columns first .. first + m[i] - 1 (int32, as scipy keeps them)
-        m = np.concatenate([box.lens for box in lines]).astype(np.int32)
-        row_len = np.repeat(m, m)
-        indptr = np.cumsum(np.concatenate([[0], row_len]), dtype=np.int32)
-        first = np.repeat(np.cumsum(m, dtype=np.int32) - m, m)
-        indices = (np.arange(indptr[-1], dtype=np.int32)
-                   + np.repeat(first - indptr[:-1], row_len))
-        self.T = sparse.csr_matrix((_held_once(factors, "T"), indices, indptr),
-                                   shape=(n_loc, n_loc))
-        self.T_inv = sparse.csr_matrix(
-            (_held_once(factors, "T_inv"), self.T.indices, self.T.indptr),
-            shape=(n_loc, n_loc))
 
         cells = np.concatenate([box.cells for box in lines])
         cells += self.starts[self.velocity_box][:, None]
+        self.velocity_cells = cells
         self.D = sparse.csc_matrix(
             (np.concatenate([box.div for box in lines]).ravel(), cells.ravel(),
              np.arange(0, 2 * n_loc + 1, 2)), shape=(n_cells, n_loc))
         self.G = self.D.T
 
-        # (local cell rows, stacked L^-1) per shape
-        self.schur, first = [], 0
-        for group in by_shape.values():
-            L = _held_once([bs.factor for bs in group], "L_inv")
-            self.schur.append((slice(first, first + L[:, 0].size), L))
-            first += L[:, 0].size
-
     def box_sums(self, x):
         """Per-box sums of local cell values (rows of `x`)."""
         return np.add.reduceat(x, self.starts, axis=0)
 
-    def _schur_solve(self, g):
-        """(S + c 1 1^T)^-1 g on every box, as L^-T (L^-1 g)."""
-        p = np.empty_like(g)
-        for rows, L in self.schur:
-            x = g[rows].reshape(L.shape[0], L.shape[1], -1)
-            np.matmul(L.transpose(0, 2, 1), L @ x,
-                      out=p[rows].reshape(x.shape))
-        return p
-
     def _pass(self, a, b, tau):
-        g = self.D @ (self.T_inv @ a) - b
+        g = self.D @ self._mass_inv(a) - b
         # bordered Schur system S p - mu 1 = g, 1^T p = tau per box:
-        # 1^T S = 0 gives mu = -mean(g), and as S 1 = 0 the zero-mean
-        # part of p solves (S + c 1 1^T) p0 = g + mu
+        # 1^T S = 0 gives mu = -mean(g), and the zero-mean solution of
+        # S p0 = g + mu is shifted to the box mean tau / n
         counts = self.counts[:, None]
         mu = -self.box_sums(g) / counts
         p = self._schur_solve(g + mu[self.cell_box])
         p += (tau / counts)[self.cell_box]
-        v = self.T_inv @ (a - self.G @ p)
+        v = self._mass_inv(a - self.G @ p)
         return v, p, mu
 
     def solve_core(self, a, b, tau):
@@ -401,7 +421,7 @@ class BlockBatch:
         row per box) with k columns: one Schur pass, then one refinement
         pass on its residual.  Returns (v, p, mu) in the same layout."""
         v, p, mu = self._pass(a, b, tau)
-        ra = a - self.T @ v - self.G @ p
+        ra = a - self._mass(v) - self.G @ p
         rb = b - self.D @ v - mu[self.cell_box]
         rt = tau - self.box_sums(p)
         dv, dp, dmu = self._pass(ra, rb, rt)
@@ -425,28 +445,132 @@ class BlockBatch:
                            minlength=self.n_velocity)
 
 
-def block_solvers(operators: MixedOperators, overlap: int = 0) -> list:
-    """Factorized solvers for every coarse block of `operators.grid`,
-    oversampled by `overlap` fine layers (clipped at the domain boundary).
+class BlockBatch(_BoxSystem):
+    """The exact box saddles of a set of `BlockSolver`s.
 
-    Blocks whose region shape and coefficients coincide share one
+    M is the exact velocity mass: its line matrices `T` and their
+    inverses `T_inv` are CSR on one pattern, a dense block per line.
+    The Cholesky inverses of S + c 1 1^T stay dense, stacked per shape
+    as (nboxes, n, n) in `schur`, and the factors keep views of the
+    batch's arrays.  A solve is a dozen sparse products plus two
+    `matmul`s per shape.
+    """
+
+    def __init__(self, solvers, n_velocity: int):
+        super().__init__(solvers, n_velocity)
+        factors = [bs.factor for group in self.groups for bs in group]
+        n_loc = len(self.velocity_idx)
+
+        # dense line blocks, stored row by row: a row of line i holds
+        # columns first .. first + m[i] - 1 (int32, as scipy keeps them)
+        m = self.lens
+        row_len = np.repeat(m, m)
+        indptr = np.cumsum(np.concatenate([[0], row_len]), dtype=np.int32)
+        first = np.repeat(np.cumsum(m, dtype=np.int32) - m, m)
+        indices = (np.arange(indptr[-1], dtype=np.int32)
+                   + np.repeat(first - indptr[:-1], row_len))
+        self.T = sparse.csr_matrix((_held_once(factors, "T"), indices, indptr),
+                                   shape=(n_loc, n_loc))
+        self.T_inv = sparse.csr_matrix(
+            (_held_once(factors, "T_inv"), self.T.indices, self.T.indptr),
+            shape=(n_loc, n_loc))
+
+        # (local cell rows, stacked L^-1) per shape
+        self.schur, first = [], 0
+        for group in self.groups:
+            L = _held_once([bs.factor for bs in group], "L_inv")
+            self.schur.append((slice(first, first + L[:, 0].size), L))
+            first += L[:, 0].size
+
+    def _mass(self, v):
+        return self.T @ v
+
+    def _mass_inv(self, a):
+        return self.T_inv @ a
+
+    def _schur_solve(self, g):
+        """(S + c 1 1^T)^-1 g on every box, as L^-T (L^-1 g); for g of
+        zero box sums this is the zero-mean solution of S p = g."""
+        p = np.empty_like(g)
+        for rows, L in self.schur:
+            x = g[rows].reshape(L.shape[0], L.shape[1], -1)
+            np.matmul(L.transpose(0, 2, 1), L @ x,
+                      out=p[rows].reshape(x.shape))
+        return p
+
+
+class LumpedBatch(_BoxSystem):
+    """Mass-lumped box saddles of every coarse block grown by `overlap`
+    fine layers: the additive smoother's local solves.
+
+    M is the velocity mass under the trapezoidal rule: the face between
+    cells of weights w_l and w_h (volume / coefficient) gets the diagonal
+    entry (w_l + w_h) / 2, held as `inv_mass`.  This lumps the RT0 mass
+    into the row sums of the global A, except next to the domain
+    boundary, and makes the mixed method cell-centred two-point fluxes
+    (Russell & Wheeler 1983; Arbogast, Wheeler & Yotov, SINUM 34, 1997):
+    the Schur complement S = D M^-1 D^T of each box is a sparse 5- or
+    7-point cell Laplacian.  All boxes go into one block-diagonal S with
+    one cell of every box pinned, which leaves it positive definite;
+    `schur_factor` is the sparse LU, with diagonal pivots, of its
+    symmetric scaling to unit diagonal by `scale`, which makes the pivot
+    check of `factor_spd` local to each box.  The pinned cell is the
+    box's most permeable one; a pin in a low-permeability region would
+    leave the permeable rest of the box nearly floating.  The refinement
+    pass of `solve_core` keeps the box divergences at roundoff.
+    """
+
+    def __init__(self, operators: MixedOperators, overlap: int):
+        grid = operators.grid
+        super().__init__(_boxes(grid, overlap), grid.n_velocity)
+        w = grid.cell_volume / operators.coefficient[self.pressure_idx]
+        low, high = self.velocity_cells.T
+        self.inv_mass = (2.0 / (w[low] + w[high]))[:, None]
+        schur = (self.D @ sparse.diags(self.inv_mass[:, 0]) @ self.G).tocsr()
+        # the least w in each box is its largest coefficient
+        pinned = np.lexsort((w, self.cell_box))[self.starts]
+        self.free = np.setdiff1d(np.arange(len(self.pressure_idx)), pinned)
+        self.schur_factor = None
+        if len(self.free):
+            schur = schur[self.free][:, self.free]
+            self.scale = 1.0 / np.sqrt(schur.diagonal())[:, None]
+            d = sparse.diags(self.scale[:, 0])
+            self.schur_factor = factor_spd(d @ schur @ d)
+
+    def _mass(self, v):
+        return v / self.inv_mass
+
+    def _mass_inv(self, a):
+        return self.inv_mass * a
+
+    def _schur_solve(self, g):
+        """Zero-mean solution of S p = g on every box, for g of zero box
+        sums: the pinned solve, then each box's mean removed.  The pinned
+        equation holds once the others do, as 1^T S = 0."""
+        p = np.zeros_like(g)
+        if self.schur_factor is not None:
+            p[self.free] = self.scale * self.schur_factor.solve(
+                self.scale * g[self.free], refine=0)
+        return p - (self.box_sums(p) / self.counts[:, None])[self.cell_box]
+
+
+def block_solvers(operators: MixedOperators) -> list:
+    """Exact factorized saddle solvers for every coarse block of
+    `operators.grid`.
+
+    Blocks whose shape and coefficients coincide share one
     factorization, which collapses the setup cost on fields with a
     uniform background.  Each solver keeps its velocity dofs in the line
     order of its factor.
     """
     grid, coeff = operators.grid, operators.coefficient
-    solvers, lines, factors = [], {}, {}
-    for b in range(grid.n_blocks):
-        cells = mesh.oversample(grid, b, overlap)
-        lo = mesh.cell_multi(grid, cells[0])
-        hi = mesh.cell_multi(grid, cells[-1])
-        shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
-        coeff_box = coeff[cells]
-        lines[shape] = lines.get(shape) or _BoxLines(grid, shape)
-        key = (shape, coeff_box.tobytes())
+    solvers, factors = [], {}
+    for box in _boxes(grid, 0):
+        coeff_box = coeff[box.pressure_idx]
+        key = (box.lines.shape, coeff_box.tobytes())
         factor = factors.get(key)
         if factor is None:
-            factor = factors[key] = _BoxFactor(grid, lines[shape], coeff_box)
-        vidx = mesh.velocity_dofs_interior_to(grid, cells)[lines[shape].order]
-        solvers.append(BlockSolver(b, vidx, cells, factor))
+            factor = factors[key] = _BoxFactor(grid, box.lines, coeff_box)
+        solvers.append(BlockSolver(box.block, box.velocity_idx,
+                                   box.pressure_idx, factor))
     return solvers

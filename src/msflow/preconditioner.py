@@ -7,6 +7,12 @@ remaining divergence-free correction is then computed by CG on the
 velocity mass operator, preconditioned with a V-cycle that combines an
 additive overlapping-block smoother with a Galerkin coarse correction.
 
+The smoother's local saddles are mass-lumped (`mixed_fem.LumpedBatch`),
+where the paper solves them exactly.  A lumped saddle still has a
+symmetric positive definite mass and the exact box divergence, so the
+properties below hold; only the smoother's spectral quality changes.
+Preprocessing keeps the exact solves on the non-overlapping blocks.
+
 Both preconditioner stages return divergence-free velocities and
 annihilate discrete gradients, so plain CG updates never leave the
 constraint subspace and no explicit projection is needed.
@@ -17,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixed_fem import BlockBatch, MixedOperators
-from .sparse_linalg import PcgBreakdownError, factor, pcg, PcgReport
+from .mixed_fem import LumpedBatch, MixedOperators
+from .sparse_linalg import PcgBreakdownError, factor_spd, pcg, PcgReport
 from .coarse_space import CoarseBasis, CoarseOperator, coarse_operator
 
 
@@ -72,7 +78,7 @@ class TwoGridPreconditioner:
     """
 
     def __init__(self, operators: MixedOperators, coarse: CoarseOperator,
-                 batch: BlockBatch, eta: float, sweeps: int = 1):
+                 batch: LumpedBatch, eta: float, sweeps: int = 1):
         self.operators = operators
         self.coarse = coarse
         self.batch = batch
@@ -80,8 +86,8 @@ class TwoGridPreconditioner:
         self.sweeps = sweeps
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
-        """One damped additive sweep: sum of the local saddle solves of
-        r, all boxes in one block-diagonal solve."""
+        """One damped additive sweep: sum of the lumped local saddle
+        solves of r, all boxes in one block-diagonal solve."""
         return self.batch.scatter(self.eta * self.batch.solve(r))
 
     def coarse_correct(self, r: np.ndarray) -> np.ndarray:
@@ -104,7 +110,7 @@ def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
                          settings: SolverSettings | None = None):
     settings = settings or SolverSettings()
     return TwoGridPreconditioner(operators, coarse_operator(basis, operators),
-                                 operators.batch(settings.overlap),
+                                 operators.smoother(settings.overlap),
                                  settings.eta, settings.sweeps)
 
 
@@ -163,7 +169,7 @@ def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
     scale = max(1.0, float(np.max(np.abs(source))))
     residual = source - operators.B @ v_coarse
     Av = operators.A @ v_coarse
-    batch = operators.batch(0)
+    batch = operators.batch()
     imbalance = np.abs(batch.box_sums(residual[batch.pressure_idx]))
     over = imbalance > 1e-10 * scale * batch.counts
     if over.any():
@@ -243,14 +249,15 @@ def recover_pressure(operators: MixedOperators, v: np.ndarray) -> np.ndarray:
     cell Laplacian, singular only along constants, so cell 0 is pinned
     to zero, the rest is factored directly, and the mean is removed
     afterwards.  The dropped equation holds once the others do: as
-    1^T B = 0, the equations sum to zero.
+    1^T B = 0, the equations sum to zero.  The pinned Laplacian is
+    positive definite, so its LU keeps diagonal pivots (`factor_spd`).
     """
     B = operators.B
     Av = operators.A @ v
     rhs = -(B @ Av)
     p = np.zeros(B.shape[0])
     if len(p) > 1:
-        p[1:] = factor((B @ B.T)[1:, 1:]).solve(rhs[1:])
+        p[1:] = factor_spd((B @ B.T)[1:, 1:]).solve(rhs[1:])
     p -= p.mean()
     momentum = np.linalg.norm(Av + B.T @ p)
     if momentum > 1e-5 * max(np.linalg.norm(Av), 1e-300):

@@ -1,11 +1,15 @@
 """Sparse direct and iterative kernels used across the solver stack.
 
-Factorization wraps a pivoted sparse LU with an explicit near-singularity
-check and one step of iterative refinement per solve, which keeps the
+Factorization wraps a sparse LU with an explicit near-singularity check
+and one step of iterative refinement per solve, which keeps the
 divergence rows of bordered saddle systems satisfied to near round-off
-even at strong coefficient contrast.  It serves the coarse operator and
-pressure recovery; the per-block saddle solves are dense and live in
-`mixed_fem`.
+even at strong coefficient contrast.  `factor` pivots by value and
+serves the indefinite coarse saddle.  `factor_spd` keeps the pivots on
+the diagonal under a symmetric fill-reducing order, which suits
+symmetric positive definite matrices and roughly halves their fill; it
+serves the pinned cell Laplacians of pressure recovery and of the
+mass-lumped smoother boxes in `mixed_fem`.  The exact per-block saddle
+solves are dense and live in `mixed_fem` as well.
 
 The conjugate gradient solver measures convergence in the natural norm
 sqrt(r' M^{-1} r).  With an identity preconditioner this is the plain
@@ -42,7 +46,8 @@ class PcgBreakdownError(RuntimeError):
 
 @dataclass
 class SaddleFactorization:
-    """Pivoted LU of a (bordered) sparse matrix with refined solves."""
+    """Sparse LU of a square matrix, from `factor` or `factor_spd`, with
+    refined solves."""
 
     matrix: sparse.csc_matrix
     lu: object
@@ -60,13 +65,13 @@ class SaddleFactorization:
 
 _PIVOT_RTOL = 1e-14
 
+# SuperLU options for symmetric positive definite matrices: a minimum
+# degree order of A^T + A and pivots taken from the diagonal
+_SPD_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
 
-def factor(matrix) -> SaddleFactorization:
-    """Factor a square sparse matrix, rejecting near-singular pivots.
 
-    The pivot threshold is relative to the largest entry of the matrix;
-    an offending pivot is reported by its elimination index.
-    """
+def _factor(matrix, **splu_options) -> SaddleFactorization:
     matrix = sparse.csc_matrix(matrix)
     n = matrix.shape[0]
     if matrix.shape[0] != matrix.shape[1]:
@@ -77,7 +82,7 @@ def factor(matrix) -> SaddleFactorization:
     if scale == 0.0:
         raise SingularMatrixError("matrix is identically zero")
     try:
-        lu = splu(matrix)
+        lu = splu(matrix, **splu_options)
     except RuntimeError as err:
         raise SingularMatrixError(f"sparse LU failed: {err}") from err
     pivots = np.abs(lu.U.diagonal())
@@ -89,6 +94,23 @@ def factor(matrix) -> SaddleFactorization:
             f"{_PIVOT_RTOL:.0e} * max entry {scale:.3e}"
         )
     return SaddleFactorization(matrix=matrix, lu=lu)
+
+
+def factor(matrix) -> SaddleFactorization:
+    """Factor a square sparse matrix, rejecting near-singular pivots.
+
+    The pivot threshold is relative to the largest entry of the matrix;
+    an offending pivot is reported by its elimination index.
+    """
+    return _factor(matrix)
+
+
+def factor_spd(matrix) -> SaddleFactorization:
+    """`factor` for a symmetric positive definite matrix: diagonal
+    pivots in a symmetric minimum-degree order, with the same pivot
+    check.  The matrix is not checked for symmetry; a pivot that the
+    diagonal cannot supply raises SingularMatrixError."""
+    return _factor(matrix, **_SPD_OPTIONS)
 
 
 @dataclass

@@ -363,7 +363,12 @@ def transport_step(grid, fluid: FluidModel, state: TransportState,
 
 @dataclass
 class IMPESConfig:
-    """Knobs for a sequential pressure/transport run."""
+    """Knobs for a sequential pressure/transport run.
+
+    `check` raises ValueError for values no run can use.  It runs when
+    the config is made and again when `impes_run` starts, so a field
+    set after construction is checked before anything is assembled.
+    """
 
     grid: object
     kappa: PermeabilityField
@@ -380,6 +385,9 @@ class IMPESConfig:
     rebuild_basis: bool = False
 
     def __post_init__(self):
+        self.check()
+
+    def check(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"time step dt must be positive and finite, "
                              f"got {self.dt!r}")
@@ -412,6 +420,7 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
     rate-weighted fractional flow over the producer cells, recorded
     after every transport step.
     """
+    config.check()
     grid = config.grid
     wells = config.wells or five_spot_wells(grid)
     state = TransportState.initial(grid, porosity=config.porosity)

@@ -125,9 +125,9 @@ def test_batched_build_call_counts(monkeypatch, rng, fine, coarse):
         calls["solve"] += 1
         return solve(self, *args)
 
-    def counted_solvers(operators, overlap=0):
-        calls["overlap0"] += overlap == 0
-        return block_solvers(operators, overlap=overlap)
+    def counted_solvers(operators):
+        calls["overlap0"] += 1
+        return block_solvers(operators)
 
     monkeypatch.setattr(mixed_fem.BlockBatch, "solve_core", counted_core)
     monkeypatch.setattr(mixed_fem.BlockSolver, "solve", counted_solve)

@@ -1,12 +1,17 @@
 """Raster IO, synthetic fields, config parsing, and the msflow CLI."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import msflow
 from msflow import bench_cli, coarse_space, mesh, mixed_fem
 from msflow.bench_cli import (
     BENCH_BOXES_2D,
@@ -414,6 +419,7 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
 
     # bad input must stop before any box or coarse factor is built
     monkeypatch.setattr(mixed_fem, "_BoxFactor", no_factor)
+    monkeypatch.setattr(mixed_fem, "factor_spd", no_factor)
     monkeypatch.setattr(coarse_space, "factor", no_factor)
     cases = [
         ["robustness", "--grid", "7y7"],
@@ -522,3 +528,16 @@ def test_cli_two_phase_artifacts(tmp_path, capsys):
         assert lines[4] == "DIMENSIONS 9 9 2"
         assert "CELL_DATA 64" in lines
         assert len(lines) == 10 + 64
+
+
+def test_module_entry_point_starts_cleanly():
+    # `python3 -m msflow` from a checkout: the package's parent directory
+    # on the path, no install
+    src = str(Path(msflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "msflow", "--help"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert "robustness" in done.stdout
+    assert "RuntimeWarning" not in done.stderr

@@ -94,6 +94,24 @@ def local_bordered_matrix(ops, velocity_idx, pressure_idx):
     return mixed_fem.bordered_saddle_matrix(A, B).toarray()
 
 
+def trapezoidal_mass(ops, velocity_idx):
+    """Diagonal of the trapezoidal-rule velocity mass: half the summed
+    volume / coefficient of the two cells of each face."""
+    w = ops.grid.cell_volume / ops.coefficient
+    return 0.5 * ((ops.B[:, velocity_idx] != 0).T @ w)
+
+
+def lumped_box_solve(ops, velocity_idx, pressure_idx, rhs):
+    """Dense solve of a box's bordered saddle with the trapezoidal mass
+    in place of A, refined once: the plain dense solve is off by up to
+    1e-14 relative on boxes of condition 1e6."""
+    A = sparse.diags(trapezoidal_mass(ops, velocity_idx))
+    B = ops.B[pressure_idx][:, velocity_idx]
+    K = mixed_fem.bordered_saddle_matrix(A, B).toarray()
+    x = np.linalg.solve(K, rhs)
+    return x + np.linalg.solve(K, rhs - K @ x)
+
+
 @pytest.mark.parametrize("fine,coarse,overlap", [
     ((12, 8), (4, 2), 0),
     ((12, 8), (4, 2), 1),
@@ -102,10 +120,28 @@ def local_bordered_matrix(ops, velocity_idx, pressure_idx):
     ((6, 6, 4), (3, 3, 2), 1),
 ])
 def test_block_solver_matches_dense(fine, coarse, overlap, rng):
+    # the box solves at each overlap: exact saddles on the coarse blocks,
+    # lumped saddles (trapezoidal mass) on the blocks grown by an overlap
     grid = mesh.build_grid(fine, coarse)
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
     ops = mixed_fem.assemble_operators(grid, field)
-    solvers = mixed_fem.block_solvers(ops, overlap=overlap)
+    if overlap:
+        batch = ops.smoother(overlap)
+        assert sorted(batch.blocks) == list(range(grid.n_blocks))
+        r = rng.standard_normal((grid.n_velocity, 2))
+        q = rng.standard_normal((grid.n_cells, 2))
+        local = batch.solve(r, q)
+        for box, block in enumerate(batch.blocks):
+            vidx = batch.velocity_idx[batch.velocity_box == box]
+            cells = mesh.oversample(grid, block, overlap)
+            assert np.array_equal(batch.pressure_idx[batch.cell_box == box],
+                                  cells)
+            rhs = np.vstack([r[vidx], q[cells], np.zeros((1, 2))])
+            want = lumped_box_solve(ops, vidx, cells, rhs)[:len(vidx)]
+            got = local[batch.velocity_box == box]
+            assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+        return
+    solvers = mixed_fem.block_solvers(ops)
     assert len(solvers) == grid.n_blocks
     for bs in solvers[:: max(1, grid.n_blocks // 5)]:
         local = local_bordered_matrix(ops, bs.velocity_idx, bs.pressure_idx)
@@ -125,7 +161,7 @@ def test_block_solver_singleton_axis(rng):
     grid = mesh.build_grid((4, 4), (4, 2))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
     ops = mixed_fem.assemble_operators(grid, field)
-    for bs in mixed_fem.block_solvers(ops, overlap=0):
+    for bs in mixed_fem.block_solvers(ops):
         local = local_bordered_matrix(ops, bs.velocity_idx, bs.pressure_idx)
         rhs = rng.standard_normal(bs.size)
         want = np.linalg.solve(local, rhs)
@@ -171,12 +207,16 @@ def test_block_solver_rejects_unresolvable_contrast():
 def test_block_factor_cache_on_uniform_field():
     grid = mesh.build_grid((12, 12), (4, 4))
     ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid, 3.0))
-    solvers = mixed_fem.block_solvers(ops, overlap=0)
+    solvers = mixed_fem.block_solvers(ops)
     assert len({id(s.factor) for s in solvers}) == 1
-    clipped = mixed_fem.block_solvers(ops, overlap=1)
-    # per axis the region is 4 cells at the boundary and 5 inside, and the
-    # cache keys on shape, so {4,5}^2 regions share 4 factors
-    assert len({id(s.factor) for s in clipped}) == 4
+    # the cache keys on the box coefficients too: doubling them on two
+    # blocks adds one factor, shared by both
+    values = np.full(grid.n_cells, 3.0)
+    values[np.concatenate([mesh.block_cells(grid, b) for b in (1, 5)])] = 6.0
+    ops = mixed_fem.assemble_operators(grid, mixed_fem.PermeabilityField(values))
+    solvers = mixed_fem.block_solvers(ops)
+    assert len({id(s.factor) for s in solvers}) == 2
+    assert solvers[1].factor is solvers[5].factor
 
 
 def batch_case(name, rng):
@@ -219,40 +259,59 @@ def block_loop_rhs(bs, r, q=None):
 @pytest.mark.parametrize("overlap", [0, 2])
 @pytest.mark.parametrize("case", BATCH_CASES)
 def test_block_batch_matches_block_loop(case, overlap, rng):
+    # the exact batch of the coarse blocks against its per-block solvers,
+    # the lumped batch of the grown blocks against dense per-box solves
     grid, field = batch_case(case, rng)
     ops = mixed_fem.assemble_operators(grid, field)
-    solvers = mixed_fem.block_solvers(ops, overlap=overlap)
-    unique = len({id(bs.factor) for bs in solvers})
-    if case == "synth-2d":
-        assert unique == grid.n_blocks
-    if case == "uniform-2d":
-        assert unique < grid.n_blocks
-    if case == "singleton-axis" and overlap == 0:
-        # one-cell-wide boxes: every line runs along axis 1
-        assert solvers[0].factor.lines.shape[0] == 1
-        assert np.all(solvers[0].factor.lines.lens == grid.block_size[1] - 1)
+    if overlap == 0:
+        solvers = mixed_fem.block_solvers(ops)
+        unique = len({id(bs.factor) for bs in solvers})
+        if case == "synth-2d":
+            assert unique == grid.n_blocks
+        if case == "uniform-2d":
+            assert unique < grid.n_blocks
+        if case == "singleton-axis":
+            # one-cell-wide boxes: every line runs along axis 1
+            assert solvers[0].factor.lines.shape[0] == 1
+            assert np.all(solvers[0].factor.lines.lens
+                          == grid.block_size[1] - 1)
+        batch = mixed_fem.BlockBatch(solvers, grid.n_velocity)
+        # one stacked Schur factor per box shape
+        assert len(batch.schur) <= 3 ** grid.dim
 
-    for bs in solvers:
-        # the interior dofs of the box, in the line order of its factor
-        assert np.array_equal(np.sort(bs.velocity_idx),
-                              mesh.velocity_dofs_interior_to(
-                                  grid, bs.pressure_idx))
-    batch = mixed_fem.BlockBatch(solvers, grid.n_velocity)
-    # one stacked Schur factor per box shape
-    assert len(batch.schur) <= 3 ** grid.dim
+        def loop_solve(box, block, r, q):
+            bs = solvers[block]
+            return bs.solve(block_loop_rhs(bs, r, q))[:bs.n_velocity]
+    else:
+        batch = ops.smoother(overlap)
+
+        def loop_solve(box, block, r, q):
+            vidx = batch.velocity_idx[batch.velocity_box == box]
+            cells = batch.pressure_idx[batch.cell_box == box]
+            rhs = np.zeros(len(vidx) + len(cells) + 1)
+            rhs[:len(vidx)] = r[vidx]
+            if q is not None:
+                rhs[len(vidx):-1] = q[cells]
+            return lumped_box_solve(ops, vidx, cells, rhs)[:len(vidx)]
+
     assert sorted(batch.blocks) == list(range(grid.n_blocks))
+    for box, block in enumerate(batch.blocks):
+        # the interior dofs of the box, in line order
+        cells = batch.pressure_idx[batch.cell_box == box]
+        assert np.array_equal(cells, mesh.oversample(grid, block, overlap))
+        assert np.array_equal(
+            np.sort(batch.velocity_idx[batch.velocity_box == box]),
+            mesh.velocity_dofs_interior_to(grid, cells))
     r = rng.standard_normal(grid.n_velocity)
     q = rng.standard_normal(grid.n_cells)
     for pressure_rhs in (None, q):
         local = batch.solve(r, pressure_rhs)
         want = np.zeros(grid.n_velocity)
         for box, block in enumerate(batch.blocks):
-            bs = solvers[block]
-            ref = bs.solve(block_loop_rhs(bs, r, pressure_rhs))
-            want[bs.velocity_idx] += ref[:bs.n_velocity]
-            # the batch keeps each box's velocities in line-major order
-            got = local[batch.velocity_box == box]
-            assert_relative_close(got, ref[:bs.n_velocity])
+            ref = loop_solve(box, block, r, pressure_rhs)
+            vidx = batch.velocity_idx[batch.velocity_box == box]
+            want[vidx] += ref
+            assert_relative_close(local[batch.velocity_box == box], ref)
         assert_relative_close(batch.scatter(local), want)
 
 
@@ -260,11 +319,12 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
 def test_block_batch_columns_match_single_solves(case, rng):
     grid, field = batch_case(case, rng)
     ops = mixed_fem.assemble_operators(grid, field)
-    batch = ops.batch(2)
-    r = rng.standard_normal((grid.n_velocity, 3))
-    q = rng.standard_normal((grid.n_cells, 3))
-    many = batch.solve(r, q)
-    assert many.shape == (len(batch.velocity_idx), 3)
-    for j in range(3):
-        assert_relative_close(many[:, j], batch.solve(r[:, j], q[:, j]))
+    # the exact overlap-0 batch and the lumped overlap-2 smoother
+    for batch in (ops.batch(), ops.smoother(2)):
+        r = rng.standard_normal((grid.n_velocity, 3))
+        q = rng.standard_normal((grid.n_cells, 3))
+        many = batch.solve(r, q)
+        assert many.shape == (len(batch.velocity_idx), 3)
+        for j in range(3):
+            assert_relative_close(many[:, j], batch.solve(r[:, j], q[:, j]))
 

@@ -10,7 +10,8 @@ from msflow.sparse_linalg import PcgBreakdownError
 from msflow.two_phase import WellConfig
 
 from conftest import DivFreeProjector, dense_saddle_solve, random_log_field
-from test_mixed_fem import BATCH_CASES, assert_relative_close, batch_case
+from test_mixed_fem import (BATCH_CASES, assert_relative_close, batch_case,
+                            trapezoidal_mass)
 
 
 def _channel_setup(fine=(16, 16), coarse=(4, 4), contrast=1e6):
@@ -65,6 +66,47 @@ def test_preconditioner_symmetric_and_positive(rng):
         gap = abs(x @ My - y @ Mx)
         assert gap <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(y)
         assert x @ Mx > 0
+
+
+def test_preconditioner_symmetric_and_positive_3d(rng):
+    # criterion 3's checks on 3D boxes, where every lumped smoother box
+    # is a 7-point cell Laplacian; coefficients span six orders
+    grid = mesh.build_grid((8, 8, 8), (2, 2, 2))
+    field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
+    ops = mixed_fem.assemble_operators(grid, field)
+    basis = coarse_space.build_gmsfem_space(grid, field, ops)
+    precond = pc.build_preconditioner(grid, ops, basis)
+    proj = DivFreeProjector(ops.B)
+    for _ in range(20):
+        x = proj.random(rng, grid.n_velocity)
+        y = proj.random(rng, grid.n_velocity)
+        Mx, My = precond.apply(x), precond.apply(y)
+        gap = abs(x @ My - y @ Mx)
+        assert gap <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(y)
+        assert x @ Mx > 0
+        assert np.abs(ops.B @ Mx).max() <= 1e-10 * max(1.0, np.abs(Mx).max())
+
+
+@pytest.mark.parametrize("kind", ["rt0", "gmsfem"])
+def test_solve_across_sixteen_orders_between_boxes(kind):
+    # bands of 1e-8, 1 and 1e8: the first and last smoother boxes are
+    # uniform at 1e-8 and 1e8, the middle ones span 1e8 each.  A pivot
+    # check against the largest entry of all boxes rejects this smoother,
+    # and pinning each box's first cell leaves CG 0.8 off the divergence
+    grid = mesh.build_grid((24, 6), (4, 1))
+    x = mesh.cell_multi(grid, np.arange(grid.n_cells))[:, 0]
+    field = mixed_fem.PermeabilityField(
+        np.select([x < 8, x < 16], [1e-8, 1.0], 1e8))
+    ops = mixed_fem.assemble_operators(grid, field)
+    basis = coarse_space.build_space(kind, grid, field, ops)
+    F = WellConfig([(0, 1.0), (grid.n_cells - 1, -1.0)]).source_vector(
+        grid.n_cells)
+    result = pc.solve(grid, ops, basis, F)
+    assert result.report.converged
+    assert result.divergence_error <= 1e-10
+    batch = ops.smoother(pc.SolverSettings().overlap)
+    r = np.random.default_rng(22).standard_normal(grid.n_velocity)
+    assert_box_divergence(ops, batch, batch.solve(r), None, 1e-14)
 
 
 @pytest.mark.parametrize("kind", ["rt0", "msfem", "gmsfem"])
@@ -136,7 +178,17 @@ def test_solve_checks_the_source_before_building_factors(monkeypatch):
     source[0] = 1.0
     with pytest.raises(ValueError, match="source does not balance"):
         pc.solve(grid, ops, basis, source)
-    assert not ops._batches
+    assert ops._batch is None and not ops._smoothers
+
+
+def dense_lumped_velocity(ops, cells, vidx, a):
+    """Velocity of one box's mass-lumped saddle with right-hand side
+    (a, 0), by a dense solve with the box's first pressure pinned."""
+    B = ops.B[cells][:, vidx].toarray()[1:]
+    K = np.block([[np.diag(trapezoidal_mass(ops, vidx)), B.T],
+                  [B, np.zeros((len(B), len(B)))]])
+    rhs = np.concatenate([a, np.zeros(len(B))])
+    return np.linalg.solve(K, rhs)[:len(vidx)]
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
@@ -147,13 +199,14 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
     settings = pc.SolverSettings()
     precond = pc.build_preconditioner(grid, ops, basis, settings)
 
-    # reference: one BlockSolver.solve per block, summed in block order
+    # reference: one dense lumped saddle per oversampled block, summed
     r = rng.standard_normal(grid.n_velocity)
     want = np.zeros(grid.n_velocity)
-    for bs in mixed_fem.block_solvers(ops, overlap=settings.overlap):
-        rhs = np.zeros(bs.size)
-        rhs[:bs.n_velocity] = r[bs.velocity_idx]
-        want[bs.velocity_idx] += settings.eta * bs.solve(rhs)[:bs.n_velocity]
+    for block in range(grid.n_blocks):
+        cells = mesh.oversample(grid, block, settings.overlap)
+        vidx = mesh.velocity_dofs_interior_to(grid, cells)
+        want[vidx] += settings.eta * dense_lumped_velocity(ops, cells, vidx,
+                                                           r[vidx])
     assert_relative_close(precond.smooth(r), want)
 
     F = rng.standard_normal(grid.n_cells)
@@ -163,7 +216,7 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
     Av = ops.A @ pre.coarse_velocity
     want = pre.coarse_velocity.copy()
     norms = np.zeros(grid.n_blocks)
-    for bs in mixed_fem.block_solvers(ops, overlap=0):
+    for bs in mixed_fem.block_solvers(ops):
         rhs = np.concatenate([-Av[bs.velocity_idx],
                               residual[bs.pressure_idx], [0.0]])
         correction = bs.solve(rhs)[:bs.n_velocity]
@@ -198,8 +251,9 @@ def test_batched_solves_divergence_free_at_high_contrast(fine, coarse):
     ops = mixed_fem.assemble_operators(grid, mixed_fem.PermeabilityField(coeff))
     precond = pc.build_preconditioner(grid, ops,
                                       coarse_space.build_rt0_space(grid))
-    # smoother boxes (overlap 2) and preprocessing boxes (overlap 0)
-    for batch in (precond.batch, ops.batch(0)):
+    # lumped smoother boxes (overlap 2), exact preprocessing boxes
+    # (overlap 0)
+    for batch in (precond.batch, ops.batch()):
         r = rng.standard_normal(grid.n_velocity)
         assert_box_divergence(ops, batch, batch.solve(r), None, 1e-14)
 
@@ -209,32 +263,47 @@ def test_batched_solves_divergence_free_at_high_contrast(fine, coarse):
     F -= F.mean()
     pre = pc.preprocess(grid, ops, precond.coarse, F)
     residual = F - ops.B @ pre.coarse_velocity
-    local = ops.batch(0).solve(-(ops.A @ pre.coarse_velocity), residual)
-    assert_box_divergence(ops, ops.batch(0), local, residual, 1e-13)
+    local = ops.batch().solve(-(ops.A @ pre.coarse_velocity), residual)
+    assert_box_divergence(ops, ops.batch(), local, residual, 1e-13)
+
+
+def count_box_builds(monkeypatch):
+    """The number of `block_solvers` calls, and the overlap of every
+    lumped smoother build, in a list."""
+    built = {"exact": 0, "lumped": []}
+    original = mixed_fem.block_solvers
+
+    def counted(operators):
+        built["exact"] += 1
+        return original(operators)
+
+    class Counted(mixed_fem.LumpedBatch):
+        def __init__(self, operators, overlap):
+            built["lumped"].append(overlap)
+            super().__init__(operators, overlap)
+
+    monkeypatch.setattr(mixed_fem, "block_solvers", counted)
+    monkeypatch.setattr(mixed_fem, "LumpedBatch", Counted)
+    return built
 
 
 def test_operators_build_block_factors_once_per_overlap(monkeypatch, rng):
     grid = mesh.build_grid((12, 12), (3, 3))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
     ops = mixed_fem.assemble_operators(grid, field)
-    built = []
-    original = mixed_fem.block_solvers
-
-    def counted(operators, overlap=0):
-        built.append(overlap)
-        return original(operators, overlap=overlap)
-
-    monkeypatch.setattr(mixed_fem, "block_solvers", counted)
+    built = count_box_builds(monkeypatch)
     basis = coarse_space.build_gmsfem_space(grid, field, ops)
     F = rng.standard_normal(grid.n_cells)
     F -= F.mean()
     first = pc.solve(grid, ops, basis, F)
     second = pc.solve(grid, ops, basis, F)
-    assert sorted(built) == [0, 2]
+    # one exact overlap-0 batch and one lumped smoother, and no exact
+    # factor of an overlapped box
+    assert built == {"exact": 1, "lumped": [2]}
     assert np.array_equal(first.velocity, second.velocity)
     # new operators for the same field build their own factors
     pc.solve(grid, mixed_fem.assemble_operators(grid, field), basis, F)
-    assert sorted(built) == [0, 0, 2, 2]
+    assert built == {"exact": 2, "lumped": [2, 2]}
 
 
 def test_solve_matches_dense_oracle(rng):
@@ -310,6 +379,15 @@ def test_breakdown_reraised_with_divergence_norm(monkeypatch):
     monkeypatch.setattr(pc, "pcg", bare_pcg)
     with pytest.raises(PcgBreakdownError, match="plain failure$"):
         pc.solve(grid, ops, basis, F)
+
+
+def test_single_cell_grid_solves():
+    # one box of one cell: the lumped smoother has no unpinned cell left
+    grid = mesh.build_grid((1, 1), (1, 1))
+    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    result = pc.solve(grid, ops, coarse_space.build_rt0_space(grid),
+                      np.zeros(1), with_pressure=True)
+    assert result.report.converged and result.pressure.tolist() == [0.0]
 
 
 def test_recover_pressure_single_cell():

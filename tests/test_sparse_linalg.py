@@ -4,7 +4,7 @@ import scipy.sparse as sparse
 
 from msflow import sparse_linalg
 from msflow.sparse_linalg import (PcgBreakdownError, SingularMatrixError,
-                                  condition_estimate, factor,
+                                  condition_estimate, factor, factor_spd,
                                   generalized_symmetric_eig, pcg)
 
 
@@ -40,6 +40,35 @@ def test_factor_rejects_singular():
     K = sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
         factor(K)
+
+
+def grid_laplacian(n):
+    """5-point Laplacian of an n x n cell grid with cell 0 pinned."""
+    line = sparse.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                        [-1, 0, 1])
+    line = line.tolil()
+    line[0, 0] = line[-1, -1] = 1.0
+    eye = sparse.identity(n)
+    return (sparse.kron(line, eye) + sparse.kron(eye, line)).tocsc()[1:, 1:]
+
+
+def test_factor_spd_solves_with_less_fill(rng):
+    L = grid_laplacian(20)
+    rhs = rng.standard_normal((L.shape[0], 2))
+    spd, pivoted = factor_spd(L), factor(L)
+    want = np.linalg.solve(L.toarray(), rhs)
+    assert np.abs(spd.solve(rhs) - want).max() <= 1e-10 * np.abs(want).max()
+    # diagonal pivots: one symmetric order, no row exchanges
+    assert np.array_equal(spd.lu.perm_r, spd.lu.perm_c)
+    assert spd.lu.nnz < pivoted.lu.nnz
+
+
+def test_factor_spd_rejects_singular():
+    # an unpinned Laplacian is singular along the constants; the second
+    # matrix leaves a pivot of 1e-15, below the relative threshold
+    for K in ([[1.0, -1.0], [-1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]):
+        with pytest.raises(SingularMatrixError):
+            factor_spd(sparse.csc_matrix(np.array(K)))
 
 
 def test_refinement_tightens_residual(rng):

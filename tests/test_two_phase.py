@@ -11,6 +11,7 @@ from msflow import mesh, mixed_fem, preconditioner as pc
 from msflow.coarse_space import build_rt0_space, build_space
 
 from conftest import random_log_field
+from test_preconditioner import count_box_builds
 
 
 def test_fluid_pinned_values():
@@ -376,6 +377,26 @@ def test_impes_config_rejects_bad_stepping(bad):
         tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid), **bad)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("porosity", 0.0, "porosity"), ("dt", float("nan"), "time step"),
+    ("pressure_interval", 0, "pressure interval"),
+])
+def test_impes_run_checks_a_config_changed_after_construction(
+        key, value, message, monkeypatch):
+    grid = mesh.build_grid((8, 8), (2, 2))
+    config = tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid),
+                            space="rt0", n_steps=2, pressure_interval=1)
+    setattr(config, key, value)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("operators assembled for a bad config")
+
+    # the check comes before any assembly, so no factor is built either
+    monkeypatch.setattr(tp, "assemble_operators", unexpected)
+    with pytest.raises(ValueError, match=message):
+        tp.impes_run(config)
+
+
 @pytest.fixture(scope="module")
 def five_spot_run():
     grid = mesh.build_grid((8, 8), (2, 2))
@@ -443,22 +464,18 @@ def test_first_pressure_step_shares_the_basis_operators(monkeypatch, rng):
     # so one set of operators and overlap-0 factors serves both
     grid = mesh.build_grid((12, 12), (3, 3))
     kappa = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells, 4.0))
-    built = []
-    original = mixed_fem.block_solvers
-
-    def counted(operators, overlap=0):
-        built.append(overlap)
-        return original(operators, overlap=overlap)
-
-    monkeypatch.setattr(mixed_fem, "block_solvers", counted)
+    built = count_box_builds(monkeypatch)
     config = tp.IMPESConfig(grid=grid, kappa=kappa, dt=2e-3, n_steps=4,
                             pressure_interval=2)
     assert len(tp.impes_run(config).reports) == 2
-    assert sorted(built) == [0, 0, 2, 2]
-    built.clear()
+    # two sets of operators: one exact overlap-0 batch and one lumped
+    # smoother each
+    assert built == {"exact": 2, "lumped": [2, 2]}
+    built["exact"] = 0
+    built["lumped"].clear()
     config.rebuild_basis = True
     tp.impes_run(config)
-    assert sorted(built) == [0, 0, 2, 2]
+    assert built == {"exact": 2, "lumped": [2, 2]}
 
     # shared factors give the velocity of freshly assembled ones, bit for bit
     state = tp.TransportState.initial(grid)
