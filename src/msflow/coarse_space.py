@@ -22,6 +22,10 @@ solves are two multi-column solves on the overlap-0 `BlockBatch`, and
 the right-hand sides and S-forms come from face geometry and box data,
 since a fine face couples only to its adjacent cell and to the next
 velocity on that cell's grid line.  Their pencils are one stack.
+
+The Galerkin coarse saddle (`CoarseOperator`) is solved through its
+positive definite velocity block and its block-pressure Schur
+complement; no indefinite matrix is factored.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solve_triangular
 
 from . import mesh, mixed_fem
 from .sparse_linalg import (SingularMatrixError, factor,
@@ -385,32 +390,67 @@ def build_space(kind, grid, field, operators=None, tol: float = 10.0) -> CoarseB
 
 @dataclass(eq=False)
 class CoarseOperator:
-    """Galerkin coarse saddle operator with its bordered factorization."""
+    """Galerkin coarse saddle  A_H v + B_H^T p = a,  B_H v = b.
+
+    `factorization` is the sparse `factor` of A_H; X = A_H^-1 B_H^T and
+    B_H are held dense.  S = B_H X is singular along the constants only,
+    so with D = diag(S)^-1/2 and u = D^-1 1 / |D^-1 1|,  D S D + u u^T =
+    L L^T,  and M = L^-1 D gives  p = M^T M g,  the solution of S p = g
+    (g of zero sum) with w^T p = 0, w = diag(S) / trace(S).  The most
+    permeable blocks, whose columns of X are the largest, so keep
+    pressures near 0, and X p and B_H^T p keep their digits: only the
+    returned p is shifted to zero mean, and `residual` shifts it back.
+    An unscaled shift S + c 1 1^T loses the block balance on 1e+-8 bands.
+    """
 
     basis: CoarseBasis
     A_H: sparse.csr_matrix
     B_H: sparse.csr_matrix
-    factorization: object
 
-    @property
-    def n_velocity(self) -> int:
-        return self.A_H.shape[0]
+    def __post_init__(self):
+        self.n_pressure, self.n_velocity = nb, nv = self.B_H.shape
+        self.factorization, self._B = None, self.B_H.toarray()
+        # one block: M = 0 gives p = 0; no coarse face: v is empty
+        self._X, self._M = np.zeros((nv, nb)), np.zeros((nb, nb))
+        self._w = np.zeros(nb)
+        try:
+            if nv:
+                self.factorization = factor(self.A_H)
+                self._X = self.factorization.solve(self._B.T)
+            if nb > 1:
+                S = self._B @ self._X
+                d = S.diagonal()
+                if not np.all(d > 0):
+                    raise SingularMatrixError("a block has no coarse flux")
+                r, self._w = np.sqrt(np.outer(d, d)), d / d.sum()
+                L = np.linalg.cholesky(0.5 * (S + S.T) / r + r / d.sum())
+                self._M = solve_triangular(L, np.diag(d ** -0.5), lower=True)
+        except (SingularMatrixError, np.linalg.LinAlgError) as err:
+            raise SingularMatrixError(
+                "coarse operator is rank deficient beyond the pressure "
+                f"constant; basis columns are likely dependent ({err})"
+            ) from err
 
-    @property
-    def n_pressure(self) -> int:
-        return self.B_H.shape[0]
+    def residual(self, v, p, rhs_v, rhs_p):
+        """The saddle residuals (rhs_v - A_H v - B_H^T p, rhs_p - B_H v)."""
+        p = p - self._w @ p  # B_H^T 1 = 0 only to roundoff times |p|
+        return rhs_v - self.A_H @ v - self._B.T @ p, rhs_p - self._B @ v
+
+    def _pass(self, a, b):
+        x = self.factorization.solve(a, refine=0) if self.n_velocity else a
+        p = self._M.T @ (self._M @ (self._B @ x - b))
+        return x - self._X @ p, p
 
     def solve(self, rhs_v, rhs_p):
-        """Bordered coarse solve -> (velocity coeffs, pressure coeffs,
-        multiplier).  Either right-hand side may be None for zero."""
-        if rhs_v is None:
-            rhs_v = np.zeros(self.n_velocity)
-        if rhs_p is None:
-            rhs_p = np.zeros(self.n_pressure)
-        rhs = np.concatenate([rhs_v, rhs_p, [0.0]])
-        sol = self.factorization.solve(rhs)
-        nv = self.n_velocity
-        return sol[:nv], sol[nv:-1], float(sol[-1])
+        """Coarse saddle solve -> (velocity, zero-mean pressure): one
+        Schur pass, then one on the saddle residual.  `rhs_p` must sum
+        to zero; either right-hand side may be None for zero."""
+        a = np.zeros(self.n_velocity) if rhs_v is None else rhs_v
+        b = np.zeros(self.n_pressure) if rhs_p is None else rhs_p
+        v, p = self._pass(a, b)
+        dv, dp = self._pass(*self.residual(v, p, a, b))
+        p += dp
+        return v + dv, p - p.mean()
 
 
 def coarse_operator(basis: CoarseBasis, operators) -> CoarseOperator:
@@ -421,12 +461,4 @@ def coarse_operator(basis: CoarseBasis, operators) -> CoarseOperator:
     """
     A_H = (basis.P_v.T @ (operators.A @ basis.P_v)).tocsr()
     B_H = (basis.P_p.T @ (operators.B @ basis.P_v)).tocsr()
-    bordered = mixed_fem.bordered_saddle_matrix(A_H, B_H)
-    try:
-        fact = factor(bordered)
-    except SingularMatrixError as err:
-        raise SingularMatrixError(
-            "coarse operator is rank deficient beyond the pressure "
-            f"constant; basis columns are likely dependent ({err})"
-        ) from err
-    return CoarseOperator(basis=basis, A_H=A_H, B_H=B_H, factorization=fact)
+    return CoarseOperator(basis=basis, A_H=A_H, B_H=B_H)

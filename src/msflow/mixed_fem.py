@@ -18,9 +18,9 @@ preprocessing and the basis build.  The smoother's boxes, grown by an
 overlap, are mass-lumped (`LumpedBatch`): each box's velocity mass is
 integrated by the trapezoidal rule, which makes it diagonal and the
 mixed method equal to two-point cell fluxes (Russell & Wheeler 1983;
-Arbogast, Wheeler & Yotov, SINUM 34, 1997), so one sparse factor of
-cell Laplacians serves every box.  `MixedOperators` owns both for its
-coefficient.
+Arbogast, Wheeler & Yotov, SINUM 34, 1997), so one sparse
+`sparse_linalg.factor` of pinned cell Laplacians serves every box.
+`MixedOperators` owns both for its coefficient.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.linalg import lapack
 
 from . import mesh
-from .sparse_linalg import SingularMatrixError, factor_spd
+from .sparse_linalg import SingularMatrixError, factor
 
 
 @dataclass
@@ -166,7 +166,8 @@ def bordered_saddle_matrix(A, B) -> sparse.csc_matrix:
     """[[A, B^T, 0], [B, 0, 1], [0, 1^T, 0]].
 
     The all-ones border on the pressure block pins the pressure mean and
-    absorbs the compatibility multiplier; no dof is pinned.
+    absorbs the compatibility multiplier; no dof is pinned.  It lays out
+    `BlockSolver.solve` and dense reference solves; no solver factors it.
     """
     nv = A.shape[0]
     npr = B.shape[0]
@@ -338,12 +339,8 @@ class BlockSolver:
         return len(self.velocity_idx)
 
     @property
-    def n_pressure(self) -> int:
-        return len(self.pressure_idx)
-
-    @property
     def size(self) -> int:
-        return self.n_velocity + self.n_pressure + 1
+        return self.n_velocity + len(self.pressure_idx) + 1
 
     @cached_property
     def _system(self):
@@ -512,12 +509,12 @@ class LumpedBatch(_BoxSystem):
     the Schur complement S = D M^-1 D^T of each box is a sparse 5- or
     7-point cell Laplacian.  All boxes go into one block-diagonal S with
     one cell of every box pinned, which leaves it positive definite;
-    `schur_factor` is the sparse LU, with diagonal pivots, of its
-    symmetric scaling to unit diagonal by `scale`, which makes the pivot
-    check of `factor_spd` local to each box.  The pinned cell is the
-    box's most permeable one; a pin in a low-permeability region would
-    leave the permeable rest of the box nearly floating.  The refinement
-    pass of `solve_core` keeps the box divergences at roundoff.
+    `schur_factor` is its sparse `factor`, whose scaling to unit
+    diagonal makes the pivot check local to each box.  The pinned cell
+    is the box's most permeable one; a pin in a low-permeability region
+    would leave the permeable rest of the box nearly floating.  The
+    refinement pass of `solve_core` keeps the box divergences at
+    roundoff.
     """
 
     def __init__(self, operators: MixedOperators, overlap: int):
@@ -532,10 +529,7 @@ class LumpedBatch(_BoxSystem):
         self.free = np.setdiff1d(np.arange(len(self.pressure_idx)), pinned)
         self.schur_factor = None
         if len(self.free):
-            schur = schur[self.free][:, self.free]
-            self.scale = 1.0 / np.sqrt(schur.diagonal())[:, None]
-            d = sparse.diags(self.scale[:, 0])
-            self.schur_factor = factor_spd(d @ schur @ d)
+            self.schur_factor = factor(schur[self.free][:, self.free])
 
     def _mass(self, v):
         return v / self.inv_mass
@@ -549,8 +543,7 @@ class LumpedBatch(_BoxSystem):
         equation holds once the others do, as 1^T S = 0."""
         p = np.zeros_like(g)
         if self.schur_factor is not None:
-            p[self.free] = self.scale * self.schur_factor.solve(
-                self.scale * g[self.free], refine=0)
+            p[self.free] = self.schur_factor.solve(g[self.free], refine=0)
         return p - (self.box_sums(p) / self.counts[:, None])[self.cell_box]
 
 

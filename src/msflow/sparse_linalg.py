@@ -1,15 +1,10 @@
 """Sparse direct and iterative kernels used across the solver stack.
 
-Factorization wraps a sparse LU with an explicit near-singularity check
-and one step of iterative refinement per solve, which keeps the
-divergence rows of bordered saddle systems satisfied to near round-off
-even at strong coefficient contrast.  `factor` pivots by value and
-serves the indefinite coarse saddle.  `factor_spd` keeps the pivots on
-the diagonal under a symmetric fill-reducing order, which suits
-symmetric positive definite matrices and roughly halves their fill; it
-serves the pinned cell Laplacians of pressure recovery and of the
-mass-lumped smoother boxes in `mixed_fem`.  The exact per-block saddle
-solves are dense and live in `mixed_fem` as well.
+`factor` is the one sparse factorization, and every matrix it gets is
+symmetric positive definite: the coarse saddle's velocity block and the
+pinned cell Laplacians of pressure recovery and of the smoother boxes.
+No saddle system is factored whole; callers reduce it through its Schur
+complement.  The exact per-block saddle solves are dense, in `mixed_fem`.
 
 The conjugate gradient solver measures convergence in the natural norm
 sqrt(r' M^{-1} r).  With an identity preconditioner this is the plain
@@ -45,72 +40,58 @@ class PcgBreakdownError(RuntimeError):
 
 
 @dataclass
-class SaddleFactorization:
-    """Sparse LU of a square matrix, from `factor` or `factor_spd`, with
-    refined solves."""
+class SpdFactorization:
+    """Sparse LU of an SPD `matrix` scaled to unit diagonal by `scale`
+    (diag^-1/2), with refined solves."""
 
     matrix: sparse.csc_matrix
+    scale: np.ndarray
     lu: object
 
     def solve(self, rhs, refine: int = 1) -> np.ndarray:
         """Solve to LU accuracy, then polish with `refine` residual
         correction passes (cheap: one triangular solve each)."""
         rhs = np.asarray(rhs, dtype=float)
-        x = self.lu.solve(rhs)
+        s = self.scale.reshape((-1,) + (1,) * (rhs.ndim - 1))
+        x = s * self.lu.solve(s * rhs)
         for _ in range(refine):
-            r = rhs - self.matrix @ x
-            x += self.lu.solve(r)
+            x += s * self.lu.solve(s * (rhs - self.matrix @ x))
         return x
 
 
-_PIVOT_RTOL = 1e-14
-
-# SuperLU options for symmetric positive definite matrices: a minimum
-# degree order of A^T + A and pivots taken from the diagonal
-_SPD_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
-
-
-def _factor(matrix, **splu_options) -> SaddleFactorization:
-    matrix = sparse.csc_matrix(matrix)
+def factor(matrix) -> SpdFactorization:
+    """Factor a symmetric positive definite sparse matrix, scaled to
+    unit diagonal, with diagonal pivots in a minimum-degree order of
+    A^T + A: the fill depends on the sparsity pattern only.  A pivot
+    below 1e-14 of the unit diagonal (a negative one too) and a NaN or
+    non-positive diagonal entry, checked before SuperLU runs, raise
+    SingularMatrixError.  Symmetry is not checked."""
+    matrix = sparse.csc_matrix(matrix, dtype=float)
     n = matrix.shape[0]
-    if matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"matrix is {matrix.shape}, expected square")
-    if n == 0:
-        raise ValueError("cannot factor an empty matrix")
-    scale = np.abs(matrix.data).max() if matrix.nnz else 0.0
-    if scale == 0.0:
-        raise SingularMatrixError("matrix is identically zero")
-    try:
-        lu = splu(matrix, **splu_options)
-    except RuntimeError as err:
-        raise SingularMatrixError(f"sparse LU failed: {err}") from err
-    pivots = np.abs(lu.U.diagonal())
-    bad = np.flatnonzero(pivots < _PIVOT_RTOL * scale)
+    if matrix.shape != (n, n) or n == 0:
+        raise ValueError(f"matrix is {matrix.shape}, expected square and "
+                         "not empty")
+    diagonal = matrix.diagonal()
+    bad = np.flatnonzero(~(diagonal > 0))
     if len(bad):
         k = int(bad[0])
-        raise SingularMatrixError(
-            f"pivot {k} of {n} is {pivots[k]:.3e}, below "
-            f"{_PIVOT_RTOL:.0e} * max entry {scale:.3e}"
-        )
-    return SaddleFactorization(matrix=matrix, lu=lu)
-
-
-def factor(matrix) -> SaddleFactorization:
-    """Factor a square sparse matrix, rejecting near-singular pivots.
-
-    The pivot threshold is relative to the largest entry of the matrix;
-    an offending pivot is reported by its elimination index.
-    """
-    return _factor(matrix)
-
-
-def factor_spd(matrix) -> SaddleFactorization:
-    """`factor` for a symmetric positive definite matrix: diagonal
-    pivots in a symmetric minimum-degree order, with the same pivot
-    check.  The matrix is not checked for symmetry; a pivot that the
-    diagonal cannot supply raises SingularMatrixError."""
-    return _factor(matrix, **_SPD_OPTIONS)
+        raise SingularMatrixError(f"diagonal entry {k} of {n} is "
+                                  f"{float(diagonal[k])!r}, not positive")
+    scale = 1.0 / np.sqrt(diagonal)
+    scaled = matrix.copy()
+    scaled.data *= scale[scaled.indices] * np.repeat(scale, np.diff(scaled.indptr))
+    try:
+        lu = splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError as err:
+        raise SingularMatrixError(f"sparse LU failed: {err}") from err
+    pivots = lu.U.diagonal()
+    bad = np.flatnonzero(~(pivots >= 1e-14))
+    if len(bad):
+        k = int(bad[0])
+        raise SingularMatrixError(f"pivot {k} of {n} is {pivots[k]:.3e}, "
+                                  "below 1e-14 of the unit diagonal")
+    return SpdFactorization(matrix=matrix, scale=scale, lu=lu)
 
 
 @dataclass
@@ -135,13 +116,10 @@ def condition_estimate(alphas, betas) -> float:
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
-    k = len(alphas)
-    if k == 0:
+    if len(alphas) < 2:
         return 1.0
-    diag = np.empty(k)
+    diag = np.empty(len(alphas))
     diag[0] = 1.0 / alphas[0]
-    if k == 1:
-        return 1.0
     diag[1:] = 1.0 / alphas[1:] + betas / alphas[:-1]
     off = np.sqrt(betas) / alphas[:-1]
     ev = eigvalsh_tridiagonal(diag, off)

@@ -328,14 +328,54 @@ def test_coarse_operator_is_galerkin_projection(rng):
 
     rhs_p = rng.standard_normal(coarse.n_pressure)
     rhs_p -= rhs_p.mean()
-    y_v, y_p, mu = coarse.solve(None, rhs_p)
+    y_v, y_p = coarse.solve(None, rhs_p)
     assert np.abs(A_H @ y_v + B_H.T @ y_p).max() < 1e-9
-    assert np.abs(B_H @ y_v + mu - rhs_p).max() < 1e-9
+    assert np.abs(B_H @ y_v - rhs_p).max() < 1e-9
     assert abs(y_p.sum()) < 1e-9
-    assert abs(mu) < 1e-9  # balanced data needs no compatibility shift
 
-    y_v2, _, _ = coarse.solve(rng.standard_normal(coarse.n_velocity), None)
+    y_v2, _ = coarse.solve(rng.standard_normal(coarse.n_velocity), None)
     assert np.all(np.isfinite(y_v2))
+
+
+def test_coarse_factor_fill_ignores_roundoff(monkeypatch):
+    # the impes-2d grid and frozen basis, at the mobility of its second
+    # pressure step: a 1e-14 relative change of the coefficient must not
+    # move the coarse factor's fill, as pivoting by value did
+    from msflow import bench_cli, preconditioner as pc, sparse_linalg, \
+        two_phase
+    grid = mesh.build_grid((40, 40), (4, 4))
+    kappa = bench_cli.bench_field((40, 40), 2.0, seed=424242)
+    config = two_phase.IMPESConfig(grid=grid, kappa=kappa, dt=1.5e-3,
+                                   n_steps=40, pressure_interval=40)
+    states = two_phase.impes_run(config).states
+    start = two_phase.mobility_field(kappa, config.fluid, states[0].s)
+    basis = coarse_space.build_gmsfem_space(
+        grid, start, mixed_fem.assemble_operators(grid, start))
+    field = two_phase.mobility_field(kappa, config.fluid, states[-1].s)
+
+    factors = []
+
+    def recording(matrix):
+        factors.append(sparse_linalg.factor(matrix))
+        return factors[-1]
+
+    for module in (coarse_space, mixed_fem, pc):
+        monkeypatch.setattr(module, "factor", recording)
+    rng = np.random.default_rng(7)
+    fills = set()
+    for trial in range(10):
+        noise = 1.0 + 1e-14 * rng.uniform(-1.0, 1.0, grid.n_cells)
+        ops = mixed_fem.assemble_operators(
+            grid, mixed_fem.PermeabilityField(field.values * noise))
+        fills.add(coarse_space.coarse_operator(basis, ops)
+                  .factorization.lu.nnz)
+    assert len(fills) == 1, fills
+    source = two_phase.five_spot_wells(grid).source_vector(grid.n_cells)
+    pc.solve(grid, ops, basis, source, with_pressure=True)
+    # ten coarse factors, then the coarse, smoother and recovery factors
+    assert len(factors) == 13
+    for fact in factors:
+        assert np.array_equal(fact.lu.perm_r, fact.lu.perm_c)
 
 
 def test_coarse_operator_rejects_dependent_columns():

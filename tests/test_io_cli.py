@@ -419,7 +419,7 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
 
     # bad input must stop before any box or coarse factor is built
     monkeypatch.setattr(mixed_fem, "_BoxFactor", no_factor)
-    monkeypatch.setattr(mixed_fem, "factor_spd", no_factor)
+    monkeypatch.setattr(mixed_fem, "factor", no_factor)
     monkeypatch.setattr(coarse_space, "factor", no_factor)
     cases = [
         ["robustness", "--grid", "7y7"],

@@ -109,6 +109,31 @@ def test_solve_across_sixteen_orders_between_boxes(kind):
     assert_box_divergence(ops, batch, batch.solve(r), None, 1e-14)
 
 
+@pytest.mark.parametrize("kind", ["rt0", "gmsfem"])
+@pytest.mark.parametrize("exponent", [8, 10])
+def test_band_fields_solve_or_raise(kind, exponent):
+    # x-bands of 1e+e, 1 and 1e-e across 32x32/4x4: a solve either meets
+    # the 1e-10 divergence gate or raises, and never returns a field
+    # that misses it.  At 1e+-8 both spaces must solve; rt0 needs the
+    # coarse saddle's pivot check to be local to each row for that
+    grid = mesh.build_grid((32, 32), (4, 4))
+    x = mesh.cell_multi(grid, np.arange(grid.n_cells))[:, 0]
+    field = mixed_fem.PermeabilityField(np.select(
+        [x < 11, x < 22], [10.0 ** exponent, 1.0], 10.0 ** -exponent))
+    ops = mixed_fem.assemble_operators(grid, field)
+    F = WellConfig([(0, 1.0), (grid.n_cells - 1, -1.0)]).source_vector(
+        grid.n_cells)
+    try:
+        basis = coarse_space.build_space(kind, grid, field, ops)
+        result = pc.solve(grid, ops, basis, F)
+    except RuntimeError:
+        if exponent == 8:
+            raise
+        return
+    assert result.report.converged
+    assert result.divergence_error <= 1e-10
+
+
 @pytest.mark.parametrize("kind", ["rt0", "msfem", "gmsfem"])
 def test_preprocess_matches_source_divergence(kind, rng):
     for fine, coarse in [((12, 12), (3, 3)), ((6, 6, 4), (3, 3, 2))]:

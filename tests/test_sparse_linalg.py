@@ -4,25 +4,17 @@ import scipy.sparse as sparse
 
 from msflow import sparse_linalg
 from msflow.sparse_linalg import (PcgBreakdownError, SingularMatrixError,
-                                  condition_estimate, factor, factor_spd,
+                                  condition_estimate, factor,
                                   generalized_symmetric_eig, pcg)
 
 
-def random_saddle(rng, nv=30, npr=12):
-    M = rng.standard_normal((nv, nv))
-    A = M @ M.T + nv * np.eye(nv)
-    B = rng.standard_normal((npr, nv))
-    K = np.zeros((nv + npr + 1, nv + npr + 1))
-    K[:nv, :nv] = A
-    K[:nv, nv:-1] = B.T
-    K[nv:-1, :nv] = B
-    K[nv:-1, -1] = 1.0
-    K[-1, nv:-1] = 1.0
-    return K
+def random_spd(rng, n=30):
+    M = rng.standard_normal((n, n))
+    return M @ M.T + n * np.eye(n)
 
 
 def test_factor_matches_dense_solve(rng):
-    K = random_saddle(rng)
+    K = random_spd(rng)
     rhs = rng.standard_normal(K.shape[0])
     fact = factor(sparse.csc_matrix(K))
     assert np.allclose(fact.solve(rhs), np.linalg.solve(K, rhs),
@@ -30,7 +22,7 @@ def test_factor_matches_dense_solve(rng):
 
 
 def test_factor_multiple_rhs(rng):
-    K = random_saddle(rng)
+    K = random_spd(rng)
     rhs = rng.standard_normal((K.shape[0], 3))
     got = factor(sparse.csc_matrix(K)).solve(rhs)
     assert np.allclose(got, np.linalg.solve(K, rhs), rtol=1e-10, atol=1e-10)
@@ -55,12 +47,11 @@ def grid_laplacian(n):
 def test_factor_spd_solves_with_less_fill(rng):
     L = grid_laplacian(20)
     rhs = rng.standard_normal((L.shape[0], 2))
-    spd, pivoted = factor_spd(L), factor(L)
+    fact = factor(L)
     want = np.linalg.solve(L.toarray(), rhs)
-    assert np.abs(spd.solve(rhs) - want).max() <= 1e-10 * np.abs(want).max()
+    assert np.abs(fact.solve(rhs) - want).max() <= 1e-10 * np.abs(want).max()
     # diagonal pivots: one symmetric order, no row exchanges
-    assert np.array_equal(spd.lu.perm_r, spd.lu.perm_c)
-    assert spd.lu.nnz < pivoted.lu.nnz
+    assert np.array_equal(fact.lu.perm_r, fact.lu.perm_c)
 
 
 def test_factor_spd_rejects_singular():
@@ -68,7 +59,37 @@ def test_factor_spd_rejects_singular():
     # matrix leaves a pivot of 1e-15, below the relative threshold
     for K in ([[1.0, -1.0], [-1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]):
         with pytest.raises(SingularMatrixError):
-            factor_spd(sparse.csc_matrix(np.array(K)))
+            factor(sparse.csc_matrix(np.array(K)))
+
+
+def test_factor_rejects_indefinite():
+    # a positive diagonal, but the second pivot is 1 - 4 = -3
+    K = sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(SingularMatrixError, match="pivot 1 of 2"):
+        factor(K)
+
+
+def test_factor_checks_the_diagonal_before_superlu(monkeypatch):
+    def no_splu(*args, **kwargs):
+        raise AssertionError("SuperLU ran")
+
+    monkeypatch.setattr(sparse_linalg, "splu", no_splu)
+    for bad in (np.nan, 0.0, -1.0):
+        K = np.diag([2.0, 1.0, bad, 3.0])
+        with pytest.raises(SingularMatrixError, match="diagonal entry 2 "):
+            factor(sparse.csc_matrix(K))
+
+
+def test_factor_pivot_check_is_relative_to_each_row(rng):
+    # rows at 1e-8 and 1e8 scale factor together: the unit-diagonal
+    # scaling makes the pivot check local, as in the smoother's boxes
+    L = grid_laplacian(6)
+    d = np.logspace(-4, 4, L.shape[0])
+    K = (sparse.diags(d) @ L @ sparse.diags(d)).tocsc()
+    rhs = rng.standard_normal(K.shape[0])
+    want = np.linalg.solve(L.toarray(), rhs / d) / d
+    x = factor(K).solve(rhs)
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_refinement_tightens_residual(rng):
