@@ -72,11 +72,10 @@ def read_raster(path, dims, layout: str = "text", layers=None):
         raise ValueError(f"{path}: expected {n} values for dims {dims}, "
                          f"found {raw.size}")
 
-    if np.any(raw <= 0) or not np.all(np.isfinite(raw)):
-        bad = int(np.argmin(raw))
-        raise ValueError(f"{path}: non-positive value {float(raw[bad])!r} at "
-                         f"cell {bad}")
-    return PermeabilityField(values=raw)
+    try:
+        return PermeabilityField(values=raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_raster(path, values, layout: str = "text"):

@@ -200,7 +200,7 @@ def _faces_by_axis(grid):
     return [group for group in groups if group]
 
 
-def snapshot_face(grid, operators, face) -> SnapshotFamily:
+def snapshot_face(operators, face) -> SnapshotFamily:
     """Snapshot family of one coarse face: unit trace per fine face,
     glued from the two independent block solves."""
     dofs, values = _FaceGroup(operators, [face]).solve(
@@ -208,21 +208,21 @@ def snapshot_face(grid, operators, face) -> SnapshotFamily:
     return SnapshotFamily(face=face, dofs=dofs[0], values=values[0])
 
 
-def _trace_weights(grid, coeff, axis, fine_faces):
+def _trace_weights(operators, axis, fine_faces):
     """|e_l| / kappa_face(e_l) per fine face, kappa_face the harmonic
     mean across e_l."""
+    grid, coeff = operators.grid, operators.coefficient
     lo, hi = mesh.face_adjacent_cells(grid, fine_faces)
     return grid.face_area(axis) * 0.5 * (1.0 / coeff[lo] + 1.0 / coeff[hi])
 
 
-def face_bilinear_a(grid, field, face) -> np.ndarray:
+def face_bilinear_a(operators, face) -> np.ndarray:
     """Trace bilinear form in snapshot coordinates: diagonal with entry
     |e_l| / kappa_face(e_l), kappa_face the harmonic mean across e_l."""
-    return np.diag(_trace_weights(grid, field.coefficient(), face.axis,
-                                  face.fine_faces))
+    return np.diag(_trace_weights(operators, face.axis, face.fine_faces))
 
 
-def face_bilinear_s(grid, operators, family: SnapshotFamily) -> np.ndarray:
+def face_bilinear_s(operators, family: SnapshotFamily) -> np.ndarray:
     """Neighbourhood bilinear form in snapshot coordinates: weighted
     velocity mass over the two blocks plus the divergence Gram with
     inverse cell-volume weights.
@@ -236,16 +236,11 @@ def face_bilinear_s(grid, operators, family: SnapshotFamily) -> np.ndarray:
     return group.bilinear_s(family.values[None])[0]
 
 
-def face_eigenpairs(grid, field, operators, family: SnapshotFamily):
-    """Ascending eigenpairs of the trace-vs-neighbourhood pencil.
-
-    Both forms must see one coefficient, so `field` must be the one the
-    operators were assembled from; ValueError otherwise."""
-    if not np.array_equal(field.coefficient(), operators.coefficient):
-        raise ValueError("field is not the coefficient of the operators; "
-                         "the pencil would mix two coefficients")
-    a = face_bilinear_a(grid, field, family.face)
-    s = face_bilinear_s(grid, operators, family)
+def face_eigenpairs(operators, family: SnapshotFamily):
+    """Ascending eigenpairs of the trace-vs-neighbourhood pencil; both
+    forms see the coefficient of `operators`."""
+    a = face_bilinear_a(operators, family.face)
+    s = face_bilinear_s(operators, family)
     return generalized_symmetric_eig(a, s)
 
 
@@ -343,25 +338,23 @@ def build_msfem_space(operators) -> CoarseBasis:
                        face_mode_counts=np.ones(len(columns), dtype=int))
 
 
-def build_gmsfem_space(grid, field, operators=None, tol: float = 10.0) -> CoarseBasis:
+def build_gmsfem_space(operators, tol: float = 10.0) -> CoarseBasis:
     """Spectrally enriched space: per face keep the pencil modes with
     eigenvalue at most `tol` (at least one).  The faces of an axis share
     one size, so their snapshots, S-forms and pencils are computed as
-    stacks.  Both pencil forms come from `operators.coefficient`; `field`
-    is read only to assemble the operators when none are given.  A `tol`
-    that is not positive and finite raises ValueError before any solve."""
+    stacks.  A `tol` that is not positive and finite raises ValueError
+    before any solve."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"eigenvalue tolerance tol must be positive and "
                          f"finite, got {tol!r}")
-    if operators is None:
-        operators = mixed_fem.assemble_operators(grid, field)
+    grid = operators.grid
     columns = []
     selections = []
     for faces in _faces_by_axis(grid):
         group = _FaceGroup(operators, faces)
         J = faces[0].n_fine
         dofs, values = group.solve(np.eye(J))
-        a = _trace_weights(grid, operators.coefficient, group.axis,
+        a = _trace_weights(operators, group.axis,
                            group.fine)[..., None] * np.eye(J)
         w, X = generalized_symmetric_eig(a, group.bilinear_s(values))
         for face, d, V, w_f, X_f in zip(faces, dofs, values, w, X):
@@ -376,16 +369,19 @@ def build_gmsfem_space(grid, field, operators=None, tol: float = 10.0) -> Coarse
 
 
 def build_space(kind, grid, field, operators=None, tol: float = 10.0) -> CoarseBasis:
+    """The coarse space `kind` (rt0, msfem or gmsfem, any case) on
+    `grid`.  msfem and gmsfem read the coefficient of `operators`;
+    `field` serves only to assemble them when none are given."""
     kind = kind.lower()
     if kind == "rt0":
         return build_rt0_space(grid)
-    if kind == "gmsfem":
-        return build_gmsfem_space(grid, field, operators, tol)
-    if kind != "msfem":
+    if kind not in ("msfem", "gmsfem"):
         raise ValueError(f"unknown coarse space kind {kind!r}")
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
-    return build_msfem_space(operators)
+    if kind == "msfem":
+        return build_msfem_space(operators)
+    return build_gmsfem_space(operators, tol)
 
 
 @dataclass(eq=False)

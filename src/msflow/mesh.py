@@ -104,11 +104,15 @@ class CoarseFace:
 def build_grid(fine_cells, coarse_blocks, domain_lengths=None) -> CartesianTwoScaleGrid:
     """Validate the layout and build a grid.
 
-    Every axis must have a positive cell count divisible by its coarse
-    block count.  `domain_lengths` defaults to the unit box.
+    Every axis must have a positive, whole cell count divisible by its
+    coarse block count, and a positive, finite length.  `domain_lengths`
+    defaults to the unit box.
     """
-    fine = tuple(int(n) for n in fine_cells)
-    coarse = tuple(int(N) for N in coarse_blocks)
+    fine, coarse = tuple(fine_cells), tuple(coarse_blocks)
+    for n in fine + coarse:
+        if not float(n).is_integer():
+            raise ValueError(f"cell counts must be whole numbers, got {n!r}")
+    fine, coarse = tuple(map(int, fine)), tuple(map(int, coarse))
     if len(fine) not in (2, 3):
         raise ValueError(f"expected 2 or 3 axes, got {len(fine)}")
     if len(coarse) != len(fine):
@@ -121,8 +125,9 @@ def build_grid(fine_cells, coarse_blocks, domain_lengths=None) -> CartesianTwoSc
     for a, (n, N, L) in enumerate(zip(fine, coarse, lengths)):
         if n < 1 or N < 1:
             raise ValueError(f"axis {a}: cell counts must be positive, got {n}/{N}")
-        if L <= 0:
-            raise ValueError(f"axis {a}: domain length must be positive, got {L}")
+        if not (np.isfinite(L) and L > 0):
+            raise ValueError(f"axis {a}: domain length must be positive and "
+                             f"finite, got {L}")
         if n % N != 0:
             raise ValueError(
                 f"axis {a}: {n} fine cells are not divisible into {N} coarse blocks"

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -57,10 +56,6 @@ class PermeabilityField:
             raise ValueError(f"permeability must be positive and finite; "
                              f"cell {bad[0]} has value "
                              f"{float(self.values[bad[0]])!r}")
-
-    def coefficient(self) -> np.ndarray:
-        """The cell coefficient the operators are assembled from."""
-        return self.values
 
 
 @dataclass
@@ -106,7 +101,7 @@ def uniform_field(grid, value=1.0) -> PermeabilityField:
 
 def assemble_velocity_mass(grid, field: PermeabilityField) -> sparse.csr_matrix:
     """Velocity mass matrix weighted by the inverse cell coefficient."""
-    coeff = field.coefficient()
+    coeff = field.values
     if coeff.size != grid.n_cells:
         raise ValueError(
             f"field has {coeff.size} cells, grid has {grid.n_cells}"
@@ -158,7 +153,7 @@ def assemble_operators(grid, field) -> MixedOperators:
         grid=grid,
         A=assemble_velocity_mass(grid, field),
         B=assemble_divergence(grid),
-        coefficient=field.coefficient(),
+        coefficient=field.values,
     )
 
 
@@ -236,7 +231,6 @@ class _BoxFactor:
     """
 
     def __init__(self, grid, lines: _BoxLines, coeff_box: np.ndarray):
-        self.lines = lines
         w = (grid.cell_volume / np.asarray(coeff_box, dtype=float)).reshape(
             lines.shape, order="F")
         parts = [(np.zeros(0), np.zeros(0))]
@@ -283,56 +277,23 @@ def _held_once(factors, name):
     return out
 
 
-class _Box(NamedTuple):
-    """One coarse block grown by the overlap: its cells, its interior
-    velocities in the line order of `lines`, and the box shape's lines."""
+@dataclass(eq=False)
+class BlockSolver:
+    """One coarse block grown by an overlap: its cells, its interior
+    velocities in the line order of `lines`, the box shape's lines and,
+    for the exact solves of overlap 0, the `_BoxFactor` of its saddle.
+
+    `solve` is the exact bordered saddle solve through a one-box
+    `BlockBatch`, built on the first solve.  Right-hand sides and
+    solutions are laid out as in `bordered_saddle_matrix`: [velocity;
+    pressure; border], velocities in the order of `velocity_idx`.
+    """
 
     block: int
     velocity_idx: np.ndarray
     pressure_idx: np.ndarray
     lines: _BoxLines
-
-
-def _boxes(grid, overlap: int) -> list:
-    """The `_Box` of every coarse block, oversampled by `overlap` fine
-    layers and clipped at the domain boundary; boxes of one shape share
-    their `_BoxLines`."""
-    boxes, lines = [], {}
-    for b in range(grid.n_blocks):
-        cells = mesh.oversample(grid, b, overlap)
-        lo = mesh.cell_multi(grid, cells[0])
-        hi = mesh.cell_multi(grid, cells[-1])
-        shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
-        lines[shape] = lines.get(shape) or _BoxLines(grid, shape)
-        vidx = mesh.velocity_dofs_interior_to(grid, cells)[lines[shape].order]
-        boxes.append(_Box(b, vidx, cells, lines[shape]))
-    return boxes
-
-
-class BlockSolver:
-    """Exact bordered saddle solver on one coarse block.
-
-    Pairs the global index sets with a `_BoxFactor` and solves through a
-    one-box `BlockBatch`, built on the first solve.  Right-hand sides and
-    solutions are laid out as in `bordered_saddle_matrix`: [velocity;
-    pressure; border], velocities in the order of `velocity_idx`, which
-    is the line order of the factor.
-    """
-
-    def __init__(self, block: int, velocity_idx, pressure_idx,
-                 factor: _BoxFactor):
-        self.block = block
-        self.velocity_idx = velocity_idx
-        self.pressure_idx = pressure_idx
-        self.factor = factor
-        if len(velocity_idx) != factor.lines.n_velocity:
-            raise ValueError(
-                f"block {block}: {len(velocity_idx)} interior dofs but the "
-                f"box factor expects {factor.lines.n_velocity}")
-
-    @property
-    def lines(self) -> _BoxLines:
-        return self.factor.lines
+    factor: _BoxFactor | None = None
 
     @property
     def n_velocity(self) -> int:
@@ -352,6 +313,22 @@ class BlockSolver:
         nv = self.n_velocity
         v, p, mu = self._system.solve_core(cols[:nv], cols[nv:-1], cols[-1:])
         return np.vstack([v, p, mu]).reshape(rhs.shape)
+
+
+def _boxes(grid, overlap: int) -> list:
+    """The `BlockSolver` of every coarse block, without a factor,
+    oversampled by `overlap` fine layers and clipped at the domain
+    boundary; boxes of one shape share their `_BoxLines`."""
+    boxes, lines = [], {}
+    for b in range(grid.n_blocks):
+        cells = mesh.oversample(grid, b, overlap)
+        lo = mesh.cell_multi(grid, cells[0])
+        hi = mesh.cell_multi(grid, cells[-1])
+        shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
+        lines[shape] = lines.get(shape) or _BoxLines(grid, shape)
+        vidx = mesh.velocity_dofs_interior_to(grid, cells)[lines[shape].order]
+        boxes.append(BlockSolver(b, vidx, cells, lines[shape]))
+    return boxes
 
 
 class _BoxSystem:
@@ -557,13 +534,11 @@ def block_solvers(operators: MixedOperators) -> list:
     order of its factor.
     """
     grid, coeff = operators.grid, operators.coefficient
-    solvers, factors = [], {}
-    for box in _boxes(grid, 0):
+    solvers, factors = _boxes(grid, 0), {}
+    for box in solvers:
         coeff_box = coeff[box.pressure_idx]
         key = (box.lines.shape, coeff_box.tobytes())
-        factor = factors.get(key)
-        if factor is None:
-            factor = factors[key] = _BoxFactor(grid, box.lines, coeff_box)
-        solvers.append(BlockSolver(box.block, box.velocity_idx,
-                                   box.pressure_idx, factor))
+        if key not in factors:
+            factors[key] = _BoxFactor(grid, box.lines, coeff_box)
+        box.factor = factors[key]
     return solvers

@@ -144,7 +144,7 @@ class PreprocessResult:
     block_correction_norms: np.ndarray | None = None
 
 
-def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
+def preprocess(operators: MixedOperators, coarse: CoarseOperator,
                source: np.ndarray) -> PreprocessResult:
     """Velocity matching the source divergence exactly, cell by cell.
 
@@ -156,7 +156,7 @@ def preprocess(grid, operators: MixedOperators, coarse: CoarseOperator,
     therefore means the coarse solve itself went wrong and is treated as
     fatal.
     """
-    source = check_source(grid, source)
+    source = check_source(operators.grid, source)
     rhs_p = coarse.basis.P_p.T @ source
     y_v, y_p = coarse.solve(None, rhs_p)
     v_coarse = coarse.basis.P_v @ y_v
@@ -211,13 +211,13 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     source = check_source(grid, source)
     if preconditioner is None:
         preconditioner = build_preconditioner(grid, operators, basis, settings)
-    pre = preprocess(grid, operators, preconditioner.coarse, source)
+    pre = preprocess(operators, preconditioner.coarse, source)
 
     A = operators.A
     rhs = -(A @ pre.velocity)
     # when the preprocessed field already solves the momentum equation,
     # the rhs is a pure discrete gradient and its natural norm is all
-    # roundoff; stop CG at the roundoff level of the preprocessed energy
+    # roundoff; CG then returns the zero correction without iterating
     energy = max(float(-(pre.velocity @ rhs)), 0.0)
     floor = 4.0 * np.sqrt(np.finfo(float).eps * energy)
     try:

@@ -140,13 +140,14 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
     preconditioned inner product raises PcgBreakdownError, since either
     contradicts the SPD assumption.
 
-    `abs_floor` is an absolute stopping level for the natural norm.
+    `abs_floor` is an absolute level for the initial natural norm.
     When the preconditioner projects onto a subspace, a right-hand side
     with no component there produces a natural norm made of pure
     roundoff; iterating on it amplifies noise instead of converging.
     Callers that know the roundoff level of their data pass it here and
     such systems stop immediately with the zero solution, whatever the
     sign of the roundoff in the first preconditioned inner product.
+    Once CG iterates, it stops only on `rel_tol`.
     """
     t0 = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
@@ -168,7 +169,6 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
         )
     norm0 = np.sqrt(rho)
     history.append(1.0)
-    floor_rel = abs_floor / norm0
     p = z.copy()
     converged = False
     for it in range(1, max_iter + 1):
@@ -196,7 +196,7 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
         alphas.append(alpha)
         sqrt_rho = np.sqrt(max(rho_next, 0.0))
         history.append(sqrt_rho / norm0)
-        if history[-1] <= max(rel_tol, floor_rel):
+        if history[-1] <= rel_tol:
             converged = True
             rho = rho_next
             break

@@ -361,13 +361,13 @@ def transport_step(grid, fluid: FluidModel, state: TransportState,
                        f"with dt/{2 ** 4}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IMPESConfig:
     """Knobs for a sequential pressure/transport run.
 
-    `check` raises ValueError for values no run can use.  It runs when
-    the config is made and again when `impes_run` starts, so a field
-    set after construction is checked before anything is assembled.
+    Values no run can use raise ValueError here, and the config is
+    frozen so that they stay checked; `dataclasses.replace` makes a
+    checked variant.
     """
 
     grid: object
@@ -385,9 +385,6 @@ class IMPESConfig:
     rebuild_basis: bool = False
 
     def __post_init__(self):
-        self.check()
-
-    def check(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"time step dt must be positive and finite, "
                              f"got {self.dt!r}")
@@ -420,7 +417,6 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
     rate-weighted fractional flow over the producer cells, recorded
     after every transport step.
     """
-    config.check()
     grid = config.grid
     wells = config.wells or five_spot_wells(grid)
     state = TransportState.initial(grid, porosity=config.porosity)

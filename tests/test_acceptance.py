@@ -43,7 +43,7 @@ def test_criterion_1_velocity_matches_dense_saddle_solve(rng):
             field = mixed_fem.PermeabilityField(
                 random_log_field(rng, grid.n_cells, orders=6.0))
             ops = mixed_fem.assemble_operators(grid, field)
-            basis = coarse_space.build_gmsfem_space(grid, field, ops)
+            basis = coarse_space.build_gmsfem_space(ops)
             F = _balanced_source(rng, grid.n_cells)
             result = pc.solve(grid, ops, basis, F,
                               settings=pc.SolverSettings(rel_tol=1e-10))
@@ -67,7 +67,7 @@ def test_criterion_2_preprocessing_balances_every_source(rng):
             coarse_op = coarse_space.coarse_operator(basis, ops)
             for _ in range(50):
                 F = _balanced_source(rng, grid.n_cells)
-                pre = pc.preprocess(grid, ops, coarse_op, F)
+                pre = pc.preprocess(ops, coarse_op, F)
                 assert np.abs(ops.B @ pre.velocity - F).max() <= 1e-10
 
 
@@ -81,7 +81,7 @@ def test_criterion_3_vcycle_divergence_free_and_spd(rng):
     values[cells[8, :]] = 1e6
     field = mixed_fem.PermeabilityField(values)
     ops = mixed_fem.assemble_operators(grid, field)
-    basis = coarse_space.build_gmsfem_space(grid, field, ops)
+    basis = coarse_space.build_gmsfem_space(ops)
     precond = pc.build_preconditioner(grid, ops, basis)
 
     for _ in range(10):
@@ -140,10 +140,10 @@ def test_criterion_6_spectral_selection(rng):
         random_log_field(rng, grid.n_cells, orders=4.0))
     ops = mixed_fem.assemble_operators(grid, field)
     for face in mesh.coarse_faces(grid)[:6]:
-        family = coarse_space.snapshot_face(grid, ops, face)
-        a = coarse_space.face_bilinear_a(grid, field, face)
-        s = coarse_space.face_bilinear_s(grid, ops, family)
-        w, X = coarse_space.face_eigenpairs(grid, field, ops, family)
+        family = coarse_space.snapshot_face(ops, face)
+        a = coarse_space.face_bilinear_a(ops, face)
+        s = coarse_space.face_bilinear_s(ops, family)
+        w, X = coarse_space.face_eigenpairs(ops, family)
         # residuals, S-orthonormality, ascending (so 1/lambda decays)
         scale = np.abs(a).max() + np.abs(w).max() * np.abs(s).max()
         assert np.abs(a @ X - s @ X @ np.diag(w)).max() <= 1e-10 * scale
@@ -167,9 +167,8 @@ def test_criterion_6_spectral_selection(rng):
     uops = mixed_fem.assemble_operators(uni, ufield)
     face = mesh.coarse_faces(uni)[0]
     w, _ = coarse_space.face_eigenpairs(
-        uni, ufield, uops, coarse_space.snapshot_face(uni, uops, face))
-    basis = coarse_space.build_gmsfem_space(uni, ufield, uops,
-                                            tol=0.5 * (w[0] + w[1]))
+        uops, coarse_space.snapshot_face(uops, face))
+    basis = coarse_space.build_gmsfem_space(uops, tol=0.5 * (w[0] + w[1]))
     assert basis.dim == len(mesh.coarse_faces(uni)) + uni.n_blocks
 
 

@@ -23,7 +23,7 @@ def _setup(fine, coarse, values=None, rng=None, orders=6.0):
 def test_snapshot_family_structure(rng):
     grid, field, ops = _setup((8, 8), (2, 2), rng=rng, orders=4.0)
     face = mesh.coarse_faces(grid)[0]
-    family = coarse_space.snapshot_face(grid, ops, face)
+    family = coarse_space.snapshot_face(ops, face)
     J = face.n_fine
     assert family.n_snapshots == J
     # trailing rows carry the prescribed unit traces
@@ -72,7 +72,7 @@ def _dense_snapshots(grid, ops, face):
 def test_snapshots_match_dense_block_solves(rng, fine, coarse):
     grid, field, ops = _setup(fine, coarse, rng=rng)
     for face in mesh.coarse_faces(grid):
-        got = coarse_space.snapshot_face(grid, ops, face).dense(grid.n_velocity)
+        got = coarse_space.snapshot_face(ops, face).dense(grid.n_velocity)
         want = _dense_snapshots(grid, ops, face)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -82,10 +82,10 @@ def test_bilinear_s_matches_dense_form(rng, fine, coarse):
     grid, field, ops = _setup(fine, coarse, rng=rng)
     A, B = ops.A.toarray(), ops.B.toarray()
     for face in mesh.coarse_faces(grid):
-        family = coarse_space.snapshot_face(grid, ops, face)
+        family = coarse_space.snapshot_face(ops, face)
         V = family.dense(grid.n_velocity)
         want = V.T @ A @ V + (B @ V).T @ (B @ V) / grid.cell_volume
-        got = coarse_space.face_bilinear_s(grid, ops, family)
+        got = coarse_space.face_bilinear_s(ops, family)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -93,9 +93,9 @@ def test_stacked_pencils_meet_spectral_bounds(rng):
     # the pencils of criterion 6's grid, solved as one stack
     grid, field, ops = _setup((16, 16), (4, 4), rng=rng, orders=4.0)
     faces = mesh.coarse_faces(grid)
-    families = [coarse_space.snapshot_face(grid, ops, f) for f in faces]
-    a = np.array([coarse_space.face_bilinear_a(grid, field, f) for f in faces])
-    s = np.array([coarse_space.face_bilinear_s(grid, ops, fam)
+    families = [coarse_space.snapshot_face(ops, f) for f in faces]
+    a = np.array([coarse_space.face_bilinear_a(ops, f) for f in faces])
+    s = np.array([coarse_space.face_bilinear_s(ops, fam)
                   for fam in families])
     w, X = generalized_symmetric_eig(a, s)
     assert w.shape == (len(faces), faces[0].n_fine) and X.shape == a.shape
@@ -104,7 +104,7 @@ def test_stacked_pencils_meet_spectral_bounds(rng):
         assert np.abs(a_f @ X_f - s_f @ X_f * w_f).max() <= 1e-10 * scale
         assert np.abs(X_f.T @ s_f @ X_f - np.eye(len(w_f))).max() <= 1e-10
         assert w_f.min() > 0.0 and np.all(np.diff(w_f) >= -1e-12 * w_f[-1])
-        one, _ = coarse_space.face_eigenpairs(grid, field, ops, fam)
+        one, _ = coarse_space.face_eigenpairs(ops, fam)
         assert np.abs(one - w_f).max() <= 1e-12 * w_f[-1]
 
 
@@ -132,7 +132,7 @@ def test_batched_build_call_counts(monkeypatch, rng, fine, coarse):
     monkeypatch.setattr(mixed_fem.BlockBatch, "solve_core", counted_core)
     monkeypatch.setattr(mixed_fem.BlockSolver, "solve", counted_solve)
     monkeypatch.setattr(mixed_fem, "block_solvers", counted_solvers)
-    coarse_space.build_gmsfem_space(grid, field, ops)
+    coarse_space.build_gmsfem_space(ops)
     assert calls == {"solve_core": 2 * grid.dim, "solve": 0, "overlap0": 1}
     coarse_space.build_msfem_space(ops)
     assert calls == {"solve_core": 4 * grid.dim, "solve": 0, "overlap0": 1}
@@ -199,7 +199,7 @@ def test_msfem_is_all_ones_combination_of_snapshots(rng, fine, coarse):
     grid, field, ops = _setup(fine, coarse, rng=rng)
     P_v = coarse_space.build_msfem_space(ops).P_v.toarray()
     for face in mesh.coarse_faces(grid):
-        family = coarse_space.snapshot_face(grid, ops, face)
+        family = coarse_space.snapshot_face(ops, face)
         expected = family.dense(grid.n_velocity).sum(axis=1)
         error = np.abs(P_v[:, face.index] - expected).max()
         assert error <= 1e-12 * np.abs(expected).max()
@@ -208,10 +208,10 @@ def test_msfem_is_all_ones_combination_of_snapshots(rng, fine, coarse):
 def test_eigenpairs_residual_and_orthonormality(rng):
     grid, field, ops = _setup((12, 12), (3, 3), rng=rng)
     for face in mesh.coarse_faces(grid)[:4]:
-        family = coarse_space.snapshot_face(grid, ops, face)
-        a = coarse_space.face_bilinear_a(grid, field, face)
-        s = coarse_space.face_bilinear_s(grid, ops, family)
-        w, X = coarse_space.face_eigenpairs(grid, field, ops, family)
+        family = coarse_space.snapshot_face(ops, face)
+        a = coarse_space.face_bilinear_a(ops, face)
+        s = coarse_space.face_bilinear_s(ops, family)
+        w, X = coarse_space.face_eigenpairs(ops, family)
         assert np.all(np.diff(w) >= -1e-12 * max(1.0, abs(w[-1])))
         scale = np.abs(a).max() + np.abs(w).max() * np.abs(s).max()
         assert np.abs(a @ X - s @ X @ np.diag(w)).max() < 1e-10 * scale
@@ -236,10 +236,10 @@ def test_uniform_field_minimal_space():
     # the rest; a tolerance in the gap keeps exactly the net-flux mode
     grid, field, ops = _setup((12, 12), (3, 3))
     face = mesh.coarse_faces(grid)[0]
-    family = coarse_space.snapshot_face(grid, ops, face)
-    w, _ = coarse_space.face_eigenpairs(grid, field, ops, family)
+    family = coarse_space.snapshot_face(ops, face)
+    w, _ = coarse_space.face_eigenpairs(ops, family)
     tol = 0.5 * (w[0] + w[1])
-    basis = coarse_space.build_gmsfem_space(grid, field, ops, tol=tol)
+    basis = coarse_space.build_gmsfem_space(ops, tol=tol)
     n_faces = len(mesh.coarse_faces(grid))
     assert basis.dim == n_faces + grid.n_blocks
     assert np.all(basis.face_mode_counts == 1)
@@ -249,30 +249,16 @@ def test_uniform_field_minimal_space():
 
 
 def test_gmsfem_reads_the_coefficient_of_its_operators():
-    # the field is only a recipe for operators: with operators given, a
-    # different field changes nothing (uniform here: dim 101, not 55)
+    # the field is only a recipe for operators: with operators given,
+    # build_space ignores a different field (uniform here: dim 101, not 55)
     grid, field, ops = _setup((16, 16), (4, 4),
                               rng=np.random.default_rng(0), orders=6.0)
-    want = coarse_space.build_gmsfem_space(grid, field, ops)
-    got = coarse_space.build_gmsfem_space(grid, mixed_fem.uniform_field(grid),
-                                          ops)
+    want = coarse_space.build_gmsfem_space(ops)
+    got = coarse_space.build_space("gmsfem", grid,
+                                   mixed_fem.uniform_field(grid), ops)
     assert want.dim == 55
     assert np.array_equal(got.face_mode_counts, want.face_mode_counts)
     assert (got.P_v != want.P_v).nnz == 0
-
-
-def test_face_eigenpairs_rejects_a_field_of_other_operators():
-    # log-uniform over 1e-3..1e3: the uniform field's trace form beside
-    # these operators' S-form would keep 4 modes on face 0 instead of 1
-    grid, field, ops = _setup((16, 16), (4, 4),
-                              rng=np.random.default_rng(0), orders=6.0)
-    face = mesh.coarse_faces(grid)[0]
-    family = coarse_space.snapshot_face(grid, ops, face)
-    w, _ = coarse_space.face_eigenpairs(grid, field, ops, family)
-    assert coarse_space.select_modes(w, None, 10.0).count == 1
-    with pytest.raises(ValueError, match="coefficient of the operators"):
-        coarse_space.face_eigenpairs(grid, mixed_fem.uniform_field(grid),
-                                     ops, family)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -5.0, 0.0])
@@ -284,7 +270,7 @@ def test_gmsfem_rejects_bad_tolerance_before_any_solve(monkeypatch, tol):
 
     monkeypatch.setattr(mixed_fem.BlockBatch, "solve_core", no_solve)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        coarse_space.build_gmsfem_space(grid, field, ops, tol=tol)
+        coarse_space.build_gmsfem_space(ops, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         coarse_space.build_space("gmsfem", grid, field, tol=tol)
 
@@ -295,7 +281,7 @@ def test_default_tolerance_keeps_one_mode_per_face():
     grid = mesh.build_grid((20, 20), (2, 2), domain_lengths=(0.2, 0.2))
     field = mixed_fem.uniform_field(grid)
     ops = mixed_fem.assemble_operators(grid, field)
-    basis = coarse_space.build_gmsfem_space(grid, field, ops)
+    basis = coarse_space.build_gmsfem_space(ops)
     assert np.all(basis.face_mode_counts == 1)
     w = basis.selections[0].eigenvalues
     assert w[0] == pytest.approx(0.0498, abs=0.02)
@@ -310,7 +296,7 @@ def test_channels_enrich_the_space():
     values[cells[:, 11]] = 1e6
     field = mixed_fem.PermeabilityField(values)
     ops = mixed_fem.assemble_operators(grid, field)
-    enriched = coarse_space.build_gmsfem_space(grid, field, ops)
+    enriched = coarse_space.build_gmsfem_space(ops)
     floor = coarse_space.build_msfem_space(ops)
     assert enriched.dim > floor.dim
     assert enriched.face_mode_counts.max() >= 2
@@ -319,7 +305,7 @@ def test_channels_enrich_the_space():
 
 def test_coarse_operator_is_galerkin_projection(rng):
     grid, field, ops = _setup((12, 12), (3, 3), rng=rng)
-    basis = coarse_space.build_gmsfem_space(grid, field, ops)
+    basis = coarse_space.build_gmsfem_space(ops)
     coarse = coarse_space.coarse_operator(basis, ops)
     A_H = (basis.P_v.T @ ops.A @ basis.P_v).toarray()
     B_H = (basis.P_p.T @ ops.B @ basis.P_v).toarray()
@@ -350,7 +336,7 @@ def test_coarse_factor_fill_ignores_roundoff(monkeypatch):
     states = two_phase.impes_run(config).states
     start = two_phase.mobility_field(kappa, config.fluid, states[0].s)
     basis = coarse_space.build_gmsfem_space(
-        grid, start, mixed_fem.assemble_operators(grid, start))
+        mixed_fem.assemble_operators(grid, start))
     field = two_phase.mobility_field(kappa, config.fluid, states[-1].s)
 
     factors = []

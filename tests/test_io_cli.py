@@ -117,12 +117,12 @@ def test_raster_errors_name_the_file(tmp_path):
 
 def test_raster_rejects_nonpositive_and_nan(tmp_path):
     path = tmp_path / "bad.txt"
-    write_raster(path, [1.0, 2.0, -3.0, 4.0])
-    with pytest.raises(ValueError, match="non-positive value -3.0 at cell 2"):
-        read_raster(path, (2, 2))
-    write_raster(path, [1.0, 2.0, 3.0, np.nan])
-    with pytest.raises(ValueError, match="non-positive value"):
-        read_raster(path, (2, 2))
+    for values, cell in (([1.0, 2.0, -3.0, 4.0], "cell 2 has value -3.0"),
+                         ([1.0, 2.0, 3.0, np.nan], "cell 3 has value nan"),
+                         ([1.0, 2.0, np.inf, 4.0], "cell 2 has value inf")):
+        write_raster(path, values)
+        with pytest.raises(ValueError, match=f"bad.txt: .*{cell}"):
+            read_raster(path, (2, 2))
 
 
 # ---------------------------------------------------------------------------

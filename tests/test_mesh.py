@@ -13,6 +13,14 @@ def test_build_grid_validates():
         mesh.build_grid((10, 10), (2,))
     with pytest.raises(ValueError):
         mesh.build_grid((10, 10), (2, 2), domain_lengths=(1.0, -1.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mesh.build_grid((4, 4), (2, 2), domain_lengths=(bad, 1.0))
+    for fine, coarse in (((4.7, 4), (2, 2)), ((4, 4), (2, 2.5)),
+                         ((float("inf"), 4), (2, 2))):
+        with pytest.raises(ValueError, match="whole numbers"):
+            mesh.build_grid(fine, coarse)
+    assert mesh.build_grid((4.0, np.int64(4)), (2, 2)).fine == (4, 4)
     g = mesh.build_grid((10, 20), (2, 4))
     assert g.block_size == (5, 5)
     assert g.h == (0.1, 0.05)

@@ -30,7 +30,7 @@ def test_velocity_mass_matches_oracle(fine, coarse, rng):
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
     A = mixed_fem.assemble_velocity_mass(grid, field).toarray()
     # [DERIVED] independent dense assembly from cell_face_ids
-    expected = oracle_velocity_mass(grid, field.coefficient())
+    expected = oracle_velocity_mass(grid, field.values)
     assert np.allclose(A, expected, rtol=1e-13, atol=0)
     assert np.allclose(A, A.T, atol=0)
     assert np.linalg.eigvalsh(expected).min() > 0
@@ -54,7 +54,7 @@ def test_field_validation():
     with pytest.raises(ValueError, match="cell 1 has value inf"):
         mixed_fem.PermeabilityField(np.array([1.0, np.inf]))
     field = mixed_fem.PermeabilityField(np.full(4, 2.0))
-    assert np.array_equal(field.coefficient(), np.full(4, 2.0))
+    assert np.array_equal(field.values, np.full(4, 2.0))
 
 
 def test_bordered_solve_is_a_neumann_solution(rng):
@@ -272,8 +272,8 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
             assert unique < grid.n_blocks
         if case == "singleton-axis":
             # one-cell-wide boxes: every line runs along axis 1
-            assert solvers[0].factor.lines.shape[0] == 1
-            assert np.all(solvers[0].factor.lines.lens
+            assert solvers[0].lines.shape[0] == 1
+            assert np.all(solvers[0].lines.lens
                           == grid.block_size[1] - 1)
         batch = mixed_fem.BlockBatch(solvers, grid.n_velocity)
         # one stacked Schur factor per box shape

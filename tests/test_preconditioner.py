@@ -6,6 +6,7 @@ import pytest
 
 import msflow.preconditioner as pc
 from msflow import coarse_space, mesh, mixed_fem
+from msflow.bench_cli import bench_field, corner_source
 from msflow.sparse_linalg import PcgBreakdownError
 from msflow.two_phase import WellConfig
 
@@ -20,9 +21,9 @@ def _channel_setup(fine=(16, 16), coarse=(4, 4), contrast=1e6):
     cells = np.arange(grid.n_cells).reshape(fine, order="F")
     values[cells[:, fine[1] // 3]] = contrast
     values[cells[fine[0] // 2, :]] = contrast
-    field = mixedfield = mixed_fem.PermeabilityField(values)
-    ops = mixed_fem.assemble_operators(grid, mixedfield)
-    basis = coarse_space.build_gmsfem_space(grid, field, ops)
+    field = mixed_fem.PermeabilityField(values)
+    ops = mixed_fem.assemble_operators(grid, field)
+    basis = coarse_space.build_gmsfem_space(ops)
     return grid, ops, basis
 
 
@@ -74,7 +75,7 @@ def test_preconditioner_symmetric_and_positive_3d(rng):
     grid = mesh.build_grid((8, 8, 8), (2, 2, 2))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
     ops = mixed_fem.assemble_operators(grid, field)
-    basis = coarse_space.build_gmsfem_space(grid, field, ops)
+    basis = coarse_space.build_gmsfem_space(ops)
     precond = pc.build_preconditioner(grid, ops, basis)
     proj = DivFreeProjector(ops.B)
     for _ in range(20):
@@ -145,7 +146,7 @@ def test_preprocess_matches_source_divergence(kind, rng):
         for _ in range(10):
             F = rng.standard_normal(grid.n_cells)
             F -= F.mean()
-            pre = pc.preprocess(grid, ops, coarse_op, F)
+            pre = pc.preprocess(ops, coarse_op, F)
             assert np.abs(ops.B @ pre.velocity - F).max() <= 1e-10
             assert pre.divergence_error <= 1e-10
             assert pre.coarse_residual <= 1e-8
@@ -169,7 +170,7 @@ def test_preprocess_rejects_unbalanced_coarse_space():
     F = np.zeros(grid.n_cells)
     F[0], F[-1] = 1.0, -1.0
     with pytest.raises(RuntimeError, match="imbalance"):
-        pc.preprocess(grid, ops, coarse_op, F)
+        pc.preprocess(ops, coarse_op, F)
 
 
 @pytest.mark.parametrize("cell,value,size,message", [
@@ -185,7 +186,7 @@ def test_bad_sources_rejected_before_any_solve(cell, value, size, message):
     source = np.zeros(size)
     source[cell] = value
     with pytest.raises(ValueError, match=message):
-        pc.preprocess(grid, ops, coarse_op, source)
+        pc.preprocess(ops, coarse_op, source)
     with pytest.raises(ValueError, match=message):
         pc.solve(grid, ops, basis, source)
 
@@ -236,7 +237,7 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
 
     F = rng.standard_normal(grid.n_cells)
     F -= F.mean()
-    pre = pc.preprocess(grid, ops, precond.coarse, F)
+    pre = pc.preprocess(ops, precond.coarse, F)
     residual = F - ops.B @ pre.coarse_velocity
     Av = ops.A @ pre.coarse_velocity
     want = pre.coarse_velocity.copy()
@@ -286,7 +287,7 @@ def test_batched_solves_divergence_free_at_high_contrast(fine, coarse):
     # 1e-6..8e5 reaches 1.5e-14 here, in the per-block loop as well
     F = rng.standard_normal(grid.n_cells)
     F -= F.mean()
-    pre = pc.preprocess(grid, ops, precond.coarse, F)
+    pre = pc.preprocess(ops, precond.coarse, F)
     residual = F - ops.B @ pre.coarse_velocity
     local = ops.batch().solve(-(ops.A @ pre.coarse_velocity), residual)
     assert_box_divergence(ops, ops.batch(), local, residual, 1e-13)
@@ -317,7 +318,7 @@ def test_operators_build_block_factors_once_per_overlap(monkeypatch, rng):
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
     ops = mixed_fem.assemble_operators(grid, field)
     built = count_box_builds(monkeypatch)
-    basis = coarse_space.build_gmsfem_space(grid, field, ops)
+    basis = coarse_space.build_gmsfem_space(ops)
     F = rng.standard_normal(grid.n_cells)
     F -= F.mean()
     first = pc.solve(grid, ops, basis, F)
@@ -337,7 +338,7 @@ def test_solve_matches_dense_oracle(rng):
     F = WellConfig([(0, 1.0), (grid.n_cells - 1, -1.0)]).source_vector(
         grid.n_cells)
     ops = mixed_fem.assemble_operators(grid, field)
-    basis = coarse_space.build_gmsfem_space(grid, field, ops)
+    basis = coarse_space.build_gmsfem_space(ops)
     settings = pc.SolverSettings(rel_tol=1e-10)
     result = pc.solve(grid, ops, basis, F, settings=settings,
                       with_pressure=True)
@@ -357,7 +358,7 @@ def test_solve_variant_settings(rng):
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells, 4.0))
     F = WellConfig([(3, 1.0), (100, -1.0)]).source_vector(grid.n_cells)
     ops = mixed_fem.assemble_operators(grid, field)
-    basis = coarse_space.build_gmsfem_space(grid, field, ops)
+    basis = coarse_space.build_gmsfem_space(ops)
     tight = pc.solve(grid, ops, basis, F,
                      settings=pc.SolverSettings(rel_tol=1e-11)).velocity
     for settings in (pc.SolverSettings(overlap=1),
@@ -366,6 +367,27 @@ def test_solve_variant_settings(rng):
         assert result.report.converged
         scale = np.abs(tight).max()
         assert np.abs(result.velocity - tight).max() < 1e-4 * scale
+
+
+def test_cg_reaches_the_requested_tolerance():
+    # the rt0-2d input: CG iterates down to rel_tol, past the roundoff
+    # level 4 sqrt(eps * energy) (about 1e-7 here)
+    grid = mesh.build_grid((40, 40), (4, 4))
+    ops = mixed_fem.assemble_operators(grid, bench_field((40, 40), -6.0))
+    result = pc.solve(grid, ops, coarse_space.build_rt0_space(grid),
+                      corner_source(grid), pc.SolverSettings(rel_tol=1e-9))
+    assert result.report.converged and result.report.residuals[-1] <= 1e-9
+
+    # one coarse block: preprocessing gives the exact velocity, so the
+    # right-hand side of CG is roundoff and CG returns without iterating
+    grid = mesh.build_grid((8, 8), (1, 1))
+    ops = mixed_fem.assemble_operators(grid, bench_field((8, 8), -6.0))
+    source = corner_source(grid)
+    result = pc.solve(grid, ops, coarse_space.build_rt0_space(grid), source)
+    assert result.report.converged and result.report.iterations == 0
+    v_ref, _, _ = dense_saddle_solve(ops.A, ops.B,
+                                     np.zeros(grid.n_velocity), source)
+    assert np.abs(result.velocity - v_ref).max() <= 1e-10 * np.abs(v_ref).max()
 
 
 def test_degenerate_settings_rejected():
