@@ -107,29 +107,27 @@ class CoarseBasis:
 class _FaceGroup:
     """Coarse faces of one axis and the box data of their blocks.
 
-    The overlap-0 boxes of `operators.batch()` are the blocks: one
-    shape, disjoint, so a box is the lower (side 0) block of at most one
-    face of an axis and the upper (side 1) block of at most one.  Per
-    side: `boxes` of the faces, local `cells` next to each fine face,
-    their mass weights `w` (cell volume / coefficient), and `coupled`,
-    the local velocity beyond that cell on its grid line (None for
-    blocks one cell thick along the axis).
+    The overlap-0 boxes of `operators.batch()` are the blocks, box i
+    block i: one shape, disjoint, so a box is the lower (side 0) block
+    of at most one face of an axis and the upper (side 1) block of at
+    most one.  Per side: `boxes` of the faces, local `cells` next to
+    each fine face, their mass weights `w` (cell volume / coefficient),
+    and `coupled`, the local velocity beyond that cell on its grid line
+    (None for blocks one cell thick along the axis).
     """
 
     def __init__(self, operators, faces):
         self.grid = grid = operators.grid
         self.axis, self.nf = faces[0].axis, len(faces)
         self.batch = batch = operators.batch()
-        self.n_box = len(batch.blocks)
+        self.n_box = grid.n_blocks
         self.nv = len(batch.velocity_idx) // self.n_box
         self.nc = len(batch.pressure_idx) // self.n_box
-        box = np.empty(grid.n_blocks, dtype=int)
-        box[batch.blocks] = np.arange(self.n_box)
         cell_row = np.empty(grid.n_cells, dtype=int)
         cell_row[batch.pressure_idx] = np.arange(len(batch.pressure_idx))
         self.fine = np.array([face.fine_faces for face in faces])
         adjacent = mesh.face_adjacent_cells(grid, self.fine)
-        self.boxes = [box[[face.blocks[side] for face in faces]]
+        self.boxes = [np.array([face.blocks[side] for face in faces])
                       for side in (0, 1)]
         self.cells = [cell_row[c] for c in adjacent]
         self.w = [grid.cell_volume / operators.coefficient[c] for c in adjacent]

@@ -282,6 +282,7 @@ class BlockSolver:
     """One coarse block grown by an overlap: its cells, its interior
     velocities in the line order of `lines`, the box shape's lines and,
     for the exact solves of overlap 0, the `_BoxFactor` of its saddle.
+    Box systems keep their boxes in block order, so box i is block i.
 
     `solve` is the exact bordered saddle solve through a one-box
     `BlockBatch`, built on the first solve.  Right-hand sides and
@@ -289,7 +290,6 @@ class BlockSolver:
     pressure; border], velocities in the order of `velocity_idx`.
     """
 
-    block: int
     velocity_idx: np.ndarray
     pressure_idx: np.ndarray
     lines: _BoxLines
@@ -316,9 +316,9 @@ class BlockSolver:
 
 
 def _boxes(grid, overlap: int) -> list:
-    """The `BlockSolver` of every coarse block, without a factor,
-    oversampled by `overlap` fine layers and clipped at the domain
-    boundary; boxes of one shape share their `_BoxLines`."""
+    """The `BlockSolver` of every coarse block in block order, without a
+    factor, oversampled by `overlap` fine layers and clipped at the
+    domain boundary; boxes of one shape share their `_BoxLines`."""
     boxes, lines = [], {}
     for b in range(grid.n_blocks):
         cells = mesh.oversample(grid, b, overlap)
@@ -327,7 +327,7 @@ def _boxes(grid, overlap: int) -> list:
         shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
         lines[shape] = lines.get(shape) or _BoxLines(grid, shape)
         vidx = mesh.velocity_dofs_interior_to(grid, cells)[lines[shape].order]
-        boxes.append(BlockSolver(b, vidx, cells, lines[shape]))
+        boxes.append(BlockSolver(vidx, cells, lines[shape]))
     return boxes
 
 
@@ -337,25 +337,19 @@ class _BoxSystem:
     Every box solves  M v + G p = a,  D v + mu 1 = b,  1^T p = tau  on
     its interior velocities and cells, where M is the box's velocity
     mass, D its divergence and G = D^T.  The local unknowns of all boxes
-    are concatenated, boxes grouped by shape (`blocks[i]` is box i's
-    block), so every grid line is a contiguous run of velocities and D
-    is CSC with two entries per column, built by index arithmetic.
+    are concatenated in the order of `boxes`, which is block order, so
+    box i is block i, every grid line is a contiguous run of velocities
+    and D is CSC with two entries per column, built by index arithmetic.
     `velocity_idx` and `pressure_idx` give the global dof of every local
     unknown, `velocity_box` and `cell_box` its box, `counts` each box's
-    cells, `lens` every line's length and `velocity_cells` the two local
-    cells of every velocity.  Subclasses supply M and M^-1 (`_mass`,
-    `_mass_inv`) and the solve of the box Schur complements.
+    cells and `velocity_cells` the two local cells of every velocity.
+    Subclasses supply M and M^-1 (`_mass`, `_mass_inv`) and the solve of
+    the box Schur complements.
     """
 
     def __init__(self, boxes, n_velocity: int):
-        by_shape = {}
-        for box in boxes:
-            by_shape.setdefault(box.lines.shape, []).append(box)
-        self.groups = list(by_shape.values())
-        boxes = [box for group in self.groups for box in group]
         lines = [box.lines for box in boxes]
         self.n_velocity = n_velocity
-        self.blocks = np.array([box.block for box in boxes])
         self.velocity_idx = np.concatenate([box.velocity_idx for box in boxes])
         self.pressure_idx = np.concatenate([box.pressure_idx for box in boxes])
         nv = np.array([box.n_velocity for box in lines])
@@ -363,7 +357,6 @@ class _BoxSystem:
         self.starts = np.cumsum(self.counts) - self.counts
         self.velocity_box = np.repeat(np.arange(len(boxes)), nv)
         self.cell_box = np.repeat(np.arange(len(boxes)), self.counts)
-        self.lens = np.concatenate([box.lens for box in lines]).astype(np.int32)
         n_loc, n_cells = len(self.velocity_idx), len(self.pressure_idx)
 
         cells = np.concatenate([box.cells for box in lines])
@@ -409,7 +402,7 @@ class _BoxSystem:
         b = (np.zeros((len(self.pressure_idx), k)) if pressure_rhs is None
              else pressure_rhs[self.pressure_idx].reshape(-1, k))
         v, _, _ = self.solve_core(a.reshape(-1, k), b,
-                                  np.zeros((len(self.blocks), k)))
+                                  np.zeros((len(self.counts), k)))
         return v.reshape(a.shape)
 
     def scatter(self, local) -> np.ndarray:
@@ -420,24 +413,25 @@ class _BoxSystem:
 
 
 class BlockBatch(_BoxSystem):
-    """The exact box saddles of a set of `BlockSolver`s.
+    """The exact box saddles of a set of `BlockSolver`s of one shape.
 
     M is the exact velocity mass: its line matrices `T` and their
-    inverses `T_inv` are CSR on one pattern, a dense block per line.
-    The Cholesky inverses of S + c 1 1^T stay dense, stacked per shape
-    as (nboxes, n, n) in `schur`, and the factors keep views of the
-    batch's arrays.  A solve is a dozen sparse products plus two
-    `matmul`s per shape.
+    inverses `T_inv` are CSR on one pattern, a dense block per line of
+    length `lens`.  The Cholesky inverses of S + c 1 1^T stay dense,
+    stacked as `L_inv` of shape (nboxes, n, n), and the factors keep
+    views of the batch's arrays.  A solve is a dozen sparse products
+    plus two `matmul`s.
     """
 
     def __init__(self, solvers, n_velocity: int):
         super().__init__(solvers, n_velocity)
-        factors = [bs.factor for group in self.groups for bs in group]
+        factors = [bs.factor for bs in solvers]
         n_loc = len(self.velocity_idx)
 
         # dense line blocks, stored row by row: a row of line i holds
         # columns first .. first + m[i] - 1 (int32, as scipy keeps them)
-        m = self.lens
+        self.lens = m = np.concatenate(
+            [bs.lines.lens for bs in solvers]).astype(np.int32)
         row_len = np.repeat(m, m)
         indptr = np.cumsum(np.concatenate([[0], row_len]), dtype=np.int32)
         first = np.repeat(np.cumsum(m, dtype=np.int32) - m, m)
@@ -448,13 +442,7 @@ class BlockBatch(_BoxSystem):
         self.T_inv = sparse.csr_matrix(
             (_held_once(factors, "T_inv"), self.T.indices, self.T.indptr),
             shape=(n_loc, n_loc))
-
-        # (local cell rows, stacked L^-1) per shape
-        self.schur, first = [], 0
-        for group in self.groups:
-            L = _held_once([bs.factor for bs in group], "L_inv")
-            self.schur.append((slice(first, first + L[:, 0].size), L))
-            first += L[:, 0].size
+        self.L_inv = _held_once(factors, "L_inv")
 
     def _mass(self, v):
         return self.T @ v
@@ -465,12 +453,9 @@ class BlockBatch(_BoxSystem):
     def _schur_solve(self, g):
         """(S + c 1 1^T)^-1 g on every box, as L^-T (L^-1 g); for g of
         zero box sums this is the zero-mean solution of S p = g."""
-        p = np.empty_like(g)
-        for rows, L in self.schur:
-            x = g[rows].reshape(L.shape[0], L.shape[1], -1)
-            np.matmul(L.transpose(0, 2, 1), L @ x,
-                      out=p[rows].reshape(x.shape))
-        return p
+        L = self.L_inv
+        x = g.reshape(L.shape[0], L.shape[1], -1)
+        return np.matmul(L.transpose(0, 2, 1), L @ x).reshape(g.shape)
 
 
 class LumpedBatch(_BoxSystem):
@@ -528,16 +513,16 @@ def block_solvers(operators: MixedOperators) -> list:
     """Exact factorized saddle solvers for every coarse block of
     `operators.grid`.
 
-    Blocks whose shape and coefficients coincide share one
-    factorization, which collapses the setup cost on fields with a
-    uniform background.  Each solver keeps its velocity dofs in the line
-    order of its factor.
+    Every block has the grid's `block_size`, so blocks whose
+    coefficients coincide share one factorization, which collapses the
+    setup cost on fields with a uniform background.  Solver i is block
+    i; it keeps its velocity dofs in the line order of its factor.
     """
     grid, coeff = operators.grid, operators.coefficient
     solvers, factors = _boxes(grid, 0), {}
     for box in solvers:
         coeff_box = coeff[box.pressure_idx]
-        key = (box.lines.shape, coeff_box.tobytes())
+        key = coeff_box.tobytes()
         if key not in factors:
             factors[key] = _BoxFactor(grid, box.lines, coeff_box)
         box.factor = factors[key]

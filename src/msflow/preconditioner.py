@@ -170,15 +170,13 @@ def preprocess(operators: MixedOperators, coarse: CoarseOperator,
     imbalance = np.abs(batch.box_sums(residual[batch.pressure_idx]))
     over = imbalance > 1e-10 * scale * batch.counts
     if over.any():
-        block, imbalance = min(zip(batch.blocks[over], imbalance[over]))
+        block = int(np.argmax(over))
         raise RuntimeError(
-            f"block {block} source imbalance {imbalance:.3e} after the "
-            f"coarse solve; the coarse pressure space is inconsistent")
+            f"block {block} source imbalance {imbalance[block]:.3e} after "
+            f"the coarse solve; the coarse pressure space is inconsistent")
     corrections = batch.solve(-Av, residual)
-    norms = np.zeros(len(batch.blocks))
-    norms[batch.blocks] = np.sqrt(np.bincount(
-        batch.velocity_box, weights=corrections ** 2,
-        minlength=len(batch.blocks)))
+    norms = np.sqrt(np.bincount(batch.velocity_box, weights=corrections ** 2,
+                                minlength=len(batch.counts)))
     v = v_coarse + batch.scatter(corrections)
 
     err = float(np.max(np.abs(operators.B @ v - source)))

@@ -17,7 +17,6 @@ estimate the condition number of the preconditioned operator.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +101,6 @@ class PcgReport:
     converged: bool
     residuals: list = field(default_factory=list)
     condition_estimate: float = 1.0
-    wall_time: float = 0.0
     lanczos: tuple = ()
 
 
@@ -149,7 +147,6 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
     sign of the roundoff in the first preconditioned inner product.
     Once CG iterates, it stops only on `rel_tol`.
     """
-    t0 = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -160,8 +157,7 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
     rho = float(r @ z)
     if abs(rho) <= abs_floor ** 2:
         report = PcgReport(iterations=0, converged=True,
-                           residuals=[1.0 if rho else 0.0],
-                           wall_time=time.perf_counter() - t0)
+                           residuals=[1.0 if rho else 0.0])
         return x, report
     if rho < 0:
         raise PcgBreakdownError(
@@ -216,7 +212,6 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
         converged=converged,
         residuals=history,
         condition_estimate=condition_estimate(alphas, betas[: len(alphas) - 1]),
-        wall_time=time.perf_counter() - t0,
         lanczos=(tuple(alphas), tuple(betas)),
     )
     return x, report
@@ -228,9 +223,11 @@ def generalized_symmetric_eig(a, s):
 
     `a` must be symmetric positive semidefinite and `s` symmetric
     positive definite; eigenvalues come back ascending with
-    s-orthonormal eigenvectors.  The reduction is LAPACK's sygv, done on
-    the whole stack at once: s = L L^T by Cholesky, the standard problem
-    L^-1 a L^-T y = lambda y, and x = L^-T y.
+    s-orthonormal eigenvectors.  Mismatched shapes raise ValueError; an
+    `s` that is not numerically positive definite is a numerical
+    failure and raises SingularMatrixError.  The reduction is LAPACK's
+    sygv, done on the whole stack at once: s = L L^T by Cholesky, the
+    standard problem L^-1 a L^-T y = lambda y, and x = L^-T y.
     """
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -239,7 +236,7 @@ def generalized_symmetric_eig(a, s):
     try:
         L = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as err:
-        raise ValueError(
+        raise SingularMatrixError(
             "metric matrix is not positive definite; cannot reduce the "
             "generalized problem"
         ) from err

@@ -38,16 +38,15 @@ from .preconditioner import SolverSettings, build_preconditioner, solve
 
 @dataclass
 class FluidModel:
-    """Two-phase fluid with power-law relative permeabilities.
+    """Two-phase fluid with quadratic (Corey) relative permeabilities,
+    k_rw = s^2 and k_ro = (1 - s)^2.
 
-    Defaults are quadratic curves with water viscosity 1 and oil
-    viscosity 5.  Rates are volumetric throughout (unit water density).
+    Defaults are water viscosity 1 and oil viscosity 5.  Rates are
+    volumetric throughout (unit water density).
     """
 
     mu_w: float = 1.0
     mu_o: float = 5.0
-    exp_w: float = 2.0
-    exp_o: float = 2.0
 
     def __post_init__(self):
         for name in ("mu_w", "mu_o"):
@@ -55,18 +54,6 @@ class FluidModel:
             if not (np.isfinite(mu) and mu > 0):
                 raise ValueError(f"viscosities must be positive and "
                                  f"finite, got {name}={mu!r}")
-
-    def k_rw(self, s):
-        return np.power(s, self.exp_w)
-
-    def k_ro(self, s):
-        return np.power(1.0 - s, self.exp_o)
-
-    def k_rw_prime(self, s):
-        return self.exp_w * np.power(s, self.exp_w - 1.0)
-
-    def k_ro_prime(self, s):
-        return -self.exp_o * np.power(1.0 - s, self.exp_o - 1.0)
 
 
 @dataclass
@@ -167,7 +154,7 @@ def total_mobility(fluid: FluidModel, s: np.ndarray) -> np.ndarray:
         warnings.warn(f"{out_of_range} saturation values outside [0,1] "
                       f"clamped for mobility evaluation", RuntimeWarning)
     s = np.clip(s, 0.0, 1.0)
-    return fluid.k_rw(s) / fluid.mu_w + fluid.k_ro(s) / fluid.mu_o
+    return s * s / fluid.mu_w + (1.0 - s) * (1.0 - s) / fluid.mu_o
 
 
 def fractional_flow(fluid: FluidModel, s):
@@ -177,10 +164,10 @@ def fractional_flow(fluid: FluidModel, s):
     quotient rule so the transport Jacobian is exact.
     """
     s = np.asarray(s, dtype=float)
-    a = fluid.k_rw(s) / fluid.mu_w
-    b = fluid.k_ro(s) / fluid.mu_o
-    da = fluid.k_rw_prime(s) / fluid.mu_w
-    db = fluid.k_ro_prime(s) / fluid.mu_o
+    a = s * s / fluid.mu_w
+    b = (1.0 - s) * (1.0 - s) / fluid.mu_o
+    da = 2 * s / fluid.mu_w
+    db = -2 * (1.0 - s) / fluid.mu_o
     lam = a + b
     fw = a / lam
     dfw = (da * b - a * db) / (lam * lam)

@@ -134,6 +134,13 @@ def random_log_field(rng, n, orders: float = 6.0):
     return 10.0 ** rng.uniform(-orders / 2, orders / 2, size=n)
 
 
+def band_values(grid, exponent):
+    """x-bands of 1e+e, 1 and 1e-e, split at x < 11 and x < 22."""
+    x = mesh.cell_multi(grid, np.arange(grid.n_cells))[:, 0]
+    return np.select([x < 11, x < 22], [10.0 ** exponent, 1.0],
+                     10.0 ** -exponent)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from msflow import coarse_space, mesh, mixed_fem
-from msflow.sparse_linalg import generalized_symmetric_eig
+from msflow.sparse_linalg import SingularMatrixError, generalized_symmetric_eig
 
-from conftest import dense_saddle_solve, random_log_field
+from conftest import band_values, dense_saddle_solve, random_log_field
 
 
 def _setup(fine, coarse, values=None, rng=None, orders=6.0):
@@ -273,6 +273,17 @@ def test_gmsfem_rejects_bad_tolerance_before_any_solve(monkeypatch, tol):
         coarse_space.build_gmsfem_space(ops, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         coarse_space.build_space("gmsfem", grid, field, tol=tol)
+
+
+def test_gmsfem_metric_failure_is_numerical():
+    # 28 orders across 32x32/4x4: a face metric loses positive
+    # definiteness in roundoff, which is a numerical failure of the
+    # input, not a usage error
+    grid = mesh.build_grid((32, 32), (4, 4))
+    field = mixed_fem.PermeabilityField(band_values(grid, 14))
+    ops = mixed_fem.assemble_operators(grid, field)
+    with pytest.raises(SingularMatrixError, match="not positive definite"):
+        coarse_space.build_space("gmsfem", grid, field, ops)
 
 
 def test_default_tolerance_keeps_one_mode_per_face():

@@ -33,6 +33,8 @@ from msflow.bench_cli import (
 )
 from msflow.preconditioner import SolverSettings, TwoGridPreconditioner
 
+from conftest import band_values
+
 
 # ---------------------------------------------------------------------------
 # rasters
@@ -467,6 +469,20 @@ def test_cli_reports_numerical_failure(tmp_path, capsys, monkeypatch):
     assert main(["robustness", "--grid", "8x8", "--coarse", "2x2",
                  "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == "numerical failure: synthetic blow-up\n"
+
+
+def test_cli_basis_failure_exits_three(tmp_path, capsys):
+    # x-bands of 1e14, 1 and 1e-14: a gmsfem face metric is not
+    # positive definite in floating point, a numerical failure (exit 3)
+    # and not a configuration error (exit 2)
+    path = tmp_path / "band.txt"
+    write_raster(path, band_values(mesh.build_grid((32, 32), (4, 4)), 14))
+    assert main(["comparison", "--grid", "32x32", "--coarse", "4x4",
+                 "--field", str(path), "--space", "gmsfem",
+                 "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: space gmsfem: metric matrix is not positive "
+        "definite")
 
 
 def test_cli_stalled_solve_exits_three(tmp_path, capsys, monkeypatch):

@@ -127,13 +127,14 @@ def test_block_solver_matches_dense(fine, coarse, overlap, rng):
     ops = mixed_fem.assemble_operators(grid, field)
     if overlap:
         batch = ops.smoother(overlap)
-        assert sorted(batch.blocks) == list(range(grid.n_blocks))
+        assert len(batch.counts) == grid.n_blocks
         r = rng.standard_normal((grid.n_velocity, 2))
         q = rng.standard_normal((grid.n_cells, 2))
         local = batch.solve(r, q)
-        for box, block in enumerate(batch.blocks):
+        # box i is block i
+        for box in range(grid.n_blocks):
             vidx = batch.velocity_idx[batch.velocity_box == box]
-            cells = mesh.oversample(grid, block, overlap)
+            cells = mesh.oversample(grid, box, overlap)
             assert np.array_equal(batch.pressure_idx[batch.cell_box == box],
                                   cells)
             rhs = np.vstack([r[vidx], q[cells], np.zeros((1, 2))])
@@ -276,16 +277,21 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
             assert np.all(solvers[0].lines.lens
                           == grid.block_size[1] - 1)
         batch = mixed_fem.BlockBatch(solvers, grid.n_velocity)
-        # one stacked Schur factor per box shape
-        assert len(batch.schur) <= 3 ** grid.dim
+        # one stack of Schur factors, box i's at entry i; the factors
+        # keep views of it
+        n = int(np.prod(grid.block_size))
+        assert batch.L_inv.shape == (grid.n_blocks, n, n)
+        for box, bs in enumerate(solvers):
+            assert np.shares_memory(bs.factor.L_inv, batch.L_inv)
+            assert np.array_equal(bs.factor.L_inv[0], batch.L_inv[box])
 
-        def loop_solve(box, block, r, q):
-            bs = solvers[block]
+        def loop_solve(box, r, q):
+            bs = solvers[box]
             return bs.solve(block_loop_rhs(bs, r, q))[:bs.n_velocity]
     else:
         batch = ops.smoother(overlap)
 
-        def loop_solve(box, block, r, q):
+        def loop_solve(box, r, q):
             vidx = batch.velocity_idx[batch.velocity_box == box]
             cells = batch.pressure_idx[batch.cell_box == box]
             rhs = np.zeros(len(vidx) + len(cells) + 1)
@@ -294,11 +300,11 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
                 rhs[len(vidx):-1] = q[cells]
             return lumped_box_solve(ops, vidx, cells, rhs)[:len(vidx)]
 
-    assert sorted(batch.blocks) == list(range(grid.n_blocks))
-    for box, block in enumerate(batch.blocks):
-        # the interior dofs of the box, in line order
+    assert len(batch.counts) == grid.n_blocks
+    for box in range(grid.n_blocks):
+        # box i is block i; its interior dofs, in line order
         cells = batch.pressure_idx[batch.cell_box == box]
-        assert np.array_equal(cells, mesh.oversample(grid, block, overlap))
+        assert np.array_equal(cells, mesh.oversample(grid, box, overlap))
         assert np.array_equal(
             np.sort(batch.velocity_idx[batch.velocity_box == box]),
             mesh.velocity_dofs_interior_to(grid, cells))
@@ -307,8 +313,8 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
     for pressure_rhs in (None, q):
         local = batch.solve(r, pressure_rhs)
         want = np.zeros(grid.n_velocity)
-        for box, block in enumerate(batch.blocks):
-            ref = loop_solve(box, block, r, pressure_rhs)
+        for box in range(grid.n_blocks):
+            ref = loop_solve(box, r, pressure_rhs)
             vidx = batch.velocity_idx[batch.velocity_box == box]
             want[vidx] += ref
             assert_relative_close(local[batch.velocity_box == box], ref)

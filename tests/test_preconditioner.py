@@ -10,7 +10,8 @@ from msflow.bench_cli import bench_field, corner_source
 from msflow.sparse_linalg import PcgBreakdownError
 from msflow.two_phase import WellConfig
 
-from conftest import DivFreeProjector, dense_saddle_solve, random_log_field
+from conftest import (DivFreeProjector, band_values, dense_saddle_solve,
+                      random_log_field)
 from test_mixed_fem import (BATCH_CASES, assert_relative_close, batch_case,
                             trapezoidal_mass)
 
@@ -88,6 +89,30 @@ def test_preconditioner_symmetric_and_positive_3d(rng):
         assert np.abs(ops.B @ Mx).max() <= 1e-10 * max(1.0, np.abs(Mx).max())
 
 
+def test_vcycle_symmetric_3d_high_contrast(rng):
+    # criterion 3's setting in 3D: crossing 1e6 slabs (the x = 4 and the
+    # y = 3 cell layers).  The entries of a 3D gmsfem coarse correction
+    # scale with the contrast, so criterion 3's bound on |x||y| cannot
+    # hold; the gap is measured against the products it compares
+    grid = mesh.build_grid((8, 8, 8), (2, 2, 2))
+    ijk = mesh.cell_multi(grid, np.arange(grid.n_cells))
+    field = mixed_fem.PermeabilityField(
+        np.where((ijk[:, 0] == 4) | (ijk[:, 1] == 3), 1e6, 1.0))
+    ops = mixed_fem.assemble_operators(grid, field)
+    basis = coarse_space.build_gmsfem_space(ops)
+    precond = pc.build_preconditioner(grid, ops, basis)
+    proj = DivFreeProjector(ops.B)
+    for _ in range(10):
+        x = proj.random(rng, grid.n_velocity)
+        y = proj.random(rng, grid.n_velocity)
+        for stage in (precond.coarse_correct, precond.apply):
+            Cx, Cy = stage(x), stage(y)
+            scale = max(np.linalg.norm(Cx) * np.linalg.norm(y),
+                        np.linalg.norm(Cy) * np.linalg.norm(x))
+            assert abs(x @ Cy - y @ Cx) <= 1e-10 * scale
+        assert x @ precond.apply(x) > 0
+
+
 @pytest.mark.parametrize("kind", ["rt0", "gmsfem"])
 def test_solve_across_sixteen_orders_between_boxes(kind):
     # bands of 1e-8, 1 and 1e8: the first and last smoother boxes are
@@ -118,9 +143,7 @@ def test_band_fields_solve_or_raise(kind, exponent):
     # that misses it.  At 1e+-8 both spaces must solve; rt0 needs the
     # coarse saddle's pivot check to be local to each row for that
     grid = mesh.build_grid((32, 32), (4, 4))
-    x = mesh.cell_multi(grid, np.arange(grid.n_cells))[:, 0]
-    field = mixed_fem.PermeabilityField(np.select(
-        [x < 11, x < 22], [10.0 ** exponent, 1.0], 10.0 ** -exponent))
+    field = mixed_fem.PermeabilityField(band_values(grid, exponent))
     ops = mixed_fem.assemble_operators(grid, field)
     F = WellConfig([(0, 1.0), (grid.n_cells - 1, -1.0)]).source_vector(
         grid.n_cells)
@@ -242,12 +265,12 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
     Av = ops.A @ pre.coarse_velocity
     want = pre.coarse_velocity.copy()
     norms = np.zeros(grid.n_blocks)
-    for bs in mixed_fem.block_solvers(ops):
+    for block, bs in enumerate(mixed_fem.block_solvers(ops)):
         rhs = np.concatenate([-Av[bs.velocity_idx],
                               residual[bs.pressure_idx], [0.0]])
         correction = bs.solve(rhs)[:bs.n_velocity]
         want[bs.velocity_idx] += correction
-        norms[bs.block] = np.linalg.norm(correction)
+        norms[block] = np.linalg.norm(correction)
     assert_relative_close(pre.velocity, want)
     assert_relative_close(pre.block_correction_norms, norms)
     assert pre.divergence_error <= 1e-10
@@ -255,7 +278,7 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
 
 def assert_box_divergence(ops, batch, local, b, rtol):
     """B_loc v = b on every box, against the box's flux scale."""
-    for box, block in enumerate(batch.blocks):
+    for box in range(len(batch.counts)):
         v = local[batch.velocity_box == box]
         cells = batch.pressure_idx[batch.cell_box == box]
         B_loc = ops.B[cells][:, batch.velocity_idx[batch.velocity_box == box]]

@@ -219,10 +219,11 @@ def test_generalized_eig_stack_and_indefinite_metric(rng):
         one_vals, one_vecs = generalized_symmetric_eig(A[k], S[k])
         assert np.abs(vals[k] - one_vals).max() <= 1e-13 * one_vals[-1]
         assert np.abs(vecs[k] - one_vecs).max() <= 1e-12 * np.abs(one_vecs).max()
-    # one indefinite metric fails the whole stack, as it fails alone
+    # one indefinite metric fails the whole stack, as it fails alone: a
+    # numerical failure, where a shape mismatch is a usage error
     S[1] = -S[1]
     for a, s in ((A, S), (A[1], S[1])):
-        with pytest.raises(ValueError, match="not positive definite"):
+        with pytest.raises(SingularMatrixError, match="not positive definite"):
             generalized_symmetric_eig(a, s)
     with pytest.raises(ValueError, match="shape mismatch"):
         generalized_symmetric_eig(A, S[0])
