@@ -222,7 +222,7 @@ class ExperimentConfig:
     steps: int = 200
     dt: float = 1e-3
     pressure_interval: int = 50
-    checkpoints: tuple = (50, 100, 200)
+    checkpoints: tuple | None = None  # None: those of 50, 100, 200 reached
     mu_w: float = 1.0
     mu_o: float = 5.0
     porosity: float = 0.2
@@ -402,6 +402,8 @@ def run_two_phase(config: ExperimentConfig) -> dict:
     grid = mesh.build_grid(config.grid, config.coarse)
     # uniform rock unless the config pins a single contrast exponent
     contrast = config.contrasts[0] if len(config.contrasts) == 1 else 0.0
+    checkpoints = (tuple(c for c in (50, 100, 200) if c <= config.steps)
+                   if config.checkpoints is None else config.checkpoints)
     impes = IMPESConfig(grid=grid, kappa=config.field_at(contrast),
                         fluid=FluidModel(mu_w=config.mu_w, mu_o=config.mu_o),
                         wells=five_spot_wells(grid, config.rate),
@@ -410,7 +412,7 @@ def run_two_phase(config: ExperimentConfig) -> dict:
                         space=config.spaces[0], tol=config.tol,
                         porosity=config.porosity,
                         settings=config.settings(),
-                        checkpoint_steps=tuple(config.checkpoints))
+                        checkpoint_steps=checkpoints)
     result = impes_run(impes)
 
     os.makedirs(config.out, exist_ok=True)

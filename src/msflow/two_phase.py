@@ -17,9 +17,9 @@ cells that feed it (Kwok & Tchelepi, JCP 227, 2007; Natvig & Lie, JCP
 and producer rates that maps the fractional flows of the cells to their
 net water outflow.  The Newton residual and Jacobian both come from
 `K`, and the Jacobian has its fixed pattern.  For an acyclic flow that
-pattern is lower triangular and factors without fill; a circulating
-flow keeps each cycle together as one block and gets fill inside it
-only.
+pattern is lower triangular, and a Newton step is one forward
+substitution with no factorization; a circulating flow keeps each cycle
+together as one block and is factored, with fill inside it only.
 """
 
 import numbers
@@ -29,11 +29,19 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
+try:  # the compiled triangular solve under spsolve_triangular
+    from scipy.sparse.linalg._dsolve._superlu import gstrs
+except ImportError as exc:
+    raise ImportError("msflow needs scipy >= 1.12 for _superlu.gstrs") from exc
 
 from . import mesh
 from .mixed_fem import PermeabilityField, assemble_operators
 from .coarse_space import build_space
 from .preconditioner import SolverSettings, build_preconditioner, solve
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -79,8 +87,7 @@ class WellConfig:
     def source_vector(self, n_cells: int) -> np.ndarray:
         f = np.zeros(n_cells)
         for k, (cell, rate) in enumerate(self.wells):
-            if (not isinstance(cell, numbers.Integral) or
-                    isinstance(cell, bool) or not 0 <= cell < n_cells):
+            if not _is_integer(cell) or not 0 <= cell < n_cells:
                 raise ValueError(f"well {k} (rate {rate:g}): cell {cell!r} "
                                  f"is not a cell id in [0, {n_cells})")
             f[cell] += rate
@@ -218,7 +225,9 @@ class UpwindFlow:
     enters; the producers put `-q_minus` on the diagonal, which is
     stored for every cell.  `columns` is the column of every stored
     entry, `diagonal` the data position of every diagonal and `q_plus`
-    the injection rate of every cell.
+    the injection rate of every cell.  `K` indexes by C ints, which the
+    triangular kernel takes; it is lower triangular when the upwind
+    graph has no cycle (`acyclic`).
     """
 
     K: sparse.csc_matrix
@@ -227,6 +236,7 @@ class UpwindFlow:
     q_plus: np.ndarray
     order: np.ndarray
     rank: np.ndarray
+    acyclic: bool
 
     @classmethod
     def build(cls, grid, v: np.ndarray, wells: WellConfig) -> "UpwindFlow":
@@ -243,7 +253,7 @@ class UpwindFlow:
         upwind = np.where(rate > 0.0, lo, hi)
         graph = sparse.csr_matrix(
             (np.ones(len(faces)), (upwind, lo + hi - upwind)), shape=(n, n))
-        _, labels = connected_components(graph, connection="strong")
+        n_groups, labels = connected_components(graph, connection="strong")
         # scipy numbers the strong components of a graph sinks first, so
         # descending labels put every group after the groups feeding it
         order = np.argsort(-labels, kind="stable")
@@ -256,10 +266,13 @@ class UpwindFlow:
             (np.concatenate([rate, -rate, -q_minus]),
              (rank[np.concatenate([lo, hi, cells])],
               rank[np.concatenate([upwind, upwind, cells])])), shape=(n, n))
+        K.indices, K.indptr = (K.indices.astype(np.intc),
+                               K.indptr.astype(np.intc))
         columns = np.repeat(cells, np.diff(K.indptr))
         return cls(K=K, columns=columns,
                    diagonal=np.flatnonzero(K.indices == columns),
-                   q_plus=q_plus[order], order=order, rank=rank)
+                   q_plus=q_plus[order], order=order, rank=rank,
+                   acyclic=n_groups == n)
 
 
 class _NewtonFailure(Exception):
@@ -272,6 +285,24 @@ _NEWTON_STALL = 4
 _NEWTON_MAX_ITER = 25
 
 
+def _solve_jacobian(flow: UpwindFlow, jacobian, b):
+    """jacobian^-1 b for a Jacobian on the pattern of `flow.K`, whose
+    diagonal is at least pv > 0.  An acyclic flow's is lower triangular:
+    scaled by column to unit diagonal, one forward substitution solves
+    it, with no factorization.  A flow with cycles is factored, with
+    fill inside the cycles only."""
+    if flow.acyclic:
+        d = jacobian.data[flow.diagonal]
+        n = len(d)
+        x, _ = gstrs("N", n, jacobian.nnz, jacobian.data / d[flow.columns],
+                     jacobian.indices, jacobian.indptr, n, 0, np.empty(0),
+                     np.empty(0, np.intc), np.zeros(n + 1, np.intc), b)
+        return x / d
+    # SuperLU's default panel workspace would be faulted in on every call
+    return splu(jacobian, permc_spec="NATURAL", panel_size=1,
+                relax=1).solve(b)
+
+
 def _newton_transport(grid, fluid: FluidModel, s0, porosity, dt,
                       flow: UpwindFlow):
     """One implicit upwind step for the velocity and wells in `flow`.
@@ -282,8 +313,8 @@ def _newton_transport(grid, fluid: FluidModel, s0, porosity, dt,
     below its lowest value so far.  It runs in upwind order, with the
     Jacobian diag(pv) + dt K diag(f_w').  Every column of it sums to
     pv - dt f_w' q_minus >= pv and has its only positive entry on the
-    diagonal, so partial pivoting keeps the diagonal pivots, and an
-    acyclic flow factors without fill.
+    diagonal, so partial pivoting keeps the diagonal pivots; an acyclic
+    flow's step is one forward substitution (`_solve_jacobian`).
     """
     pv = (porosity * grid.cell_volume)[flow.order]
     s0 = s0[flow.order]
@@ -306,10 +337,7 @@ def _newton_transport(grid, fluid: FluidModel, s0, porosity, dt,
                 raise _NewtonFailure(f"residual stalled at {best:.3e}")
         np.multiply(dt_flux, dfw[flow.columns], out=jacobian.data)
         jacobian.data[flow.diagonal] += pv
-        # a fill-free factor needs no supernode panels; SuperLU's default
-        # panel workspace would be allocated and faulted in on every call
-        lu = splu(jacobian, permc_spec="NATURAL", panel_size=1, relax=1)
-        s = s - lu.solve(residual)
+        s = s - _solve_jacobian(flow, jacobian, residual)
     raise _NewtonFailure(f"no convergence in {_NEWTON_MAX_ITER} iterations")
 
 
@@ -375,12 +403,15 @@ class IMPESConfig:
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"time step dt must be positive and finite, "
                              f"got {self.dt!r}")
-        if self.n_steps < 1:
-            raise ValueError(f"need at least one transport step, got "
-                             f"n_steps={self.n_steps}")
-        if self.pressure_interval < 1:
-            raise ValueError(f"pressure interval must be at least 1 step, "
-                             f"got {self.pressure_interval}")
+        for what, count in (("n_steps", self.n_steps),
+                            ("pressure interval", self.pressure_interval)):
+            if not _is_integer(count) or count < 1:
+                raise ValueError(f"{what} must be a whole number of steps, "
+                                 f"at least 1, got {count!r}")
+        for step in self.checkpoint_steps:
+            if not _is_integer(step) or not 1 <= step <= self.n_steps:
+                raise ValueError(f"checkpoint {step!r} is not a step in "
+                                 f"[1, {self.n_steps}]")
         if not (np.isfinite(self.porosity) and 0 < self.porosity <= 1):
             raise ValueError(f"porosity must lie in (0, 1], got "
                              f"{self.porosity!r}")

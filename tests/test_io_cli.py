@@ -442,7 +442,8 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
     two_phase = ["twophase", "--grid", "8x8", "--coarse", "2x2",
                  "--space", "rt0", "--steps", "4", "--out", str(tmp_path)]
     for bad in (["--pressure-interval", "0"], ["--dt", "-1"],
-                ["--dt", "nan"], ["--steps", "0"]):
+                ["--dt", "nan"], ["--steps", "0"], ["--checkpoints=0"],
+                ["--checkpoints=300"], ["--checkpoints=2,-1"]):
         assert main(two_phase + bad) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -512,6 +513,15 @@ def test_two_phase_runs_the_configured_rate(tmp_path, monkeypatch):
     bench_cli.run_two_phase(config)
     [wells] = received
     assert sum(rate for _, rate in wells.wells if rate > 0) == 4.0
+
+
+def test_two_phase_default_checkpoints_are_the_steps_it_reaches(tmp_path):
+    config = build_config({}, {
+        "grid": (8, 8), "coarse": (2, 2), "spaces": ("rt0",), "steps": 50,
+        "pressure_interval": 25, "out": str(tmp_path)})
+    paths = bench_cli.run_two_phase(config)
+    assert sorted(k for k in paths if k.startswith("saturation")) == \
+        ["saturation_50"]
 
 
 def test_cli_two_phase_artifacts(tmp_path, capsys):

@@ -198,17 +198,32 @@ def dense_newton_transport(grid, fluid, s0, pv, v, dt, wells):
     raise AssertionError("dense Newton did not converge")
 
 
-def factored_jacobians(monkeypatch):
-    """(Jacobian, factor) of every splu call the transport Newton makes."""
-    seen = []
+def recorded_solves(monkeypatch):
+    """(Jacobian, right side, solution) of every Newton solve the
+    transport makes, and the matrices it hands to splu."""
+    solves, factored = [], []
+    solve_jacobian = tp._solve_jacobian
 
-    def recording(A, **options):
-        lu = splu(A, **options)
-        seen.append((A.copy(), lu))
-        return lu
+    def solving(flow, jacobian, b):
+        record = (jacobian.copy(), b.copy())
+        x = solve_jacobian(flow, jacobian, b)
+        solves.append(record + (x,))
+        return x
 
-    monkeypatch.setattr(tp, "splu", recording)
-    return seen
+    def factoring(A, **options):
+        factored.append(A.copy())
+        return splu(A, **options)
+
+    monkeypatch.setattr(tp, "_solve_jacobian", solving)
+    monkeypatch.setattr(tp, "splu", factoring)
+    return solves, factored
+
+
+def assert_solves_match_splu(solves):
+    assert solves
+    for jac, b, x in solves:
+        want = splu(jac, permc_spec="NATURAL").solve(b)
+        assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_transport_on_circulating_flow_matches_dense_newton(rng):
@@ -250,16 +265,54 @@ def test_five_spot_jacobian_is_triangular_without_fill(monkeypatch):
     n = grid.n_cells
     assert sorted(flow.order) == list(range(n))
     assert np.array_equal(flow.order[flow.rank], np.arange(n))
-    assert sparse.triu(flow.K, 1).nnz == 0
-    jacobians = factored_jacobians(monkeypatch)
+    assert flow.acyclic and sparse.triu(flow.K, 1).nnz == 0
+    assert flow.K.indices.dtype == flow.K.indptr.dtype == np.intc
+    solves, factored = recorded_solves(monkeypatch)
     tp._newton_transport(grid, tp.FluidModel(), np.full(n, 0.3),
                          np.full(n, 0.2), 1e-3, flow)
-    assert jacobians
-    for jac, lu in jacobians:
-        assert jac.nnz == flow.K.nnz
-        assert sparse.triu(jac, 1).nnz == 0
-        assert lu.L.nnz + lu.U.nnz - n == jac.nnz
-        assert np.array_equal(lu.perm_r, np.arange(n))
+    # every Newton step is a forward substitution: nothing is factored
+    assert not factored
+    assert all(jac.nnz == flow.K.nnz for jac, _, _ in solves)
+    assert_solves_match_splu(solves)
+
+
+@pytest.mark.parametrize("circulating", ["vortex", "four decades"])
+def test_flows_with_cycles_are_factored(circulating, monkeypatch, rng):
+    if circulating == "vortex":
+        grid = mesh.build_grid((4, 4), (2, 2))
+        v = vortex_velocity(grid, rng.uniform(0.5, 1.5, (3, 3)))
+        wells = tp.WellConfig([])
+    else:
+        grid, wells, v = five_spot_velocity(orders=4.0)
+    flow = tp.UpwindFlow.build(grid, v, wells)
+    assert not flow.acyclic
+    solves, factored = recorded_solves(monkeypatch)
+    tp._newton_transport(grid, tp.FluidModel(),
+                         rng.uniform(0.05, 0.95, grid.n_cells),
+                         np.full(grid.n_cells, 0.2), 1e-3, flow)
+    assert len(factored) == len(solves)
+    assert_solves_match_splu(solves)
+
+
+def test_triangular_kernel_contract(rng):
+    # what _solve_jacobian relies on in scipy's private gstrs: C-int
+    # indices, an empty U, a unit lower L, and b left as it was
+    n = 40
+    L = sparse.tril(sparse.random(n, n, density=0.1, random_state=4), -1)
+    A = sparse.csc_matrix(L + sparse.diags(rng.uniform(1.0, 3.0, n)))
+    A.sort_indices()
+    d = A.diagonal()
+    columns = np.repeat(np.arange(n), np.diff(A.indptr))
+    b = rng.standard_normal(n)
+    kept = b.copy()
+    x, info = tp.gstrs("N", n, A.nnz, A.data / d[columns],
+                       A.indices.astype(np.intc), A.indptr.astype(np.intc),
+                       n, 0, np.empty(0), np.empty(0, np.intc),
+                       np.zeros(n + 1, np.intc), b)
+    assert info == 0
+    assert np.array_equal(b, kept)
+    want = splu(A, permc_spec="NATURAL").solve(b)
+    assert np.abs(x / d - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_transport_on_acyclic_five_spot_matches_dense_newton(rng):
@@ -337,7 +390,7 @@ def test_newton_gives_up_on_a_cycling_step(monkeypatch):
         grid, tp.mobility_field(mixed_fem.uniform_field(grid), fluid, state.s))
     v, _ = tp.pressure_step(ops, build_rt0_space(grid), wells)
     flow = tp.UpwindFlow.build(grid, v, wells)
-    solves = factored_jacobians(monkeypatch)
+    solves, _ = recorded_solves(monkeypatch)
     with pytest.raises(tp._NewtonFailure, match="stalled"):
         tp._newton_transport(grid, fluid, state.s, state.porosity, 0.05, flow)
     assert tp._NEWTON_MAX_ITER > tp._NEWTON_STALL + 1
@@ -372,11 +425,24 @@ def test_pressure_step_reduces_to_single_phase(rng):
     {"n_steps": 0}, {"pressure_interval": 0}, {"pressure_interval": -5},
     {"porosity": 0.0}, {"porosity": -0.2}, {"porosity": 1.5},
     {"porosity": float("nan")}, {"porosity": float("inf")},
+    {"n_steps": 2.5}, {"n_steps": True}, {"pressure_interval": 1.5},
+    {"pressure_interval": True}, {"checkpoint_steps": (0,)},
+    {"checkpoint_steps": (101,)}, {"checkpoint_steps": (2, -1)},
+    {"checkpoint_steps": (2.0,)}, {"checkpoint_steps": (True,)},
 ])
 def test_impes_config_rejects_bad_stepping(bad):
     grid = mesh.build_grid((4, 4), (2, 2))
     with pytest.raises(ValueError):
         tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid), **bad)
+
+
+def test_impes_config_takes_numpy_integers():
+    grid = mesh.build_grid((4, 4), (2, 2))
+    config = tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid),
+                            n_steps=np.int64(4),
+                            pressure_interval=np.int32(2),
+                            checkpoint_steps=(np.int64(4), 1))
+    assert config.checkpoint_steps == (4, 1)
 
 
 @pytest.mark.parametrize("key,value,message", [
