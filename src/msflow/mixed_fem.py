@@ -81,8 +81,8 @@ class MixedOperators:
         self._smoothers = {}
 
     def batch(self) -> BlockBatch:
-        """`BlockBatch` of the `block_solvers` for overlap 0: the exact
-        local solves of preprocessing and the basis build."""
+        """`BlockBatch` of the `block_solvers` for overlap 0: the exact box
+        solves of preprocessing, the basis build and pressure recovery."""
         if self._batch is None:
             self._batch = BlockBatch(block_solvers(self),
                                      self.grid.n_velocity)

@@ -11,9 +11,9 @@ The smoother's local saddles are mass-lumped (`mixed_fem.LumpedBatch`),
 where the paper solves them exactly.  A lumped saddle still has a
 symmetric positive definite mass and the exact box divergence, so the
 properties below hold; only the smoother's spectral quality changes.
-Preprocessing keeps the exact solves on the non-overlapping blocks.
-Every sparse factor is positive definite: the coarse saddle is solved
-through its velocity block, the others are pinned cell Laplacians.
+Preprocessing and pressure recovery reuse the exact solves on the
+non-overlapping blocks.  The sparse factors, of the coarse velocity
+block and of the smoother's pinned cell Laplacian, are positive definite.
 
 Both preconditioner stages return divergence-free velocities and
 annihilate discrete gradients, so plain CG updates never leave the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixed_fem import LumpedBatch, MixedOperators
-from .sparse_linalg import PcgBreakdownError, factor, pcg, PcgReport
+from .sparse_linalg import PcgBreakdownError, pcg, PcgReport
 from .coarse_space import CoarseBasis, CoarseOperator, coarse_operator
 
 
@@ -203,7 +203,8 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     velocities, starting from the preprocessed field; the reported
     residual history is in the preconditioner norm, relative to the
     first residual.  A bad `source` raises ValueError before any factor
-    is built.
+    is built, and a velocity whose divergence strays from the source by
+    more than preprocessing allows raises RuntimeError.
     """
     settings = settings or SolverSettings()
     source = check_source(grid, source)
@@ -232,31 +233,35 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     v = pre.velocity + w
     result = SolveResult(v, report)
     result.divergence_error = float(np.max(np.abs(operators.B @ v - source)))
+    if result.divergence_error > 1e-10 * max(1.0, np.abs(source).max()):
+        raise RuntimeError(
+            f"CG left divergence error {result.divergence_error:.3e} after "
+            f"{report.iterations} iterations")
     if with_pressure:
-        result.pressure = recover_pressure(operators, v)
+        result.pressure = recover_pressure(operators, preconditioner.coarse, v)
     return result
 
 
-def recover_pressure(operators: MixedOperators, v: np.ndarray) -> np.ndarray:
-    """Zero-mean cell pressures from the momentum balance.
+def recover_pressure(operators: MixedOperators, coarse: CoarseOperator,
+                     v: np.ndarray) -> np.ndarray:
+    """Zero-mean cell pressures from the momentum balance  B^T p = -A v.
 
-    Solves the normal equations of  grad(p) = -A v.  B B^T is a standard
-    cell Laplacian, singular only along constants, so cell 0 is pinned
-    to zero, the rest is factored directly, and the mean is removed
-    afterwards.  The dropped equation holds once the others do: as
-    1^T B = 0, the equations sum to zero.  The pinned Laplacian is
-    positive definite, as `factor` requires.
+    The exact box saddles of the coarse blocks, with right-hand side
+    -A v, give p inside each block up to its mean; the `coarse` saddle
+    on the momentum residual left gives the block means.  Exact for a
+    converged v, otherwise a least-squares fit weighted by those solves.
     """
-    B = operators.B
+    B, basis, batch = operators.B, coarse.basis, operators.batch()
     Av = operators.A @ v
-    rhs = -(B @ Av)
     p = np.zeros(B.shape[0])
-    if len(p) > 1:
-        p[1:] = factor((B @ B.T)[1:, 1:]).solve(rhs[1:])
+    _, p_box, _ = batch.solve_core(-Av[batch.velocity_idx, None], 0, 0)
+    p[batch.pressure_idx] = p_box[:, 0]
+    _, p_H = coarse.solve(-(basis.P_v.T @ (Av + B.T @ p)), None)
+    p += basis.P_p @ p_H
     p -= p.mean()
-    momentum = np.linalg.norm(Av + B.T @ p)
-    if momentum > 1e-5 * max(np.linalg.norm(Av), 1e-300):
-        warnings.warn(
-            f"pressure recovery momentum residual {momentum:.3e}; the "
-            f"velocity is probably not converged", RuntimeWarning)
+    momentum = np.linalg.norm(Av + B.T @ p) / max(np.linalg.norm(Av), 1e-300)
+    if momentum > 1e-5:
+        warnings.warn(f"pressure recovery relative momentum residual "
+                      f"{momentum:.3e} exceeds 1e-5; the velocity is "
+                      f"probably not converged", RuntimeWarning)
     return p

@@ -2,7 +2,7 @@
 
 `factor` is the one sparse factorization, and every matrix it gets is
 symmetric positive definite: the coarse saddle's velocity block and the
-pinned cell Laplacians of pressure recovery and of the smoother boxes.
+pinned block-diagonal cell Laplacian of the smoother boxes.
 No saddle system is factored whole; callers reduce it through its Schur
 complement.  The exact per-block saddle solves are dense, in `mixed_fem`.
 

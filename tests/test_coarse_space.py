@@ -356,7 +356,7 @@ def test_coarse_factor_fill_ignores_roundoff(monkeypatch):
         factors.append(sparse_linalg.factor(matrix))
         return factors[-1]
 
-    for module in (coarse_space, mixed_fem, pc):
+    for module in (coarse_space, mixed_fem):
         monkeypatch.setattr(module, "factor", recording)
     rng = np.random.default_rng(7)
     fills = set()
@@ -369,8 +369,8 @@ def test_coarse_factor_fill_ignores_roundoff(monkeypatch):
     assert len(fills) == 1, fills
     source = two_phase.five_spot_wells(grid).source_vector(grid.n_cells)
     pc.solve(grid, ops, basis, source, with_pressure=True)
-    # ten coarse factors, then the coarse, smoother and recovery factors
-    assert len(factors) == 13
+    # ten coarse factors, then the coarse and smoother factors
+    assert len(factors) == 12
     for fact in factors:
         assert np.array_equal(fact.lu.perm_r, fact.lu.perm_c)
 

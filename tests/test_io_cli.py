@@ -486,6 +486,19 @@ def test_cli_basis_failure_exits_three(tmp_path, capsys):
         "definite")
 
 
+def test_cli_divergence_failure_exits_three(tmp_path, capsys):
+    # 1e+-8 log-uniform cells: CG reports convergence, but its velocity
+    # misses the source, so no CSV row may be written
+    path = tmp_path / "k.txt"
+    np.savetxt(path, 10.0 ** np.random.default_rng(0).uniform(-8, 8, 576))
+    assert main(["comparison", "--grid", "24x24", "--coarse", "4x4",
+                 "--field", str(path), "--space", "gmsfem",
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: space gmsfem: CG left divergence error")
+    assert not (tmp_path / "out" / "comparison.csv").exists()
+
+
 def test_cli_stalled_solve_exits_three(tmp_path, capsys, monkeypatch):
     stalled = SimpleNamespace(report=SimpleNamespace(
         converged=False, iterations=500, residuals=[1.0, 0.9],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import msflow.preconditioner as pc
-from msflow import coarse_space, mesh, mixed_fem
+from msflow import coarse_space, mesh, mixed_fem, sparse_linalg
 from msflow.bench_cli import bench_field, corner_source
 from msflow.sparse_linalg import PcgBreakdownError
 from msflow.two_phase import WellConfig
@@ -460,25 +460,68 @@ def test_single_cell_grid_solves():
     assert result.report.converged and result.pressure.tolist() == [0.0]
 
 
+def test_solve_rejects_a_velocity_off_the_divergence_constraint():
+    # 1e+-8 log-uniform cells: CG reports convergence at condition
+    # estimate 5e14, but its velocity misses the source by 0.4
+    grid = mesh.build_grid((24, 24), (4, 4))
+    values = 10.0 ** np.random.default_rng(0).uniform(-8, 8, grid.n_cells)
+    ops = mixed_fem.assemble_operators(grid,
+                                       mixed_fem.PermeabilityField(values))
+    basis = coarse_space.build_gmsfem_space(ops)
+    with pytest.raises(RuntimeError, match="CG left divergence error"):
+        pc.solve(grid, ops, basis, corner_source(grid))
+
+
 def test_recover_pressure_single_cell():
-    # the pinned Laplacian is empty: the one pressure is the zero mean
+    # no velocity dof: the one pressure is the zero mean
     grid = mesh.build_grid((1, 1), (1, 1))
     ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
-    assert pc.recover_pressure(ops, np.zeros(grid.n_velocity)).tolist() == [0.0]
+    coarse = coarse_space.coarse_operator(coarse_space.build_rt0_space(grid),
+                                          ops)
+    p = pc.recover_pressure(ops, coarse, np.zeros(grid.n_velocity))
+    assert p.tolist() == [0.0]
 
 
-def test_recover_pressure_warns_on_bad_velocity(rng):
+@pytest.mark.parametrize("kind", ["rt0", "msfem", "gmsfem"])
+@pytest.mark.parametrize("fine, blocks", [
+    ((10, 10), (2, 2)),
+    ((8, 8), (1, 1)),        # one block: no coarse velocity
+    ((12, 12), (12, 3)),     # blocks one cell thick
+    ((6, 6, 6), (2, 2, 2)),
+], ids=["2d", "one-block", "thin-blocks", "3d"])
+def test_recover_pressure_exact_on_exact_velocity(kind, fine, blocks):
+    # the box and coarse saddle solves reproduce the saddle pressure of
+    # an exact velocity on a 1e+-6 field
+    grid = mesh.build_grid(fine, blocks)
+    field = mixed_fem.PermeabilityField(
+        random_log_field(np.random.default_rng(3), grid.n_cells, 12.0))
+    ops = mixed_fem.assemble_operators(grid, field)
+    coarse = coarse_space.coarse_operator(
+        coarse_space.build_space(kind, grid, field, ops), ops)
+    v_ref, p_ref, _ = dense_saddle_solve(
+        ops.A.toarray(), ops.B.toarray(), np.zeros(grid.n_velocity),
+        corner_source(grid))
+    p = pc.recover_pressure(ops, coarse, v_ref)
+    assert abs(p.mean()) < 1e-12 * np.abs(p).max()
+    p_ref -= p_ref.mean()
+    assert np.abs(p - p_ref).max() <= 1e-9 * np.abs(p_ref).max()
+
+
+def test_recover_pressure_warns_on_bad_velocity(rng, monkeypatch):
     grid = mesh.build_grid((10, 10), (2, 2))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
     ops = mixed_fem.assemble_operators(grid, field)
-    F = np.zeros(grid.n_cells)
-    F[0], F[-1] = 1.0, -1.0
-    v_ref, p_ref, _ = dense_saddle_solve(
-        ops.A.toarray(), ops.B.toarray(), np.zeros(grid.n_velocity), F)
-    p = pc.recover_pressure(ops, v_ref)
-    assert abs(p.mean()) < 1e-12
-    p_ref -= p_ref.mean()
-    assert np.abs(p - p_ref).max() < 1e-9 * max(np.abs(p_ref).max(), 1.0)
+    coarse = coarse_space.coarse_operator(coarse_space.build_rt0_space(grid),
+                                          ops)
+    ops.batch()  # built by preprocessing before any recovery in `solve`
 
-    with pytest.warns(RuntimeWarning, match="momentum"):
-        pc.recover_pressure(ops, rng.standard_normal(grid.n_velocity))
+    def no_factor(*args, **kwargs):
+        raise AssertionError("pressure recovery built a factor")
+
+    # recovery solves with the factors the operators and coarse hold:
+    # no sparse LU and no box factor is built
+    monkeypatch.setattr(sparse_linalg, "splu", no_factor)
+    monkeypatch.setattr(mixed_fem, "_BoxFactor", no_factor)
+    with pytest.warns(RuntimeWarning,
+                      match="relative momentum residual .* exceeds 1e-5"):
+        pc.recover_pressure(ops, coarse, rng.standard_normal(grid.n_velocity))
