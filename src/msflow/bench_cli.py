@@ -36,11 +36,14 @@ def read_raster(path, dims, layout: str = "text", layers=None):
     `spe10` whitespace-separated text holding whole z-layers, where
     `layers=(start, stop)` cuts a contiguous layer range out of a file
     with more layers than the target grid (stop-start must equal the
-    target z-dimension).
+    target z-dimension); other layouts take no `layers`.
     """
     n = int(np.prod(dims))
     if layout not in ("text", "binary", "spe10"):
         raise ValueError(f"unknown raster layout {layout!r}")
+    if layers is not None and layout != "spe10":
+        raise ValueError(f"layers cut spe10 rasters only, not layout "
+                         f"{layout!r}")
     try:
         if layout == "binary":
             raw = np.fromfile(path, dtype="<f8")
@@ -235,6 +238,9 @@ class ExperimentConfig:
     def field_at(self, contrast) -> PermeabilityField:
         """The bench field at `contrast`, or the raster, which ignores it."""
         if self.field == "synth":
+            if self.layers is not None:
+                raise ValueError("layers cut spe10 rasters only, not the "
+                                 "synthetic field")
             return bench_field(self.grid, contrast, seed=self.seed)
         return read_raster(self.field, self.grid, self.layout, self.layers)
 

@@ -13,14 +13,15 @@ divergence free and column sums vanish (interior faces only).
 
 Box saddles are solved directly, all boxes of a set as one
 block-diagonal system.  The exact solves of the coarse blocks
-(`BlockBatch`, one dense `_BoxFactor` per distinct box) serve
-preprocessing and the basis build.  The smoother's boxes, grown by an
-overlap, are mass-lumped (`LumpedBatch`): each box's velocity mass is
-integrated by the trapezoidal rule, which makes it diagonal and the
-mixed method equal to two-point cell fluxes (Russell & Wheeler 1983;
-Arbogast, Wheeler & Yotov, SINUM 34, 1997), so one sparse
-`sparse_linalg.factor` of pinned cell Laplacians serves every box.
-`MixedOperators` owns both for its coefficient.
+(`BlockBatch`, a dense `_BoxFactor` held once per distinct box and
+applied to all its boxes at once) serve preprocessing, the basis build
+and pressure recovery.  The smoother's boxes, grown by an overlap, are
+mass-lumped (`LumpedBatch`): each box's velocity mass is integrated by
+the trapezoidal rule, which makes it diagonal and the mixed method equal
+to two-point cell fluxes (Russell & Wheeler 1983; Arbogast, Wheeler &
+Yotov, SINUM 34, 1997), so one sparse `sparse_linalg.factor` of pinned
+cell Laplacians serves every box.  `MixedOperators` owns both for its
+coefficient.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ class MixedOperators:
         self._smoothers = {}
 
     def batch(self) -> BlockBatch:
-        """`BlockBatch` of the `block_solvers` for overlap 0: the exact box
-        solves of preprocessing, the basis build and pressure recovery."""
+        """`BlockBatch` of the `block_solvers` for overlap 0, one Schur
+        factor per distinct box: the exact solves of preprocessing, the
+        basis build and pressure recovery."""
         if self._batch is None:
             self._batch = BlockBatch(block_solvers(self),
                                      self.grid.n_velocity)
@@ -225,9 +227,9 @@ class _BoxFactor:
     divergence rows need.
 
     Instances depend on the box shape and cell coefficients only, so
-    identical blocks (uniform background) share one factor.  `BlockBatch`
-    solves with its arrays, numbered by `lines`: the line matrices `T`
-    and `T_inv` row by row, and `L_inv` of shape (1, n, n).
+    identical blocks (uniform background) share one factor.  It owns its
+    arrays, numbered by `lines`: the line matrices `T` and `T_inv` row
+    by row and the (n, n) `L_inv`, which `BlockBatch` copies once.
     """
 
     def __init__(self, grid, lines: _BoxLines, coeff_box: np.ndarray):
@@ -264,17 +266,7 @@ class _BoxFactor:
                 f"box {lines.shape}: pressure Schur complement is not "
                 f"positive definite ({err})") from err
         schur.T[...] = chol  # L^-1 is formed in place, in Fortran order
-        self.L_inv = lapack.dtrtri(schur.T, lower=1, overwrite_c=1)[0][None]
-
-
-def _held_once(factors, name):
-    """Attribute `name` of the factors, concatenated; each factor keeps a
-    view of its part, so the data is held once (one array: no copy)."""
-    parts = [getattr(f, name) for f in factors]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    for f, part, end in zip(factors, parts, np.cumsum([len(p) for p in parts])):
-        setattr(f, name, out[end - len(part):end])
-    return out
+        self.L_inv = lapack.dtrtri(schur.T, lower=1, overwrite_c=1)[0]
 
 
 @dataclass(eq=False)
@@ -413,19 +405,18 @@ class _BoxSystem:
 
 
 class BlockBatch(_BoxSystem):
-    """The exact box saddles of a set of `BlockSolver`s of one shape.
+    """The exact box saddles of a set of `BlockSolver`s.
 
     M is the exact velocity mass: its line matrices `T` and their
     inverses `T_inv` are CSR on one pattern, a dense block per line of
-    length `lens`.  The Cholesky inverses of S + c 1 1^T stay dense,
-    stacked as `L_inv` of shape (nboxes, n, n), and the factors keep
-    views of the batch's arrays.  A solve is a dozen sparse products
-    plus two `matmul`s.
+    length `lens`.  The Cholesky inverses of S + c 1 1^T stay dense, one
+    per distinct `_BoxFactor`: `groups` pairs a copy of each factor's
+    `L_inv` with the local cells of its boxes, shape (n, boxes), so a
+    solve is a dozen sparse products plus two dense ones per factor.
     """
 
     def __init__(self, solvers, n_velocity: int):
         super().__init__(solvers, n_velocity)
-        factors = [bs.factor for bs in solvers]
         n_loc = len(self.velocity_idx)
 
         # dense line blocks, stored row by row: a row of line i holds
@@ -437,12 +428,18 @@ class BlockBatch(_BoxSystem):
         first = np.repeat(np.cumsum(m, dtype=np.int32) - m, m)
         indices = (np.arange(indptr[-1], dtype=np.int32)
                    + np.repeat(first - indptr[:-1], row_len))
-        self.T = sparse.csr_matrix((_held_once(factors, "T"), indices, indptr),
-                                   shape=(n_loc, n_loc))
-        self.T_inv = sparse.csr_matrix(
-            (_held_once(factors, "T_inv"), self.T.indices, self.T.indptr),
-            shape=(n_loc, n_loc))
-        self.L_inv = _held_once(factors, "L_inv")
+        self.T, self.T_inv = (
+            sparse.csr_matrix((np.concatenate(data), indices, indptr),
+                              shape=(n_loc, n_loc))
+            for data in zip(*[(bs.factor.T, bs.factor.T_inv) for bs in solvers]))
+
+        starts = {}
+        for bs, start in zip(solvers, self.starts):
+            starts.setdefault(bs.factor, []).append(start)
+        # copied after every factor is built: held in place, the factors'
+        # arrays fragment the heap and later solves fault in fresh pages
+        self.groups = [(f.L_inv.copy(), np.add.outer(np.arange(len(f.L_inv)), b))
+                       for f, b in starts.items()]
 
     def _mass(self, v):
         return self.T @ v
@@ -453,9 +450,11 @@ class BlockBatch(_BoxSystem):
     def _schur_solve(self, g):
         """(S + c 1 1^T)^-1 g on every box, as L^-T (L^-1 g); for g of
         zero box sums this is the zero-mean solution of S p = g."""
-        L = self.L_inv
-        x = g.reshape(L.shape[0], L.shape[1], -1)
-        return np.matmul(L.transpose(0, 2, 1), L @ x).reshape(g.shape)
+        p = np.empty_like(g)
+        for L, cells in self.groups:
+            x = g[cells].reshape(len(L), -1)
+            p[cells] = (L.T @ (L @ x)).reshape(cells.shape + g.shape[1:])
+        return p
 
 
 class LumpedBatch(_BoxSystem):

@@ -20,6 +20,7 @@ annihilate discrete gradients, so plain CG updates never leave the
 constraint subspace and no explicit projection is needed.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +31,11 @@ from .sparse_linalg import PcgBreakdownError, pcg, PcgReport
 from .coarse_space import CoarseBasis, CoarseOperator, coarse_operator
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is a whole number type (numpy's too), not bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Knobs for the preconditioned solve.
@@ -38,8 +44,9 @@ class SolverSettings:
     regions covering a dof, eta <= 2**-d keeps the smoother a
     contraction, and 0.2 is a safe default in 2D and 3D.  `sweeps`
     smoother sweeps run before and after the coarse correction.  Values
-    that cannot give a converging solve raise ValueError here, and the
-    settings are frozen so that they stay checked.
+    that cannot give a converging solve, and counts that are not
+    integers, raise ValueError here; the settings are frozen so that
+    they stay checked.
     """
 
     rel_tol: float = 1e-7
@@ -52,6 +59,10 @@ class SolverSettings:
         if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
             raise ValueError(f"CG relative tolerance rel_tol must be "
                              f"finite and not negative, got {self.rel_tol!r}")
+        for name in ("max_iter", "sweeps", "overlap"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
         if self.max_iter < 1:
             raise ValueError(f"CG needs max_iter of at least 1, got "
                              f"{self.max_iter!r}")

@@ -22,7 +22,6 @@ substitution with no factorization; a circulating flow keeps each cycle
 together as one block and is factored, with fill inside it only.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
@@ -37,11 +36,8 @@ except ImportError as exc:
 from . import mesh
 from .mixed_fem import PermeabilityField, assemble_operators
 from .coarse_space import build_space
-from .preconditioner import SolverSettings, build_preconditioner, solve
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+from .preconditioner import (SolverSettings, build_preconditioner,
+                             is_integer, solve)
 
 
 @dataclass
@@ -87,7 +83,7 @@ class WellConfig:
     def source_vector(self, n_cells: int) -> np.ndarray:
         f = np.zeros(n_cells)
         for k, (cell, rate) in enumerate(self.wells):
-            if not _is_integer(cell) or not 0 <= cell < n_cells:
+            if not is_integer(cell) or not 0 <= cell < n_cells:
                 raise ValueError(f"well {k} (rate {rate:g}): cell {cell!r} "
                                  f"is not a cell id in [0, {n_cells})")
             f[cell] += rate
@@ -106,11 +102,15 @@ class WellConfig:
 def five_spot_wells(grid, rate: float = 1.0) -> WellConfig:
     """Corner injectors plus a producer at the domain centre.
 
-    Each corner injects rate/4.  On even grids there is no single
-    centre cell, so the producer is split evenly over the central
-    2 or 4 or 8 cells; this keeps the pattern exactly symmetric under
-    the grid's reflections, which the transport tests rely on.
+    The corners inject `rate` in equal parts; it must be positive and
+    finite.  On even grids there is no single centre cell, so the
+    producer is split evenly over the central 2 or 4 or 8 cells; this
+    keeps the pattern exactly symmetric under the grid's reflections,
+    which the transport tests rely on.
     """
+    if not (np.isfinite(rate) and rate > 0):
+        raise ValueError(f"five-spot rate must be positive and finite, "
+                         f"got {rate!r}")
     corners = []
     for k in range(2 ** grid.dim):
         multi = [(grid.fine[a] - 1) if (k >> a) & 1 else 0
@@ -380,9 +380,9 @@ def transport_step(grid, fluid: FluidModel, state: TransportState,
 class IMPESConfig:
     """Knobs for a sequential pressure/transport run.
 
-    Values no run can use raise ValueError here, and the config is
-    frozen so that they stay checked; `dataclasses.replace` makes a
-    checked variant.
+    Values no run can use, well cells off `grid` among them, raise
+    ValueError here, and the config is frozen so that they stay checked;
+    `dataclasses.replace` makes a checked variant.
     """
 
     grid: object
@@ -405,16 +405,18 @@ class IMPESConfig:
                              f"got {self.dt!r}")
         for what, count in (("n_steps", self.n_steps),
                             ("pressure interval", self.pressure_interval)):
-            if not _is_integer(count) or count < 1:
+            if not is_integer(count) or count < 1:
                 raise ValueError(f"{what} must be a whole number of steps, "
                                  f"at least 1, got {count!r}")
         for step in self.checkpoint_steps:
-            if not _is_integer(step) or not 1 <= step <= self.n_steps:
+            if not is_integer(step) or not 1 <= step <= self.n_steps:
                 raise ValueError(f"checkpoint {step!r} is not a step in "
                                  f"[1, {self.n_steps}]")
         if not (np.isfinite(self.porosity) and 0 < self.porosity <= 1):
             raise ValueError(f"porosity must lie in (0, 1], got "
                              f"{self.porosity!r}")
+        if self.wells is not None:
+            self.wells.source_vector(self.grid.n_cells)  # cells on the grid
 
 
 @dataclass

@@ -435,6 +435,12 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
                   "--out", str(tmp_path)]
     cases += [comparison + ["--tol", "nan"], comparison + ["--tol", "-5"],
               comparison + ["--rtol", "nan"]]
+    # layers cut spe10 rasters only: the synthetic field and a text
+    # raster would ignore them
+    raster = tmp_path / "k.txt"
+    np.savetxt(raster, np.ones(64))
+    cases += [comparison + ["--seed", "3", "--layers", "5:9"],
+              comparison + ["--field", str(raster), "--layers", "5:9"]]
     for argv in cases:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -448,7 +454,8 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("error: ")
 
     for line in ("porosity = 0", "porosity = -0.2", "porosity = 1.5",
-                 "porosity = nan", "mu_w = inf", "mu_o = nan"):
+                 "porosity = nan", "mu_w = inf", "mu_o = nan",
+                 "rate = -1", "rate = 0"):
         cfg = tmp_path / "fluid.cfg"
         cfg.write_text(f"grid = 8x8\ncoarse = 2x2\nsteps = 4\n{line}\n")
         assert main(["twophase", str(cfg), "--out", str(tmp_path)]) == 2

@@ -218,6 +218,11 @@ def test_block_factor_cache_on_uniform_field():
     solvers = mixed_fem.block_solvers(ops)
     assert len({id(s.factor) for s in solvers}) == 2
     assert solvers[1].factor is solvers[5].factor
+    # the exact batch holds the Schur inverse of each distinct factor
+    # once, not one per block
+    n = int(np.prod(grid.block_size))
+    held = [L_inv.nbytes for L_inv, _ in ops.batch().groups]
+    assert len(held) == 2 and sum(held) == 2 * n * n * 8
 
 
 def batch_case(name, rng):
@@ -277,13 +282,21 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
             assert np.all(solvers[0].lines.lens
                           == grid.block_size[1] - 1)
         batch = mixed_fem.BlockBatch(solvers, grid.n_velocity)
-        # one stack of Schur factors, box i's at entry i; the factors
-        # keep views of it
+        # one Schur inverse per distinct factor, equal to that factor's,
+        # with the local cells of its boxes; every box is in one group
         n = int(np.prod(grid.block_size))
-        assert batch.L_inv.shape == (grid.n_blocks, n, n)
-        for box, bs in enumerate(solvers):
-            assert np.shares_memory(bs.factor.L_inv, batch.L_inv)
-            assert np.array_equal(bs.factor.L_inv[0], batch.L_inv[box])
+        assert len(batch.groups) == unique
+        grouped = []
+        for L_inv, cells in batch.groups:
+            boxes = batch.cell_box[cells[0]]
+            factor = solvers[boxes[0]].factor
+            assert L_inv.shape == (n, n)
+            assert np.array_equal(L_inv, factor.L_inv)
+            assert all(solvers[box].factor is factor for box in boxes)
+            assert np.array_equal(
+                cells, batch.starts[boxes] + np.arange(n)[:, None])
+            grouped += list(boxes)
+        assert sorted(grouped) == list(range(grid.n_blocks))
 
         def loop_solve(box, r, q):
             bs = solvers[box]

@@ -419,9 +419,14 @@ def test_degenerate_settings_rejected():
     for bad in ({"overlap": 0}, {"sweeps": 0}, {"eta": 0.0}, {"eta": -0.1},
                 {"eta": float("nan")}, {"rel_tol": float("nan")},
                 {"rel_tol": float("inf")}, {"rel_tol": -5.0},
-                {"max_iter": 0}):
+                {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
+                {"max_iter": 10.0}, {"sweeps": 1.5}, {"sweeps": True},
+                {"overlap": 1.5}, {"overlap": True}, {"overlap": "2"}):
         with pytest.raises(ValueError):
             pc.SolverSettings(**bad)
+    # numpy integers are integers
+    pc.SolverSettings(max_iter=np.int64(5), sweeps=np.int32(1),
+                      overlap=np.int64(2))
     # frozen, so checked settings stay checked
     with pytest.raises(AttributeError):
         pc.SolverSettings().overlap = 0

@@ -429,6 +429,7 @@ def test_pressure_step_reduces_to_single_phase(rng):
     {"pressure_interval": True}, {"checkpoint_steps": (0,)},
     {"checkpoint_steps": (101,)}, {"checkpoint_steps": (2, -1)},
     {"checkpoint_steps": (2.0,)}, {"checkpoint_steps": (True,)},
+    {"wells": tp.WellConfig([(100, 1.0), (0, -1.0)])},
 ])
 def test_impes_config_rejects_bad_stepping(bad):
     grid = mesh.build_grid((4, 4), (2, 2))
