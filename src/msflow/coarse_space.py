@@ -403,6 +403,7 @@ class CoarseOperator:
 
     def __post_init__(self):
         self.n_pressure, self.n_velocity = nb, nv = self.B_H.shape
+        self.P_v_T = self.basis.P_v.T  # restricts every fine residual
         self.factorization, self._B = None, self.B_H.toarray()
         # one block: M = 0 gives p = 0; no coarse face: v is empty
         self._X, self._M = np.zeros((nv, nb)), np.zeros((nb, nb))

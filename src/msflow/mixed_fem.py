@@ -20,7 +20,8 @@ mass-lumped (`LumpedBatch`): each box's velocity mass is integrated by
 the trapezoidal rule, which makes it diagonal and the mixed method equal
 to two-point cell fluxes (Russell & Wheeler 1983; Arbogast, Wheeler &
 Yotov, SINUM 34, 1997), so one sparse `sparse_linalg.factor` of pinned
-cell Laplacians serves every box.  `MixedOperators` owns both for its
+cell Laplacians serves every box, and a lumped solve is two solves with
+it and four sparse products.  `MixedOperators` owns both for its
 coefficient.
 """
 
@@ -324,19 +325,14 @@ def _boxes(grid, overlap: int) -> list:
 
 
 class _BoxSystem:
-    """The bordered saddles of a set of boxes as one block-diagonal system.
-
-    Every box solves  M v + G p = a,  D v + mu 1 = b,  1^T p = tau  on
-    its interior velocities and cells, where M is the box's velocity
-    mass, D its divergence and G = D^T.  The local unknowns of all boxes
-    are concatenated in the order of `boxes`, which is block order, so
-    box i is block i, every grid line is a contiguous run of velocities
-    and D is CSC with two entries per column, built by index arithmetic.
+    """Boxes of interior velocities and cells as one block-diagonal
+    system, their local unknowns concatenated in block order (box i is
+    block i), so every grid line is a contiguous run of velocities.
     `velocity_idx` and `pressure_idx` give the global dof of every local
     unknown, `velocity_box` and `cell_box` its box, `counts` each box's
     cells and `velocity_cells` the two local cells of every velocity.
-    Subclasses supply M and M^-1 (`_mass`, `_mass_inv`) and the solve of
-    the box Schur complements.
+    D, the box divergences, is CSC with two entries per column, built
+    by index arithmetic.
     """
 
     def __init__(self, boxes, n_velocity: int):
@@ -357,67 +353,34 @@ class _BoxSystem:
         self.D = sparse.csc_matrix(
             (np.concatenate([box.div for box in lines]).ravel(), cells.ravel(),
              np.arange(0, 2 * n_loc + 1, 2)), shape=(n_cells, n_loc))
-        self.G = self.D.T
 
     def box_sums(self, x):
         """Per-box sums of local cell values (rows of `x`)."""
         return np.add.reduceat(x, self.starts, axis=0)
 
-    def _pass(self, a, b, tau):
-        g = self.D @ self._mass_inv(a) - b
-        # bordered Schur system S p - mu 1 = g, 1^T p = tau per box:
-        # 1^T S = 0 gives mu = -mean(g), and the zero-mean solution of
-        # S p0 = g + mu is shifted to the box mean tau / n
-        counts = self.counts[:, None]
-        mu = -self.box_sums(g) / counts
-        p = self._schur_solve(g + mu[self.cell_box])
-        p += (tau / counts)[self.cell_box]
-        v = self._mass_inv(a - self.G @ p)
-        return v, p, mu
-
-    def solve_core(self, a, b, tau):
-        """Every box saddle for local right-hand sides a, b and tau (one
-        row per box) with k columns: one Schur pass, then one refinement
-        pass on its residual.  Returns (v, p, mu) in the same layout."""
-        v, p, mu = self._pass(a, b, tau)
-        ra = a - self._mass(v) - self.G @ p
-        rb = b - self.D @ v - mu[self.cell_box]
-        rt = tau - self.box_sums(p)
-        dv, dp, dmu = self._pass(ra, rb, rt)
-        return v + dv, p + dp, mu + dmu
-
-    def solve(self, velocity_rhs, pressure_rhs=None) -> np.ndarray:
-        """Local velocities of every box saddle for global right-hand
-        sides (n,) or (n, k); `pressure_rhs` None and the borders are 0."""
-        a = velocity_rhs[self.velocity_idx]
-        k = velocity_rhs.shape[1] if velocity_rhs.ndim > 1 else 1
-        b = (np.zeros((len(self.pressure_idx), k)) if pressure_rhs is None
-             else pressure_rhs[self.pressure_idx].reshape(-1, k))
-        v, _, _ = self.solve_core(a.reshape(-1, k), b,
-                                  np.zeros((len(self.counts), k)))
-        return v.reshape(a.shape)
-
     def scatter(self, local) -> np.ndarray:
         """Sum one column of local velocities into a global vector; dofs
         shared by overlapping boxes add up."""
         return np.bincount(self.velocity_idx, weights=local,
-                           minlength=self.n_velocity)
+                           minlength=self.n_velocity).astype(float, copy=False)
 
 
 class BlockBatch(_BoxSystem):
     """The exact box saddles of a set of `BlockSolver`s.
 
-    M is the exact velocity mass: its line matrices `T` and their
-    inverses `T_inv` are CSR on one pattern, a dense block per line of
-    length `lens`.  The Cholesky inverses of S + c 1 1^T stay dense, one
-    per distinct `_BoxFactor`: `groups` pairs a copy of each factor's
-    `L_inv` with the local cells of its boxes, shape (n, boxes), so a
-    solve is a dozen sparse products plus two dense ones per factor.
+    Every box solves  M v + G p = a,  D v + mu 1 = b,  1^T p = tau  on
+    its interior velocities and cells, with G = D^T and M the exact
+    velocity mass: its line matrices `T` and their inverses `T_inv` are
+    CSR on one pattern, a dense block per line of length `lens`.  The
+    Cholesky inverses of S + c 1 1^T stay dense, one per distinct
+    `_BoxFactor`: `groups` pairs a copy of each factor's `L_inv` with
+    the local cells of its boxes, shape (n, boxes), so a solve is a
+    dozen sparse products plus two dense ones per factor.
     """
 
     def __init__(self, solvers, n_velocity: int):
         super().__init__(solvers, n_velocity)
-        n_loc = len(self.velocity_idx)
+        n_loc, self.G = len(self.velocity_idx), self.D.T
 
         # dense line blocks, stored row by row: a row of line i holds
         # columns first .. first + m[i] - 1 (int32, as scipy keeps them)
@@ -441,12 +404,6 @@ class BlockBatch(_BoxSystem):
         self.groups = [(f.L_inv.copy(), np.add.outer(np.arange(len(f.L_inv)), b))
                        for f, b in starts.items()]
 
-    def _mass(self, v):
-        return self.T @ v
-
-    def _mass_inv(self, a):
-        return self.T_inv @ a
-
     def _schur_solve(self, g):
         """(S + c 1 1^T)^-1 g on every box, as L^-T (L^-1 g); for g of
         zero box sums this is the zero-mean solution of S p = g."""
@@ -456,25 +413,58 @@ class BlockBatch(_BoxSystem):
             p[cells] = (L.T @ (L @ x)).reshape(cells.shape + g.shape[1:])
         return p
 
+    def _pass(self, a, b, tau):
+        g = self.D @ (self.T_inv @ a) - b
+        # bordered Schur system S p - mu 1 = g, 1^T p = tau per box:
+        # 1^T S = 0 gives mu = -mean(g), and the zero-mean solution of
+        # S p0 = g + mu is shifted to the box mean tau / n
+        counts = self.counts[:, None]
+        mu = -self.box_sums(g) / counts
+        p = self._schur_solve(g + mu[self.cell_box])
+        p += (tau / counts)[self.cell_box]
+        v = self.T_inv @ (a - self.G @ p)
+        return v, p, mu
+
+    def solve_core(self, a, b, tau):
+        """Every box saddle for local right-hand sides a, b and tau (one
+        row per box) with k columns: one Schur pass, then one refinement
+        pass on its residual.  Returns (v, p, mu) in the same layout."""
+        v, p, mu = self._pass(a, b, tau)
+        ra = a - self.T @ v - self.G @ p
+        rb = b - self.D @ v - mu[self.cell_box]
+        rt = tau - self.box_sums(p)
+        dv, dp, dmu = self._pass(ra, rb, rt)
+        return v + dv, p + dp, mu + dmu
+
+    def solve(self, velocity_rhs, pressure_rhs=None) -> np.ndarray:
+        """Local velocities of every box saddle for global right-hand
+        sides (n,) or (n, k); `pressure_rhs` None and the borders are 0."""
+        k = velocity_rhs.shape[1] if velocity_rhs.ndim > 1 else 1
+        b = (0 if pressure_rhs is None
+             else pressure_rhs[self.pressure_idx].reshape(-1, k))
+        v, _, _ = self.solve_core(
+            velocity_rhs[self.velocity_idx].reshape(-1, k), b, 0)
+        return v.reshape((-1,) + velocity_rhs.shape[1:])
+
 
 class LumpedBatch(_BoxSystem):
-    """Mass-lumped box saddles of every coarse block grown by `overlap`
-    fine layers: the additive smoother's local solves.
+    """Mass-lumped box saddles  M v + G p = a,  D v + mu 1 = b  of every
+    coarse block grown by `overlap` fine layers: the smoother's solves.
 
-    M is the velocity mass under the trapezoidal rule: the face between
-    cells of weights w_l and w_h (volume / coefficient) gets the diagonal
-    entry (w_l + w_h) / 2, held as `inv_mass`.  This lumps the RT0 mass
-    into the row sums of the global A, except next to the domain
-    boundary, and makes the mixed method cell-centred two-point fluxes
-    (Russell & Wheeler 1983; Arbogast, Wheeler & Yotov, SINUM 34, 1997):
-    the Schur complement S = D M^-1 D^T of each box is a sparse 5- or
-    7-point cell Laplacian.  All boxes go into one block-diagonal S with
-    one cell of every box pinned, which leaves it positive definite;
-    `schur_factor` is its sparse `factor`, whose scaling to unit
-    diagonal makes the pivot check local to each box.  The pinned cell
-    is the box's most permeable one; a pin in a low-permeability region
-    would leave the permeable rest of the box nearly floating.  The
-    refinement pass of `solve_core` keeps the box divergences at
+    M is the trapezoidal-rule velocity mass: the face between cells of
+    weights w_l and w_h (volume / coefficient) gets the diagonal entry
+    (w_l + w_h) / 2, whose inverse W is `inv_mass`.  Each box's Schur
+    complement D W G is then a sparse cell Laplacian, singular along the
+    box constants, which G annihilates; so pinning one cell per box, its
+    most permeable (a pin in a low-permeability region would leave the
+    permeable rest of the box nearly floating), gives the free rows D_f
+    and one positive definite D_f W D_f^T for all boxes.  `lu` is its
+    `sparse_linalg.factor`, whose scaling s to unit diagonal keeps the
+    pivot check local to each box.  With s folded into `Ds` = s D_f and
+    `W_DsT` = W Ds^T, a solve is the Schur pass
+    v = W a - W_DsT lu^-1 (Ds W a - s b~), b~ being b less its box means
+    (which is mu), then the divergence-only pass
+    v -= W_DsT lu^-1 (Ds v - s b~), which keeps the box divergences at
     roundoff.
     """
 
@@ -483,29 +473,34 @@ class LumpedBatch(_BoxSystem):
         super().__init__(_boxes(grid, overlap), grid.n_velocity)
         w = grid.cell_volume / operators.coefficient[self.pressure_idx]
         low, high = self.velocity_cells.T
-        self.inv_mass = (2.0 / (w[low] + w[high]))[:, None]
-        schur = (self.D @ sparse.diags(self.inv_mass[:, 0]) @ self.G).tocsr()
+        self.inv_mass = 2.0 / (w[low] + w[high])
         # the least w in each box is its largest coefficient
         pinned = np.lexsort((w, self.cell_box))[self.starts]
         self.free = np.setdiff1d(np.arange(len(self.pressure_idx)), pinned)
-        self.schur_factor = None
-        if len(self.free):
-            self.schur_factor = factor(schur[self.free][:, self.free])
+        self.Ds = self.D.tocsr()[self.free]
+        self.lu = None
+        if len(self.free):  # else every box is one cell, with no velocity
+            f = factor(self.Ds @ sparse.diags(self.inv_mass) @ self.Ds.T)
+            self.lu, self.scale = f.lu, f.scale
+            self.Ds.data *= np.repeat(f.scale, np.diff(self.Ds.indptr))
+        self.W_DsT = self.Ds.T.tocsr()
+        self.W_DsT.data *= np.repeat(self.inv_mass, np.diff(self.W_DsT.indptr))
 
-    def _mass(self, v):
-        return v / self.inv_mass
-
-    def _mass_inv(self, a):
-        return self.inv_mass * a
-
-    def _schur_solve(self, g):
-        """Zero-mean solution of S p = g on every box, for g of zero box
-        sums: the pinned solve, then each box's mean removed.  The pinned
-        equation holds once the others do, as 1^T S = 0."""
-        p = np.zeros_like(g)
-        if self.schur_factor is not None:
-            p[self.free] = self.schur_factor.solve(g[self.free], refine=0)
-        return p - (self.box_sums(p) / self.counts[:, None])[self.cell_box]
+    def solve(self, velocity_rhs, pressure_rhs=None) -> np.ndarray:
+        """Local velocities of every box saddle for global right-hand
+        sides (n,) or (n, k); `pressure_rhs` None is 0."""
+        shape = (-1,) + (1,) * (velocity_rhs.ndim - 1)
+        v = self.inv_mass.reshape(shape) * velocity_rhs[self.velocity_idx]
+        if self.lu is None:
+            return v
+        b = 0.0
+        if pressure_rhs is not None:
+            b = pressure_rhs[self.pressure_idx]
+            b = b - (self.box_sums(b) / self.counts.reshape(shape))[self.cell_box]
+            b = self.scale.reshape(shape) * b[self.free]
+        v -= self.W_DsT @ self.lu.solve(self.Ds @ v - b)
+        v -= self.W_DsT @ self.lu.solve(self.Ds @ v - b)
+        return v
 
 
 def block_solvers(operators: MixedOperators) -> list:

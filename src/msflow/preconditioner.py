@@ -103,14 +103,13 @@ class TwoGridPreconditioner:
         return self.batch.scatter(self.eta * self.batch.solve(r))
 
     def coarse_correct(self, r: np.ndarray) -> np.ndarray:
-        P_v = self.coarse.basis.P_v
-        y_v, _ = self.coarse.solve(P_v.T @ r, None)
-        return P_v @ y_v
+        y_v, _ = self.coarse.solve(self.coarse.P_v_T @ r, None)
+        return self.coarse.basis.P_v @ y_v
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         A = self.operators.A
-        z = np.zeros_like(r)
-        for _ in range(self.sweeps):
+        z = self.smooth(r)  # the first sweep's residual is r itself
+        for _ in range(self.sweeps - 1):
             z += self.smooth(r - A @ z)
         z += self.coarse_correct(r - A @ z)
         for _ in range(self.sweeps):
@@ -267,7 +266,7 @@ def recover_pressure(operators: MixedOperators, coarse: CoarseOperator,
     p = np.zeros(B.shape[0])
     _, p_box, _ = batch.solve_core(-Av[batch.velocity_idx, None], 0, 0)
     p[batch.pressure_idx] = p_box[:, 0]
-    _, p_H = coarse.solve(-(basis.P_v.T @ (Av + B.T @ p)), None)
+    _, p_H = coarse.solve(-(coarse.P_v_T @ (Av + B.T @ p)), None)
     p += basis.P_p @ p_H
     p -= p.mean()
     momentum = np.linalg.norm(Av + B.T @ p) / max(np.linalg.norm(Av), 1e-300)

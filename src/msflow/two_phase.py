@@ -380,9 +380,9 @@ def transport_step(grid, fluid: FluidModel, state: TransportState,
 class IMPESConfig:
     """Knobs for a sequential pressure/transport run.
 
-    Values no run can use, well cells off `grid` among them, raise
-    ValueError here, and the config is frozen so that they stay checked;
-    `dataclasses.replace` makes a checked variant.
+    Values no run can use, a `kappa` or well cells off `grid` among
+    them, raise ValueError here, and the config is frozen so that they
+    stay checked; `dataclasses.replace` makes a checked variant.
     """
 
     grid: object
@@ -415,6 +415,9 @@ class IMPESConfig:
         if not (np.isfinite(self.porosity) and 0 < self.porosity <= 1):
             raise ValueError(f"porosity must lie in (0, 1], got "
                              f"{self.porosity!r}")
+        if self.kappa.values.size != self.grid.n_cells:
+            raise ValueError(f"kappa has {self.kappa.values.size} cells, "
+                             f"grid has {self.grid.n_cells}")
         if self.wells is not None:
             self.wells.source_vector(self.grid.n_cells)  # cells on the grid
 

@@ -276,13 +276,16 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
     assert pre.divergence_error <= 1e-10
 
 
-def assert_box_divergence(ops, batch, local, b, rtol):
-    """B_loc v = b on every box, against the box's flux scale."""
+def assert_box_divergence(ops, batch, local, b, rtol, centred=False):
+    """B_loc v = b on every box, against the box's flux scale; `centred`
+    takes b less its mean on each box, which the border absorbs."""
     for box in range(len(batch.counts)):
         v = local[batch.velocity_box == box]
         cells = batch.pressure_idx[batch.cell_box == box]
         B_loc = ops.B[cells][:, batch.velocity_idx[batch.velocity_box == box]]
         want = np.zeros(len(cells)) if b is None else b[cells]
+        if centred:
+            want = want - want.mean()
         scale = (abs(B_loc) @ np.abs(v) + np.abs(want)).max()
         assert np.abs(B_loc @ v - want).max() <= rtol * scale, block
 
@@ -314,6 +317,51 @@ def test_batched_solves_divergence_free_at_high_contrast(fine, coarse):
     residual = F - ops.B @ pre.coarse_velocity
     local = ops.batch().solve(-(ops.A @ pre.coarse_velocity), residual)
     assert_box_divergence(ops, ops.batch(), local, residual, 1e-13)
+
+
+@pytest.mark.parametrize("case", ["bands-2d", "log-3d"])
+def test_lumped_solves_divergence_free_with_pressure_rhs(case):
+    # the smoother's boxes keep D v = q less its box means at roundoff,
+    # with q of nonzero box sums as well as q = 0: x-bands of 1e+-10 on
+    # 32x32/4x4 and cells log-uniform over 1e-6..1e6 on 8^3/2^3
+    if case == "bands-2d":
+        grid = mesh.build_grid((32, 32), (4, 4))
+        values = band_values(grid, 10)
+    else:
+        grid = mesh.build_grid((8, 8, 8), (2, 2, 2))
+        values = 10.0 ** np.random.default_rng(23).uniform(-6, 6,
+                                                            grid.n_cells)
+    ops = mixed_fem.assemble_operators(grid,
+                                       mixed_fem.PermeabilityField(values))
+    batch = ops.smoother(pc.SolverSettings().overlap)
+    rng = np.random.default_rng(24)
+    r = rng.standard_normal(grid.n_velocity)
+    q = 1.0 + rng.standard_normal(grid.n_cells)
+    assert np.abs(batch.box_sums(q[batch.pressure_idx])).min() > 1.0
+    assert_box_divergence(ops, batch, batch.solve(r), None, 1e-14)
+    assert_box_divergence(ops, batch, batch.solve(r, q), q, 1e-14,
+                          centred=True)
+
+
+def test_apply_makes_two_triangular_solves_per_lumped_solve(monkeypatch,
+                                                           rng):
+    # one V-cycle at the default settings is two smoother sweeps, and a
+    # lumped solve is one Schur pass and one divergence-only pass, each
+    # a single solve with the smoother's SuperLU factor
+    grid, ops, basis = _channel_setup()
+    precond = pc.build_preconditioner(grid, ops, basis)
+    r = rng.standard_normal(grid.n_velocity)
+    want = precond.apply(r)
+    lu, calls = precond.batch.lu, []
+
+    class Counting:
+        def solve(self, *args, **kwargs):
+            calls.append(args[0].shape)
+            return lu.solve(*args, **kwargs)
+
+    monkeypatch.setattr(precond.batch, "lu", Counting())
+    assert np.array_equal(precond.apply(r), want)
+    assert calls == [(len(precond.batch.free),)] * 4
 
 
 def count_box_builds(monkeypatch):

@@ -437,6 +437,14 @@ def test_impes_config_rejects_bad_stepping(bad):
         tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid), **bad)
 
 
+def test_impes_config_rejects_kappa_of_another_grid():
+    # a field of the wrong size fails here, not in numpy inside impes_run
+    grid = mesh.build_grid((8, 8), (2, 2))
+    kappa = mixed_fem.PermeabilityField(np.ones(10))
+    with pytest.raises(ValueError, match="kappa has 10 cells, grid has 64"):
+        tp.IMPESConfig(grid=grid, kappa=kappa)
+
+
 def test_impes_config_takes_numpy_integers():
     grid = mesh.build_grid((4, 4), (2, 2))
     config = tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid),
