@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mesh
 from .mixed_fem import PermeabilityField, assemble_operators
-from .coarse_space import build_space
+from .coarse_space import SPACE_KINDS, build_space, check_space
 from .preconditioner import SolverSettings, build_preconditioner, solve
 from .two_phase import FluidModel, IMPESConfig, five_spot_wells, impes_run
 
@@ -299,6 +299,8 @@ def build_config(file_values: dict, overrides: dict) -> ExperimentConfig:
             if isinstance(value, str):
                 value = _CONVERTERS[key](value)
             setattr(config, key, value)
+    for kind in config.spaces:
+        check_space(kind, config.tol)
     return config
 
 
@@ -405,6 +407,9 @@ def run_comparison(config: ExperimentConfig) -> RunReport:
 
 def run_two_phase(config: ExperimentConfig) -> dict:
     """Sequential two-phase run; returns the paths of written artifacts."""
+    if len(config.spaces) != 1:
+        raise ValueError(f"twophase runs one coarse space, got "
+                         f"{','.join(config.spaces)}")
     grid = mesh.build_grid(config.grid, config.coarse)
     # uniform rock unless the config pins a single contrast exponent
     contrast = config.contrasts[0] if len(config.contrasts) == 1 else 0.0
@@ -494,7 +499,7 @@ def main(argv=None) -> int:
                      if k not in ("command", "config")}
         if args.command == "comparison" and overrides.get("spaces") is None \
                 and "spaces" not in file_values:
-            overrides["spaces"] = ("gmsfem", "msfem", "rt0")
+            overrides["spaces"] = SPACE_KINDS
         config = build_config(file_values, overrides)
         mesh.build_grid(config.grid, config.coarse)  # validates divisibility
     except (ValueError, OSError) as exc:

@@ -23,9 +23,9 @@ the right-hand sides and S-forms come from face geometry and box data,
 since a fine face couples only to its adjacent cell and to the next
 velocity on that cell's grid line.  Their pencils are one stack.
 
-The Galerkin coarse saddle (`CoarseOperator`) is solved through its
-positive definite velocity block and its block-pressure Schur
-complement; no indefinite matrix is factored.
+The Galerkin coarse saddle (`CoarseOperator`) is small and held dense:
+its velocity block and block-pressure Schur complement as inverse
+Cholesky factors; no indefinite matrix is factored.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_triangular
 
 from . import mesh, mixed_fem
-from .sparse_linalg import (SingularMatrixError, factor,
-                            generalized_symmetric_eig)
+from .sparse_linalg import (SingularMatrixError, generalized_symmetric_eig,
+                            inverse_cholesky)
 
 
 @dataclass(eq=False)
@@ -342,9 +341,7 @@ def build_gmsfem_space(operators, tol: float = 10.0) -> CoarseBasis:
     one size, so their snapshots, S-forms and pencils are computed as
     stacks.  A `tol` that is not positive and finite raises ValueError
     before any solve."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"eigenvalue tolerance tol must be positive and "
-                         f"finite, got {tol!r}")
+    check_space("gmsfem", tol)
     grid = operators.grid
     columns = []
     selections = []
@@ -366,15 +363,28 @@ def build_gmsfem_space(operators, tol: float = 10.0) -> CoarseBasis:
                        selections=tuple(selections))
 
 
+SPACE_KINDS = ("gmsfem", "msfem", "rt0")
+
+
+def check_space(kind, tol: float = 10.0) -> str:
+    """`kind` in lower case; ValueError unless it is in `SPACE_KINDS` (any
+    case) and the gmsfem tolerance `tol` is positive and finite."""
+    if not (isinstance(kind, str) and kind.lower() in SPACE_KINDS):
+        raise ValueError(f"unknown coarse space kind {kind!r}; expected "
+                         f"one of {', '.join(SPACE_KINDS)}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"eigenvalue tolerance tol must be positive and "
+                         f"finite, got {tol!r}")
+    return kind.lower()
+
+
 def build_space(kind, grid, field, operators=None, tol: float = 10.0) -> CoarseBasis:
-    """The coarse space `kind` (rt0, msfem or gmsfem, any case) on
-    `grid`.  msfem and gmsfem read the coefficient of `operators`;
-    `field` serves only to assemble them when none are given."""
-    kind = kind.lower()
+    """The coarse space `kind` on `grid`, after `check_space`.  msfem
+    and gmsfem read the coefficient of `operators`; `field` serves only
+    to assemble them when none are given."""
+    kind = check_space(kind, tol)
     if kind == "rt0":
         return build_rt0_space(grid)
-    if kind not in ("msfem", "gmsfem"):
-        raise ValueError(f"unknown coarse space kind {kind!r}")
     if operators is None:
         operators = mixed_fem.assemble_operators(grid, field)
     if kind == "msfem":
@@ -384,14 +394,15 @@ def build_space(kind, grid, field, operators=None, tol: float = 10.0) -> CoarseB
 
 @dataclass(eq=False)
 class CoarseOperator:
-    """Galerkin coarse saddle  A_H v + B_H^T p = a,  B_H v = b.
-
-    `factorization` is the sparse `factor` of A_H; X = A_H^-1 B_H^T and
-    B_H are held dense.  S = B_H X is singular along the constants only,
-    so with D = diag(S)^-1/2 and u = D^-1 1 / |D^-1 1|,  D S D + u u^T =
-    L L^T,  and M = L^-1 D gives  p = M^T M g,  the solution of S p = g
-    (g of zero sum) with w^T p = 0, w = diag(S) / trace(S).  The most
-    permeable blocks, whose columns of X are the largest, so keep
+    """Galerkin coarse saddle  A_H v + B_H^T p = a,  B_H v = b,  held
+    dense.  M_A = L_A^-1 D_A for D_A A_H D_A = L_A L_A^T, D_A =
+    diag(A_H)^-1/2, gives A_H^-1 = M_A^T M_A and X = A_H^-1 B_H^T; a
+    pivot L_A,kk^2 below 1e-14 (`sparse_linalg.factor`'s bound) means
+    dependent basis columns.  S = B_H X is singular along the constants
+    only, so with D = diag(S)^-1/2 and u = D^-1 1 / |D^-1 1|,  D S D +
+    u u^T = L L^T,  and M = L^-1 D gives  p = M^T M g,  the solution of
+    S p = g (g of zero sum) with w^T p = 0, w = diag(S) / trace(S).  The
+    most permeable blocks, whose columns of X are the largest, so keep
     pressures near 0, and X p and B_H^T p keep their digits: only the
     returned p is shifted to zero mean, and `residual` shifts it back.
     An unscaled shift S + c 1 1^T loses the block balance on 1e+-8 bands.
@@ -404,23 +415,29 @@ class CoarseOperator:
     def __post_init__(self):
         self.n_pressure, self.n_velocity = nb, nv = self.B_H.shape
         self.P_v_T = self.basis.P_v.T  # restricts every fine residual
-        self.factorization, self._B = None, self.B_H.toarray()
+        self._B = self.B_H.toarray()
         # one block: M = 0 gives p = 0; no coarse face: v is empty
-        self._X, self._M = np.zeros((nv, nb)), np.zeros((nb, nb))
-        self._w = np.zeros(nb)
+        self._M_A, self._X = np.zeros((nv, nv)), np.zeros((nv, nb))
+        self._M, self._w = np.zeros((nb, nb)), np.zeros(nb)
         try:
             if nv:
-                self.factorization = factor(self.A_H)
-                self._X = self.factorization.solve(self._B.T)
+                A = self.A_H.toarray()
+                D = A.diagonal() ** -0.5
+                L_inv = inverse_cholesky(D[:, None] * A * D, "A_H")
+                if not np.all(L_inv.diagonal() <= 1e7):  # NaN too
+                    raise SingularMatrixError("a pivot of A_H is below 1e-14")
+                self._M_A = L_inv * D
+                self._X = self._M_A.T @ (self._M_A @ self._B.T)
             if nb > 1:
                 S = self._B @ self._X
                 d = S.diagonal()
                 if not np.all(d > 0):
                     raise SingularMatrixError("a block has no coarse flux")
                 r, self._w = np.sqrt(np.outer(d, d)), d / d.sum()
-                L = np.linalg.cholesky(0.5 * (S + S.T) / r + r / d.sum())
-                self._M = solve_triangular(L, np.diag(d ** -0.5), lower=True)
-        except (SingularMatrixError, np.linalg.LinAlgError) as err:
+                L_inv = inverse_cholesky(0.5 * (S + S.T) / r + r / d.sum(),
+                                         "the coarse Schur complement")
+                self._M = L_inv * d ** -0.5
+        except SingularMatrixError as err:
             raise SingularMatrixError(
                 "coarse operator is rank deficient beyond the pressure "
                 f"constant; basis columns are likely dependent ({err})"
@@ -432,7 +449,7 @@ class CoarseOperator:
         return rhs_v - self.A_H @ v - self._B.T @ p, rhs_p - self._B @ v
 
     def _pass(self, a, b):
-        x = self.factorization.solve(a, refine=0) if self.n_velocity else a
+        x = self._M_A.T @ (self._M_A @ a)
         p = self._M.T @ (self._M @ (self._B @ x - b))
         return x - self._X @ p, p
 

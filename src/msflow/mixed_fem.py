@@ -13,16 +13,16 @@ divergence free and column sums vanish (interior faces only).
 
 Box saddles are solved directly, all boxes of a set as one
 block-diagonal system.  The exact solves of the coarse blocks
-(`BlockBatch`, a dense `_BoxFactor` held once per distinct box and
-applied to all its boxes at once) serve preprocessing, the basis build
-and pressure recovery.  The smoother's boxes, grown by an overlap, are
-mass-lumped (`LumpedBatch`): each box's velocity mass is integrated by
-the trapezoidal rule, which makes it diagonal and the mixed method equal
-to two-point cell fluxes (Russell & Wheeler 1983; Arbogast, Wheeler &
-Yotov, SINUM 34, 1997), so one sparse `sparse_linalg.factor` of pinned
-cell Laplacians serves every box, and a lumped solve is two solves with
-it and four sparse products.  `MixedOperators` owns both for its
-coefficient.
+(`BlockBatch`, a dense `_BoxFactor` with its inverse Cholesky factor,
+held once per distinct box and applied to all its boxes at once) serve
+preprocessing, the basis build and pressure recovery.  The smoother's
+boxes, grown by an overlap, are mass-lumped (`LumpedBatch`): each box's
+velocity mass is integrated by the trapezoidal rule, which makes it
+diagonal and the mixed method equal to two-point cell fluxes (Russell &
+Wheeler 1983; Arbogast, Wheeler & Yotov, SINUM 34, 1997), so one sparse
+`sparse_linalg.factor` of pinned cell Laplacians serves every box, and
+a lumped solve is two solves with it and four sparse products.
+`MixedOperators` owns both for its coefficient.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack
 
 from . import mesh
-from .sparse_linalg import SingularMatrixError, factor
+from .sparse_linalg import factor, inverse_cholesky
 
 
 @dataclass
@@ -222,10 +221,9 @@ class _BoxFactor:
     pressure Schur complement S, a cell Laplacian that is dense along
     lines and fills nearly completely under any elimination order.  S is
     singular along the constants only, so S + c 1 1^T is positive
-    definite; it is kept as the inverse L^-1 of its Cholesky factor, and
-    a Schur solve is the two products L^-T (L^-1 r).  Unlike an explicit
-    inverse of S, this stays backward stable at high contrast, which the
-    divergence rows need.
+    definite; it is kept as `sparse_linalg.inverse_cholesky`'s L^-1, and
+    a Schur solve is the two products L^-T (L^-1 r), which unlike an
+    explicit inverse of S stays backward stable at high contrast.
 
     Instances depend on the box shape and cell coefficients only, so
     identical blocks (uniform background) share one factor.  It owns its
@@ -260,14 +258,8 @@ class _BoxFactor:
         # c = trace / n^2 puts the constant mode of S + c 1 1^T among the
         # others, at the mean diagonal entry
         schur += np.trace(schur) / schur.size or 1.0
-        try:
-            chol = np.linalg.cholesky(schur)
-        except np.linalg.LinAlgError as err:
-            raise SingularMatrixError(
-                f"box {lines.shape}: pressure Schur complement is not "
-                f"positive definite ({err})") from err
-        schur.T[...] = chol  # L^-1 is formed in place, in Fortran order
-        self.L_inv = lapack.dtrtri(schur.T, lower=1, overwrite_c=1)[0]
+        self.L_inv = inverse_cholesky(
+            schur, f"box {lines.shape}: pressure Schur complement")
 
 
 @dataclass(eq=False)

@@ -12,8 +12,7 @@ where the paper solves them exactly.  A lumped saddle still has a
 symmetric positive definite mass and the exact box divergence, so the
 properties below hold; only the smoother's spectral quality changes.
 Preprocessing and pressure recovery reuse the exact solves on the
-non-overlapping blocks.  The sparse factors, of the coarse velocity
-block and of the smoother's pinned cell Laplacian, are positive definite.
+non-overlapping blocks.  Every factor is of a positive definite matrix.
 
 Both preconditioner stages return divergence-free velocities and
 annihilate discrete gradients, so plain CG updates never leave the
@@ -213,13 +212,18 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     velocities, starting from the preprocessed field; the reported
     residual history is in the preconditioner norm, relative to the
     first residual.  A bad `source` raises ValueError before any factor
-    is built, and a velocity whose divergence strays from the source by
+    is built, a `preconditioner` of other `operators` or `basis` before
+    any solve, and a velocity whose divergence strays from the source by
     more than preprocessing allows raises RuntimeError.
     """
     settings = settings or SolverSettings()
     source = check_source(grid, source)
     if preconditioner is None:
         preconditioner = build_preconditioner(grid, operators, basis, settings)
+    elif (preconditioner.operators is not operators
+          or preconditioner.coarse.basis is not basis):
+        raise ValueError("the preconditioner was built on other operators "
+                         "or another coarse basis")
     pre = preprocess(operators, preconditioner.coarse, source)
 
     A = operators.A

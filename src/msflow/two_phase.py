@@ -35,7 +35,7 @@ except ImportError as exc:
 
 from . import mesh
 from .mixed_fem import PermeabilityField, assemble_operators
-from .coarse_space import build_space
+from .coarse_space import build_space, check_space
 from .preconditioner import (SolverSettings, build_preconditioner,
                              is_integer, solve)
 
@@ -412,6 +412,7 @@ class IMPESConfig:
             if not is_integer(step) or not 1 <= step <= self.n_steps:
                 raise ValueError(f"checkpoint {step!r} is not a step in "
                                  f"[1, {self.n_steps}]")
+        check_space(self.space, self.tol)
         if not (np.isfinite(self.porosity) and 0 < self.porosity <= 1):
             raise ValueError(f"porosity must lie in (0, 1], got "
                              f"{self.porosity!r}")

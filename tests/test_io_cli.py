@@ -422,7 +422,7 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
     # bad input must stop before any box or coarse factor is built
     monkeypatch.setattr(mixed_fem, "_BoxFactor", no_factor)
     monkeypatch.setattr(mixed_fem, "factor", no_factor)
-    monkeypatch.setattr(coarse_space, "factor", no_factor)
+    monkeypatch.setattr(coarse_space, "inverse_cholesky", no_factor)
     cases = [
         ["robustness", "--grid", "7y7"],
         ["robustness", "--grid", "8x8", "--coarse", "3x3"],
@@ -434,7 +434,11 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
     comparison = ["comparison", "--grid", "8x8", "--coarse", "2x2",
                   "--out", str(tmp_path)]
     cases += [comparison + ["--tol", "nan"], comparison + ["--tol", "-5"],
-              comparison + ["--rtol", "nan"]]
+              comparison + ["--rtol", "nan"],
+              comparison + ["--space", "gmsfem,bogus"],
+              comparison + ["--space", "rt0", "--tol", "-1"],
+              ["robustness", "--grid", "8x8", "--coarse", "2x2",
+               "--space", "amg", "--out", str(tmp_path)]]
     # layers cut spe10 rasters only: the synthetic field and a text
     # raster would ignore them
     raster = tmp_path / "k.txt"
@@ -449,7 +453,8 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
                  "--space", "rt0", "--steps", "4", "--out", str(tmp_path)]
     for bad in (["--pressure-interval", "0"], ["--dt", "-1"],
                 ["--dt", "nan"], ["--steps", "0"], ["--checkpoints=0"],
-                ["--checkpoints=300"], ["--checkpoints=2,-1"]):
+                ["--checkpoints=300"], ["--checkpoints=2,-1"],
+                ["--space", "rt0,gmsfem"], ["--tol", "-1"], ["--tol", "nan"]):
         assert main(two_phase + bad) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

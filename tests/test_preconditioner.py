@@ -230,6 +230,26 @@ def test_solve_checks_the_source_before_building_factors(monkeypatch):
     assert ops._batch is None and not ops._smoothers
 
 
+def test_solve_rejects_a_preconditioner_of_other_inputs(monkeypatch):
+    # a preconditioner built on the 1e2 field's operators took CG 171
+    # iterations on the 1e-2 field's instead of 19, without a word
+    grid = mesh.build_grid((16, 16), (4, 4))
+    ops, other = (mixed_fem.assemble_operators(
+        grid, bench_field((16, 16), k, seed=424242)) for k in (2.0, -2.0))
+    basis = coarse_space.build_rt0_space(grid)
+    precond = pc.build_preconditioner(grid, ops, basis)
+
+    def unexpected(*args, **kw):
+        raise AssertionError("preprocessing ran")
+
+    monkeypatch.setattr(pc, "preprocess", unexpected)
+    source = corner_source(grid)
+    for args in ((other, basis), (ops, coarse_space.build_rt0_space(grid))):
+        with pytest.raises(ValueError, match="preconditioner was built on "
+                           "other operators or another coarse basis"):
+            pc.solve(grid, *args, source, preconditioner=precond)
+
+
 def dense_lumped_velocity(ops, cells, vidx, a):
     """Velocity of one box's mass-lumped saddle with right-hand side
     (a, 0), by a dense solve with the box's first pressure pinned."""

@@ -5,7 +5,8 @@ import scipy.sparse as sparse
 from msflow import sparse_linalg
 from msflow.sparse_linalg import (PcgBreakdownError, SingularMatrixError,
                                   condition_estimate, factor,
-                                  generalized_symmetric_eig, pcg)
+                                  generalized_symmetric_eig, inverse_cholesky,
+                                  pcg)
 
 
 def random_spd(rng, n=30):
@@ -13,18 +14,24 @@ def random_spd(rng, n=30):
     return M @ M.T + n * np.eye(n)
 
 
+def solve(fact, rhs):
+    """K^-1 rhs from the factor of the unit-diagonal scaled K."""
+    s = fact.scale.reshape((-1,) + (1,) * (rhs.ndim - 1))
+    return s * fact.lu.solve(s * rhs)
+
+
 def test_factor_matches_dense_solve(rng):
     K = random_spd(rng)
     rhs = rng.standard_normal(K.shape[0])
     fact = factor(sparse.csc_matrix(K))
-    assert np.allclose(fact.solve(rhs), np.linalg.solve(K, rhs),
+    assert np.allclose(solve(fact, rhs), np.linalg.solve(K, rhs),
                        rtol=1e-10, atol=1e-10)
 
 
 def test_factor_multiple_rhs(rng):
     K = random_spd(rng)
     rhs = rng.standard_normal((K.shape[0], 3))
-    got = factor(sparse.csc_matrix(K)).solve(rhs)
+    got = solve(factor(sparse.csc_matrix(K)), rhs)
     assert np.allclose(got, np.linalg.solve(K, rhs), rtol=1e-10, atol=1e-10)
 
 
@@ -49,7 +56,7 @@ def test_factor_spd_solves_with_less_fill(rng):
     rhs = rng.standard_normal((L.shape[0], 2))
     fact = factor(L)
     want = np.linalg.solve(L.toarray(), rhs)
-    assert np.abs(fact.solve(rhs) - want).max() <= 1e-10 * np.abs(want).max()
+    assert np.abs(solve(fact, rhs) - want).max() <= 1e-10 * np.abs(want).max()
     # diagonal pivots: one symmetric order, no row exchanges
     assert np.array_equal(fact.lu.perm_r, fact.lu.perm_c)
 
@@ -88,22 +95,20 @@ def test_factor_pivot_check_is_relative_to_each_row(rng):
     K = (sparse.diags(d) @ L @ sparse.diags(d)).tocsc()
     rhs = rng.standard_normal(K.shape[0])
     want = np.linalg.solve(L.toarray(), rhs / d) / d
-    x = factor(K).solve(rhs)
+    x = solve(factor(K), rhs)
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def test_refinement_tightens_residual(rng):
-    # badly scaled system where one refinement pass visibly helps
-    n = 40
-    scale = np.logspace(-8, 8, n)
-    M = rng.standard_normal((n, n))
-    K = M @ M.T + np.diag(scale) * n
-    rhs = rng.standard_normal(n)
-    fact = factor(sparse.csc_matrix(K))
-    raw = fact.solve(rhs, refine=0)
-    refined = fact.solve(rhs, refine=1)
-    assert np.linalg.norm(K @ refined - rhs) <= \
-        np.linalg.norm(K @ raw - rhs) + 1e-12
+def test_inverse_cholesky(rng):
+    K = random_spd(rng)
+    L_inv, eye = inverse_cholesky(K, "K"), np.eye(len(K))
+    assert np.array_equal(L_inv, np.tril(L_inv))
+    assert np.abs(L_inv @ np.linalg.cholesky(K) - eye).max() <= 1e-12
+    assert np.abs(L_inv @ K @ L_inv.T - eye).max() <= 1e-12
+    # a positive diagonal, but the second pivot is 1 - 4 = -3
+    with pytest.raises(SingularMatrixError,
+                       match="test matrix is not positive definite"):
+        inverse_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), "test matrix")
 
 
 def test_pcg_solves_spd_system(rng):

@@ -430,6 +430,8 @@ def test_pressure_step_reduces_to_single_phase(rng):
     {"checkpoint_steps": (101,)}, {"checkpoint_steps": (2, -1)},
     {"checkpoint_steps": (2.0,)}, {"checkpoint_steps": (True,)},
     {"wells": tp.WellConfig([(100, 1.0), (0, -1.0)])},
+    {"space": "amg"}, {"space": None}, {"tol": -1.0}, {"tol": float("nan")},
+    {"space": "rt0", "tol": -1.0},
 ])
 def test_impes_config_rejects_bad_stepping(bad):
     grid = mesh.build_grid((4, 4), (2, 2))
