@@ -214,7 +214,7 @@ class ExperimentConfig:
     layers: tuple | None = None
     spaces: tuple = ("gmsfem",)
     tol: float = 10.0
-    contrasts: tuple = (-6, -4, -2, 0, 2, 4, 6)
+    contrasts: tuple | None = None  # None: robustness sweeps -6 .. 6
     eta: float = 0.2
     sweeps: int = 1
     overlap: int = 2
@@ -234,6 +234,14 @@ class ExperimentConfig:
     def settings(self) -> SolverSettings:
         return SolverSettings(rel_tol=self.rtol, eta=self.eta,
                               sweeps=self.sweeps, overlap=self.overlap)
+
+    def contrast(self, command) -> float:
+        """The one exponent of `comparison` and `twophase`, 0 by default."""
+        contrasts = (0.0,) if self.contrasts is None else self.contrasts
+        if len(contrasts) != 1:
+            raise ValueError(f"{command} solves at one contrast exponent, "
+                             f"but --contrasts gives {len(contrasts)}")
+        return contrasts[0]
 
     def field_at(self, contrast) -> PermeabilityField:
         """The bench field at `contrast`, or the raster, which ignores it."""
@@ -386,10 +394,12 @@ def run_robustness_sweep(config: ExperimentConfig) -> RunReport:
     if config.field != "synth":
         return RunReport(_solve_spaces(grid, config.field_at(None), config,
                                        "raster", None))
-    if not config.contrasts:
+    contrasts = (-6, -4, -2, 0, 2, 4, 6) if config.contrasts is None \
+        else config.contrasts
+    if not contrasts:
         raise ValueError("contrast exponent list is empty")
     rows = []
-    for k in config.contrasts:
+    for k in contrasts:
         try:
             rows += _solve_spaces(grid, config.field_at(k), config, "bench", k)
         except RuntimeError as exc:
@@ -399,8 +409,8 @@ def run_robustness_sweep(config: ExperimentConfig) -> RunReport:
 
 def run_comparison(config: ExperimentConfig) -> RunReport:
     """All requested coarse spaces on a single field."""
+    contrast = config.contrast("comparison")
     grid = mesh.build_grid(config.grid, config.coarse)
-    contrast = config.contrasts[0] if config.contrasts else 0.0
     return RunReport(_solve_spaces(grid, config.field_at(contrast), config,
                                    "comparison", contrast))
 
@@ -410,9 +420,8 @@ def run_two_phase(config: ExperimentConfig) -> dict:
     if len(config.spaces) != 1:
         raise ValueError(f"twophase runs one coarse space, got "
                          f"{','.join(config.spaces)}")
+    contrast = config.contrast("twophase")
     grid = mesh.build_grid(config.grid, config.coarse)
-    # uniform rock unless the config pins a single contrast exponent
-    contrast = config.contrasts[0] if len(config.contrasts) == 1 else 0.0
     checkpoints = (tuple(c for c in (50, 100, 200) if c <= config.steps)
                    if config.checkpoints is None else config.checkpoints)
     impes = IMPESConfig(grid=grid, kappa=config.field_at(contrast),

@@ -204,13 +204,16 @@ def block_cells(grid, block) -> np.ndarray:
 def oversample(grid, block, layers: int) -> np.ndarray:
     """Cells of a coarse block grown by `layers` fine cells per side,
     clipped at the domain boundary.  layers=0 returns the block itself."""
+    return box_cells(grid, *grown_blocks(grid, block, layers))
+
+
+def grown_blocks(grid, blocks, layers: int):
+    """(lo, hi): the boxes [lo, hi) that `oversample` makes of `blocks`."""
     if layers < 0:
         raise ValueError(f"layers must be non-negative, got {layers}")
-    m = grid.block_size
-    b = block_multi(grid, block)
-    lo = [max(0, b[a] * m[a] - layers) for a in range(grid.dim)]
-    hi = [min(grid.fine[a], (b[a] + 1) * m[a] + layers) for a in range(grid.dim)]
-    return box_cells(grid, lo, hi)
+    corner = block_multi(grid, blocks) * grid.block_size
+    return (np.maximum(corner - layers, 0),
+            np.minimum(corner + grid.block_size + layers, grid.fine))
 
 
 def velocity_dofs_interior_to(grid, cells) -> np.ndarray:

@@ -303,16 +303,24 @@ class BlockSolver:
 def _boxes(grid, overlap: int) -> list:
     """The `BlockSolver` of every coarse block in block order, without a
     factor, oversampled by `overlap` fine layers and clipped at the
-    domain boundary; boxes of one shape share their `_BoxLines`."""
-    boxes, lines = [], {}
-    for b in range(grid.n_blocks):
-        cells = mesh.oversample(grid, b, overlap)
-        lo = mesh.cell_multi(grid, cells[0])
-        hi = mesh.cell_multi(grid, cells[-1])
-        shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
-        lines[shape] = lines.get(shape) or _BoxLines(grid, shape)
-        vidx = mesh.velocity_dofs_interior_to(grid, cells)[lines[shape].order]
-        boxes.append(BlockSolver(vidx, cells, lines[shape]))
+    domain boundary.  F-order ravels are linear, so a box is the box of
+    its shape at the origin, with its `_BoxLines`, shifted by its ravelled
+    corner on the cells and on each face lattice (as `mesh.coarse_faces`)."""
+    lo, hi = mesh.grown_blocks(grid, np.arange(grid.n_blocks), overlap)
+    shapes, kind = np.unique(hi - lo, axis=0, return_inverse=True)
+    # each box corner ravelled on the cells (column 0) and on the faces
+    # normal to axis a (column 1 + a), unchecked: a lattice may be empty
+    lattices = [grid.fine] + [grid.axis_face_shape(a) for a in range(grid.dim)]
+    shift = lo @ np.array([np.cumprod((1,) + n[:-1]) for n in lattices]).T
+    boxes = [None] * grid.n_blocks
+    for k, shape in enumerate(shapes):
+        lines = _BoxLines(grid, shape)
+        cells = mesh.box_cells(grid, np.zeros_like(shape), shape)
+        faces = mesh.velocity_dofs_interior_to(grid, cells)[lines.order]
+        axis = np.searchsorted(grid.face_offsets, faces, side="right")
+        for b in np.flatnonzero(kind.ravel() == k):
+            boxes[b] = BlockSolver(faces + shift[b, axis], cells + shift[b, 0],
+                                   lines)
     return boxes
 
 

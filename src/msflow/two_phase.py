@@ -8,18 +8,18 @@ step solved with Newton's method.  The multiscale coarse space is built
 once from the initial mobility field and kept frozen; only its Galerkin
 projection is refreshed when the mobility changes.
 
-The velocity is fixed between pressure solves, so everything the
-transport step needs from it and from the wells is built once per
-pressure solve as an `UpwindFlow`, which `transport_step` takes in their
-place: an upwind order of the cells, in which every cell comes after the
-cells that feed it (Kwok & Tchelepi, JCP 227, 2007; Natvig & Lie, JCP
-227, 2008), and in that order one matrix `K` of face fluxes
-and producer rates that maps the fractional flows of the cells to their
-net water outflow.  The Newton residual and Jacobian both come from
-`K`, and the Jacobian has its fixed pattern.  For an acyclic flow that
-pattern is lower triangular, and a Newton step is one forward
-substitution with no factorization; a circulating flow keeps each cycle
-together as one block and is factored, with fill inside it only.
+The velocity is fixed between pressure solves, so everything transport
+needs from it and from the wells is built once per pressure solve as an
+`UpwindFlow`: an upwind order of the cells, in which every cell comes
+after the cells that feed it (Kwok & Tchelepi, JCP 227, 2007; Natvig &
+Lie, JCP 227, 2008), and in that order one matrix `K` that maps the
+fractional flows of the cells to their net water outflow, with a
+Jacobian buffer on its pattern.  A Newton iteration is one pass for f_w
+and its closed-form derivative, one product with `K` and, when it goes
+on, one write of the Jacobian values into the buffer and one solve.  An
+acyclic flow's Jacobian is lower triangular and solved by one forward
+substitution; a circulating flow keeps each cycle together as one block
+and is factored, with fill inside it only.
 """
 
 import warnings
@@ -111,19 +111,13 @@ def five_spot_wells(grid, rate: float = 1.0) -> WellConfig:
     if not (np.isfinite(rate) and rate > 0):
         raise ValueError(f"five-spot rate must be positive and finite, "
                          f"got {rate!r}")
-    corners = []
-    for k in range(2 ** grid.dim):
-        multi = [(grid.fine[a] - 1) if (k >> a) & 1 else 0
-                 for a in range(grid.dim)]
-        corners.append(int(mesh.cell_ids(grid, np.array(multi))))
-    centre_axes = []
-    for a in range(grid.dim):
-        na = grid.fine[a]
-        centre_axes.append([na // 2] if na % 2 else [na // 2 - 1, na // 2])
-    centre = []
-    for multi in np.array(np.meshgrid(*centre_axes, indexing="ij")
-                          ).reshape(grid.dim, -1).T:
-        centre.append(int(mesh.cell_ids(grid, multi)))
+    corners = [int(mesh.cell_ids(grid, [(n - 1) * (k >> a & 1)
+                                        for a, n in enumerate(grid.fine)]))
+               for k in range(2 ** grid.dim)]
+    centre_axes = [[n // 2] if n % 2 else [n // 2 - 1, n // 2]
+                   for n in grid.fine]
+    centre = [int(c) for c in mesh.cell_ids(grid, np.stack(np.meshgrid(
+        *centre_axes, indexing="ij"), -1).reshape(-1, grid.dim))]
     wells = [(c, rate / len(corners)) for c in corners]
     wells += [(c, -rate / len(centre)) for c in centre]
     return WellConfig(wells)
@@ -165,19 +159,16 @@ def total_mobility(fluid: FluidModel, s: np.ndarray) -> np.ndarray:
 
 
 def fractional_flow(fluid: FluidModel, s):
-    """Water flux fraction and its saturation derivative.
-
-    f_w = (k_rw/mu_w) / (k_rw/mu_w + k_ro/mu_o), differentiated by the
-    quotient rule so the transport Jacobian is exact.
-    """
+    """Water flux fraction f_w = (k_rw/mu_w) / lam, lam the total
+    mobility, and its exact derivative in one pass: the quotient rule
+    simplifies to f_w' = 2 s (1 - s) / (mu_w mu_o lam^2)."""
     s = np.asarray(s, dtype=float)
-    a = s * s / fluid.mu_w
-    b = (1.0 - s) * (1.0 - s) / fluid.mu_o
-    da = 2 * s / fluid.mu_w
-    db = -2 * (1.0 - s) / fluid.mu_o
-    lam = a + b
-    fw = a / lam
-    dfw = (da * b - a * db) / (lam * lam)
+    t = 1.0 - s
+    fw = s * s / fluid.mu_w
+    lam = t * t / fluid.mu_o + fw
+    fw /= lam
+    dfw = s * t * (2.0 / (fluid.mu_w * fluid.mu_o))
+    dfw /= np.multiply(lam, lam, out=lam)
     return fw, dfw
 
 
@@ -227,7 +218,8 @@ class UpwindFlow:
     entry, `diagonal` the data position of every diagonal and `q_plus`
     the injection rate of every cell.  `K` indexes by C ints, which the
     triangular kernel takes; it is lower triangular when the upwind
-    graph has no cycle (`acyclic`).
+    graph has no cycle (`acyclic`).  Newton writes every Jacobian into
+    `jacobian`, which shares `K`'s pattern.
     """
 
     K: sparse.csc_matrix
@@ -237,6 +229,7 @@ class UpwindFlow:
     order: np.ndarray
     rank: np.ndarray
     acyclic: bool
+    jacobian: sparse.csc_matrix
 
     @classmethod
     def build(cls, grid, v: np.ndarray, wells: WellConfig) -> "UpwindFlow":
@@ -269,10 +262,12 @@ class UpwindFlow:
         K.indices, K.indptr = (K.indices.astype(np.intc),
                                K.indptr.astype(np.intc))
         columns = np.repeat(cells, np.diff(K.indptr))
+        jacobian = sparse.csc_matrix((np.empty(K.nnz), K.indices, K.indptr),
+                                     shape=(n, n))
         return cls(K=K, columns=columns,
                    diagonal=np.flatnonzero(K.indices == columns),
                    q_plus=q_plus[order], order=order, rank=rank,
-                   acyclic=n_groups == n)
+                   acyclic=n_groups == n, jacobian=jacobian)
 
 
 class _NewtonFailure(Exception):
@@ -318,16 +313,18 @@ def _newton_transport(grid, fluid: FluidModel, s0, porosity, dt,
     """
     pv = (porosity * grid.cell_volume)[flow.order]
     s0 = s0[flow.order]
-    jacobian = flow.K.copy()
+    s = s0.copy()
     dt_flux = dt * flow.K.data
-    s = s0
     best, stalled = np.inf, 0
     for iteration in range(_NEWTON_MAX_ITER):
         fw, dfw = fractional_flow(fluid, np.clip(s, 0.0, 1.0))
-        residual = pv * (s - s0) - dt * (flow.q_plus - flow.K @ fw)
-        norm = float(np.max(np.abs(residual)))
-        scale = max(1.0, float(np.max(np.abs(s))))
-        if norm <= 1e-10 * scale:
+        # pv (s - s0) - dt (q_plus - K fw), summed in place
+        residual = flow.K @ fw
+        residual -= flow.q_plus
+        residual *= dt
+        residual += pv * (s - s0)
+        norm = max(residual.max(), -residual.min())
+        if norm <= 1e-10 * max(1.0, s.max(), -s.min()):
             return s[flow.rank], iteration
         if norm < best:
             best, stalled = norm, 0
@@ -335,9 +332,9 @@ def _newton_transport(grid, fluid: FluidModel, s0, porosity, dt,
             stalled += 1
             if stalled == _NEWTON_STALL:
                 raise _NewtonFailure(f"residual stalled at {best:.3e}")
-        np.multiply(dt_flux, dfw[flow.columns], out=jacobian.data)
-        jacobian.data[flow.diagonal] += pv
-        s = s - _solve_jacobian(flow, jacobian, residual)
+        np.multiply(dt_flux, dfw[flow.columns], out=flow.jacobian.data)
+        flow.jacobian.data[flow.diagonal] += pv
+        s -= _solve_jacobian(flow, flow.jacobian, residual)
     raise _NewtonFailure(f"no convergence in {_NEWTON_MAX_ITER} iterations")
 
 
@@ -354,9 +351,7 @@ def transport_step(grid, fluid: FluidModel, state: TransportState,
     indicates a broken scheme rather than a hard problem.
     """
     for halvings in range(5):
-        pieces = 2 ** halvings
-        s = state.s
-        iterations = 0
+        pieces, s, iterations = 2 ** halvings, state.s, 0
         try:
             for _ in range(pieces):
                 s, done = _newton_transport(grid, fluid, s, state.porosity,
@@ -364,8 +359,7 @@ def transport_step(grid, fluid: FluidModel, state: TransportState,
                 iterations += done
         except _NewtonFailure:
             continue
-        violation = float(np.max(np.maximum(s - 1.0, 0.0) +
-                                 np.maximum(-s, 0.0)))
+        violation = float(max(s.max() - 1.0, -s.min(), 0.0))
         return TransportState(s=np.clip(s, 0.0, 1.0),
                               porosity=state.porosity,
                               time=state.time + dt, dt=dt,
@@ -454,10 +448,7 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
     weights = np.array([-rate for cell, rate in wells.wells if rate < 0])
     weights /= weights.sum()
 
-    states = [state]
-    reports = []
-    cuts = []
-    checkpoints = {}
+    states, reports, cuts, checkpoints = [state], [], [], {}
     for step in range(config.n_steps):
         if step % config.pressure_interval == 0:
             # the first pressure solve shares the basis build's operators

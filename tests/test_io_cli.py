@@ -403,6 +403,50 @@ def test_solve_one_times_the_preconditioner_build_as_setup(monkeypatch):
     assert isinstance(received[0], TwoGridPreconditioner)
 
 
+@pytest.mark.parametrize("command", ["comparison", "twophase"])
+def test_single_field_commands_reject_a_contrast_list(command, tmp_path,
+                                                      capsys, monkeypatch):
+    # `comparison` used to solve at the first exponent and drop the rest,
+    # `twophase` at 0 unless it got exactly one
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(mixed_fem, "_BoxFactor", no_factor)
+    monkeypatch.setattr(mixed_fem, "factor", no_factor)
+    argv = [command, "--grid", "8x8", "--coarse", "2x2", "--space", "rt0",
+            "--out", str(tmp_path)]
+    for contrasts in ("--contrasts=-4,4", "--contrasts=0,2,4"):
+        assert main(argv + [contrasts]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--contrasts" in err
+
+
+def test_single_field_commands_solve_at_exponent_zero(tmp_path, monkeypatch):
+    config = build_config({}, {"grid": (8, 8), "coarse": (2, 2),
+                               "spaces": ("rt0",), "steps": 1,
+                               "checkpoints": (), "out": str(tmp_path)})
+    assert [row.contrast for row in run_comparison(config).rows] == [0.0]
+    kappas = []
+    original = bench_cli.impes_run
+
+    def impes_run(impes):
+        kappas.append(impes.kappa.values)
+        return original(impes)
+
+    monkeypatch.setattr(bench_cli, "impes_run", impes_run)
+    bench_cli.run_two_phase(config)
+    # one named exponent is the one solved at
+    config.contrasts = (2.0,)
+    assert [row.contrast for row in run_comparison(config).rows] == [2.0]
+    bench_cli.run_two_phase(config)
+    for kappa, exponent in zip(kappas, (0.0, 2.0)):
+        assert np.array_equal(kappa, bench_field((8, 8), exponent).values)
+    # the sweep keeps its default exponents
+    config.contrasts = None
+    rows = run_robustness_sweep(config).rows
+    assert [row.contrast for row in rows] == [-6, -4, -2, 0, 2, 4, 6]
+
+
 def test_cli_config_file_with_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid = 8x8\ncoarse = 2x2\ncontrasts = 0\n"

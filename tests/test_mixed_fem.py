@@ -112,6 +112,27 @@ def lumped_box_solve(ops, velocity_idx, pressure_idx, rhs):
     return x + np.linalg.solve(K, rhs - K @ x)
 
 
+@pytest.mark.parametrize("fine, coarse", [
+    ((40, 40), (4, 4)), ((6, 9), (3, 3)), ((8, 8, 8), (2, 2, 2)),
+    ((4, 1), (2, 1)), ((1, 1), (1, 1)),
+])
+def test_boxes_match_the_per_block_layouts(fine, coarse):
+    # one template per box shape, shifted by the ravelled box corners,
+    # is what each block's own oversampled box gives; a singleton axis
+    # and a one-cell grid have face lattices with an empty axis
+    grid = mesh.build_grid(fine, coarse)
+    for overlap in range(4):
+        boxes = mixed_fem._boxes(grid, overlap)
+        assert len(boxes) == grid.n_blocks
+        for block, box in enumerate(boxes):
+            cells = mesh.oversample(grid, block, overlap)
+            vidx = mesh.velocity_dofs_interior_to(grid, cells)
+            assert np.array_equal(box.pressure_idx, cells)
+            assert np.array_equal(box.velocity_idx, vidx[box.lines.order])
+        shapes = {box.lines.shape: id(box.lines) for box in boxes}
+        assert len({id(box.lines) for box in boxes}) == len(shapes)
+
+
 @pytest.mark.parametrize("fine,coarse,overlap", [
     ((12, 8), (4, 2), 0),
     ((12, 8), (4, 2), 1),

@@ -42,6 +42,19 @@ def test_fractional_flow_derivative_matches_finite_differences():
     assert np.abs(dfw - fd).max() < 1e-6
 
 
+def test_fractional_flow_closed_form_matches_the_quotient_rule():
+    s = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 52)[1:-1]])
+    for fluid in (tp.FluidModel(), tp.FluidModel(mu_w=0.7, mu_o=3.0)):
+        a, b = s * s / fluid.mu_w, (1.0 - s) * (1.0 - s) / fluid.mu_o
+        da, db = 2 * s / fluid.mu_w, -2 * (1.0 - s) / fluid.mu_o
+        lam = a + b
+        fw, dfw = tp.fractional_flow(fluid, s)
+        assert np.array_equal(fw, a / lam)
+        want = (da * b - a * db) / (lam * lam)
+        assert dfw[0] == dfw[1] == 0.0
+        assert np.all(np.abs(dfw - want) <= 1e-14 * np.abs(want))
+
+
 def test_mobility_clamps_and_warns():
     fluid = tp.FluidModel()
     with pytest.warns(RuntimeWarning, match="clamped"):
@@ -313,6 +326,69 @@ def test_triangular_kernel_contract(rng):
     assert np.array_equal(b, kept)
     want = splu(A, permc_spec="NATURAL").solve(b)
     assert np.abs(x / d - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def recorded_jacobians(monkeypatch):
+    """Every Newton call as (s0, porosity, dt, flow, the dense Jacobian
+    and the solution of each of its solves); every Jacobian must be
+    its flow's buffer."""
+    calls = []
+    newton, solve_jacobian = tp._newton_transport, tp._solve_jacobian
+
+    def newton_call(grid, fluid, s0, porosity, dt, flow):
+        calls.append((s0.copy(), porosity, dt, flow, []))
+        return newton(grid, fluid, s0, porosity, dt, flow)
+
+    def solving(flow, jacobian, b):
+        assert jacobian is flow.jacobian
+        x = solve_jacobian(flow, jacobian, b)
+        calls[-1][-1].append((jacobian.toarray(), x))
+        return x
+
+    monkeypatch.setattr(tp, "_newton_transport", newton_call)
+    monkeypatch.setattr(tp, "_solve_jacobian", solving)
+    return calls
+
+
+def assert_jacobians_are_dense_newton_matrices(grid, fluid, calls):
+    """Each recorded Jacobian is diag(pv) + dt K diag(f_w') at its
+    iterate, rebuilt from `flow.K`; the iterates follow the solves."""
+    assert calls and all(solves for *_, solves in calls)
+    for s0, porosity, dt, flow, solves in calls:
+        pv = (porosity * grid.cell_volume)[flow.order]
+        K = flow.K.toarray()
+        s = s0[flow.order]
+        for jacobian, x in solves:
+            _, dfw = tp.fractional_flow(fluid, np.clip(s, 0.0, 1.0))
+            want = np.diag(pv) + dt * K * dfw
+            assert np.abs(jacobian - want).max() <= 1e-14 * np.abs(want).max()
+            s = s - x
+
+
+@pytest.mark.parametrize("case", ["halving five-spot", "vortex"])
+def test_jacobian_buffer_holds_each_newton_matrix(case, monkeypatch, rng):
+    fluid = tp.FluidModel()
+    if case == "vortex":
+        # a circulating flow, whose Jacobian is factored
+        grid = mesh.build_grid((4, 4), (2, 2))
+        v = vortex_velocity(grid, rng.uniform(0.5, 1.5, (3, 3)))
+        wells, dt = tp.WellConfig([]), 0.01
+        state = tp.TransportState(s=rng.uniform(0.05, 0.95, grid.n_cells),
+                                  porosity=np.full(grid.n_cells, 0.2))
+    else:
+        # an acyclic step that halves: its pieces refill the buffer
+        grid = mesh.build_grid((6, 6), (2, 2))
+        wells, dt = tp.five_spot_wells(grid), 0.05
+        state = tp.TransportState.initial(grid, s0=0.0)
+        ops = mixed_fem.assemble_operators(grid, tp.mobility_field(
+            mixed_fem.uniform_field(grid), fluid, state.s))
+        v, _ = tp.pressure_step(ops, build_rt0_space(grid), wells)
+    flow = tp.UpwindFlow.build(grid, v, wells)
+    assert flow.acyclic == (case != "vortex")
+    calls = recorded_jacobians(monkeypatch)
+    out = tp.transport_step(grid, fluid, state, flow, dt)
+    assert (out.halvings > 0 and len(calls) > 2) == (case != "vortex")
+    assert_jacobians_are_dense_newton_matrices(grid, fluid, calls)
 
 
 def test_transport_on_acyclic_five_spot_matches_dense_newton(rng):
