@@ -40,6 +40,11 @@ from .sparse_linalg import (SingularMatrixError, generalized_symmetric_eig,
                             inverse_cholesky)
 
 
+SPACE_KINDS = ("gmsfem", "msfem", "rt0")
+# the default gmsfem selection tolerance; see `face_bilinear_s`
+GMSFEM_TOL = 10.0
+
+
 @dataclass(eq=False)
 class SnapshotFamily:
     """All snapshots of one coarse face in compressed form.
@@ -67,11 +72,10 @@ class SnapshotFamily:
 
 @dataclass(eq=False)
 class SpectralSelection:
-    """Eigenpairs of one face pencil and the retained leading block."""
+    """Eigenvalues of one face pencil and how many lead ones are kept."""
 
     face_index: int
     eigenvalues: np.ndarray
-    vectors: np.ndarray
     count: int
 
     @property
@@ -241,14 +245,12 @@ def face_eigenpairs(operators, family: SnapshotFamily):
     return generalized_symmetric_eig(a, s)
 
 
-def select_modes(eigenvalues, eigenvectors, tol: float,
+def select_modes(eigenvalues, tol: float,
                  face_index: int = -1) -> SpectralSelection:
-    """Keep ascending eigenpairs with eigenvalue <= tol, at least one."""
+    """Keep the ascending eigenvalues <= tol, at least one."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     count = max(1, int(np.count_nonzero(eigenvalues <= tol)))
-    return SpectralSelection(face_index=face_index,
-                             eigenvalues=eigenvalues,
-                             vectors=np.asarray(eigenvectors),
+    return SpectralSelection(face_index=face_index, eigenvalues=eigenvalues,
                              count=count)
 
 
@@ -335,7 +337,7 @@ def build_msfem_space(operators) -> CoarseBasis:
                        face_mode_counts=np.ones(len(columns), dtype=int))
 
 
-def build_gmsfem_space(operators, tol: float = 10.0) -> CoarseBasis:
+def build_gmsfem_space(operators, tol: float = GMSFEM_TOL) -> CoarseBasis:
     """Spectrally enriched space: per face keep the pencil modes with
     eigenvalue at most `tol` (at least one).  The faces of an axis share
     one size, so their snapshots, S-forms and pencils are computed as
@@ -353,9 +355,9 @@ def build_gmsfem_space(operators, tol: float = 10.0) -> CoarseBasis:
                            group.fine)[..., None] * np.eye(J)
         w, X = generalized_symmetric_eig(a, group.bilinear_s(values))
         for face, d, V, w_f, X_f in zip(faces, dofs, values, w, X):
-            sel = select_modes(w_f, X_f, tol, face_index=face.index)
+            sel = select_modes(w_f, tol, face_index=face.index)
             selections.append(sel)
-            columns.append((d, V @ sel.vectors[:, : sel.count]))
+            columns.append((d, V @ X_f[:, : sel.count]))
     return CoarseBasis(kind="gmsfem",
                        P_v=_assemble_velocity_prolongation(grid, columns),
                        P_p=_pressure_prolongation(grid),
@@ -363,10 +365,7 @@ def build_gmsfem_space(operators, tol: float = 10.0) -> CoarseBasis:
                        selections=tuple(selections))
 
 
-SPACE_KINDS = ("gmsfem", "msfem", "rt0")
-
-
-def check_space(kind, tol: float = 10.0) -> str:
+def check_space(kind, tol: float) -> str:
     """`kind` in lower case; ValueError unless it is in `SPACE_KINDS` (any
     case) and the gmsfem tolerance `tol` is positive and finite."""
     if not (isinstance(kind, str) and kind.lower() in SPACE_KINDS):
@@ -378,7 +377,7 @@ def check_space(kind, tol: float = 10.0) -> str:
     return kind.lower()
 
 
-def build_space(kind, grid, field, operators=None, tol: float = 10.0) -> CoarseBasis:
+def build_space(kind, grid, field, operators=None, tol=GMSFEM_TOL) -> CoarseBasis:
     """The coarse space `kind` on `grid`, after `check_space`.  msfem
     and gmsfem read the coefficient of `operators`; `field` serves only
     to assemble them when none are given."""

@@ -39,9 +39,10 @@ def is_integer(value) -> bool:
 class SolverSettings:
     """Knobs for the preconditioned solve.
 
-    `eta` damps the additive smoother; with up to 2**d overlapping
-    regions covering a dof, eta <= 2**-d keeps the smoother a
-    contraction, and 0.2 is a safe default in 2D and 3D.  `sweeps`
+    `eta` damps the additive smoother.  With up to 2**d overlapping
+    regions covering a dof, eta <= 2**-d keeps it a contraction; the
+    default 0.2 meets that in 2D only, so in 3D criterion 3 and
+    `test_vcycle_symmetric_3d_high_contrast` check positivity.  `sweeps`
     smoother sweeps run before and after the coarse correction.  Values
     that cannot give a converging solve, and counts that are not
     integers, raise ValueError here; the settings are frozen so that
@@ -94,7 +95,7 @@ class TwoGridPreconditioner:
     coarse: CoarseOperator
     batch: LumpedBatch
     eta: float
-    sweeps: int = 1
+    sweeps: int
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
         """One damped additive sweep: sum of the lumped local saddle
@@ -117,8 +118,7 @@ class TwoGridPreconditioner:
 
 
 def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
-                         settings: SolverSettings | None = None):
-    settings = settings or SolverSettings()
+                         settings: SolverSettings = SolverSettings()):
     return TwoGridPreconditioner(operators, coarse_operator(basis, operators),
                                  operators.smoother(settings.overlap),
                                  settings.eta, settings.sweeps)
@@ -142,6 +142,11 @@ def check_source(grid, source) -> np.ndarray:
             f"source does not balance: net rate {net:.3e} (gross "
             f"{gross:.3e}); a compatible Neumann problem needs zero net")
     return source
+
+
+def _divergence_bound(source: np.ndarray) -> float:
+    """The divergence error a solve may leave: 1e-10 max(1, max|source|)."""
+    return 1e-10 * max(1.0, float(np.max(np.abs(source))))
 
 
 @dataclass
@@ -172,12 +177,12 @@ def preprocess(operators: MixedOperators, coarse: CoarseOperator,
     coarse_residual = float(np.max(np.abs(np.concatenate(
         coarse.residual(y_v, y_p, 0.0, rhs_p)))))
 
-    scale = max(1.0, float(np.max(np.abs(source))))
+    bound = _divergence_bound(source)
     residual = source - operators.B @ v_coarse
     Av = operators.A @ v_coarse
     batch = operators.batch()
     imbalance = np.abs(batch.box_sums(residual[batch.pressure_idx]))
-    over = imbalance > 1e-10 * scale * batch.counts
+    over = imbalance > bound * batch.counts
     if over.any():
         block = int(np.argmax(over))
         raise RuntimeError(
@@ -189,7 +194,7 @@ def preprocess(operators: MixedOperators, coarse: CoarseOperator,
     v = v_coarse + batch.scatter(corrections)
 
     err = float(np.max(np.abs(operators.B @ v - source)))
-    if err > 1e-10 * scale:
+    if err > bound:
         raise RuntimeError(f"preprocessing left divergence error {err:.3e}")
     return PreprocessResult(v, v_coarse, err, coarse_residual, norms)
 
@@ -203,7 +208,7 @@ class SolveResult:
 
 
 def solve(grid, operators: MixedOperators, basis: CoarseBasis,
-          source: np.ndarray, settings: SolverSettings | None = None,
+          source: np.ndarray, settings: SolverSettings = SolverSettings(),
           with_pressure: bool = False,
           preconditioner: TwoGridPreconditioner | None = None) -> SolveResult:
     """Full velocity solve: preprocessing plus preconditioned CG.
@@ -213,10 +218,10 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     residual history is in the preconditioner norm, relative to the
     first residual.  A bad `source` raises ValueError before any factor
     is built, a `preconditioner` of other `operators` or `basis` before
-    any solve, and a velocity whose divergence strays from the source by
-    more than preprocessing allows raises RuntimeError.
+    any solve.  A velocity whose divergence strays from the source by
+    more than `_divergence_bound` raises RuntimeError, and so does a CG
+    that stops at `max_iter` short of `rel_tol`.
     """
-    settings = settings or SolverSettings()
     source = check_source(grid, source)
     if preconditioner is None:
         preconditioner = build_preconditioner(grid, operators, basis, settings)
@@ -247,10 +252,14 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     v = pre.velocity + w
     result = SolveResult(v, report)
     result.divergence_error = float(np.max(np.abs(operators.B @ v - source)))
-    if result.divergence_error > 1e-10 * max(1.0, np.abs(source).max()):
+    if result.divergence_error > _divergence_bound(source):
         raise RuntimeError(
             f"CG left divergence error {result.divergence_error:.3e} after "
             f"{report.iterations} iterations")
+    if not report.converged:
+        raise RuntimeError(
+            f"solve stalled after {report.iterations} iterations at "
+            f"relative residual {report.residuals[-1]:.3e}")
     if with_pressure:
         result.pressure = recover_pressure(operators, preconditioner.coarse, v)
     return result

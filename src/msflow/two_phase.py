@@ -35,7 +35,7 @@ except ImportError as exc:
 
 from . import mesh
 from .mixed_fem import PermeabilityField, assemble_operators
-from .coarse_space import build_space, check_space
+from .coarse_space import GMSFEM_TOL, build_space, check_space
 from .preconditioner import (SolverSettings, build_preconditioner,
                              is_integer, solve)
 
@@ -43,10 +43,8 @@ from .preconditioner import (SolverSettings, build_preconditioner,
 @dataclass
 class FluidModel:
     """Two-phase fluid with quadratic (Corey) relative permeabilities,
-    k_rw = s^2 and k_ro = (1 - s)^2.
-
-    Defaults are water viscosity 1 and oil viscosity 5.  Rates are
-    volumetric throughout (unit water density).
+    k_rw = s^2 and k_ro = (1 - s)^2.  Rates are volumetric throughout
+    (unit water density).
     """
 
     mu_w: float = 1.0
@@ -142,7 +140,7 @@ class TransportState:
     halvings: int = 0
 
     @classmethod
-    def initial(cls, grid, porosity: float = 0.2, s0: float = 0.0):
+    def initial(cls, grid, porosity: float, s0: float = 0.0):
         return cls(s=np.full(grid.n_cells, float(s0)),
                    porosity=np.full(grid.n_cells, float(porosity)))
 
@@ -179,13 +177,14 @@ def mobility_field(kappa: PermeabilityField, fluid: FluidModel,
 
 
 def pressure_step(operators, basis, wells: WellConfig,
-                  settings: SolverSettings | None = None):
+                  settings: SolverSettings = SolverSettings()):
     """Total-velocity solve on operators assembled from a
     `mobility_field`.
 
     The coarse basis is whatever the caller froze; only the coarse
     Galerkin operator and the block factorizations see the updated
-    coefficient.  Returns (velocity, PcgReport).
+    coefficient.  Returns (velocity, PcgReport); a `solve` that fails,
+    or stalls, raises RuntimeError("pressure solve failed: ...").
     """
     grid = operators.grid
     precond = build_preconditioner(grid, operators, basis, settings)
@@ -195,11 +194,6 @@ def pressure_step(operators, basis, wells: WellConfig,
                        preconditioner=precond)
     except RuntimeError as exc:
         raise RuntimeError(f"pressure solve failed: {exc}") from exc
-    if not result.report.converged:
-        raise RuntimeError(
-            f"pressure solve stalled: {result.report.iterations} "
-            f"iterations reached relative residual "
-            f"{result.report.residuals[-1]:.3e}")
     return result.velocity, result.report
 
 
@@ -387,9 +381,9 @@ class IMPESConfig:
     n_steps: int = 100
     pressure_interval: int = 50
     space: str = "gmsfem"
-    tol: float = 10.0
+    tol: float = GMSFEM_TOL
     porosity: float = 0.2
-    settings: SolverSettings | None = None
+    settings: SolverSettings = SolverSettings()
     checkpoint_steps: tuple = ()
     rebuild_basis: bool = False
 

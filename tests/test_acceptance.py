@@ -153,7 +153,7 @@ def test_criterion_6_spectral_selection(rng):
         # larger tolerances keep supersets of the same leading modes
         counts, kept = [], []
         for tol in (w[0] * 1.001, float(np.median(w)), w[-1] * 2.0):
-            sel = coarse_space.select_modes(w, X, tol)
+            sel = coarse_space.select_modes(w, tol)
             counts.append(sel.count)
             kept.append(sel.kept_eigenvalues)
         assert counts == sorted(counts)

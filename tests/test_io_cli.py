@@ -1,12 +1,12 @@
 """Raster IO, synthetic fields, config parsing, and the msflow CLI."""
 
 import csv
+import dataclasses
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from msflow.bench_cli import (
     _parse_dims,
 )
 from msflow.preconditioner import SolverSettings, TwoGridPreconditioner
+from msflow.sparse_linalg import PcgReport
 
 from conftest import band_values
 
@@ -284,12 +285,34 @@ def test_build_config_rejects_unknown_keys():
         build_config({"m1": "2"}, {})
 
 
-def test_settings_mapping():
+def test_settings_mapping(tmp_path, monkeypatch):
     assert ExperimentConfig().settings() == SolverSettings()
     custom = build_config({}, {"rtol": "1e-9", "eta": "0.3", "sweeps": "2",
                                "overlap": "1"}).settings()
     assert custom == SolverSettings(rel_tol=1e-9, eta=0.3, sweeps=2,
                                     overlap=1)
+
+    # two-phase defaults: a twophase run without options runs the
+    # library's IMPESConfig, FluidModel and five_spot_wells defaults
+    received = []
+
+    def impes_run(impes):
+        received.append(impes)
+        raise RuntimeError("stop before the run")
+
+    monkeypatch.setattr(bench_cli, "impes_run", impes_run)
+    config = dataclasses.replace(ExperimentConfig(), grid=(8, 8),
+                                 coarse=(2, 2), out=str(tmp_path))
+    with pytest.raises(RuntimeError, match="stop before the run"):
+        bench_cli.run_two_phase(config)
+    [impes] = received
+    grid = mesh.build_grid((8, 8), (2, 2))
+    want = msflow.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid))
+    for key in ("dt", "pressure_interval", "porosity", "fluid", "space",
+                "tol", "settings"):
+        assert getattr(impes, key) == getattr(want, key), key
+    wells = impes.wells or msflow.five_spot_wells(grid)
+    assert wells.wells == msflow.five_spot_wells(grid).wells
 
 
 def test_field_at_builds_synth_or_reads_the_raster(tmp_path):
@@ -556,10 +579,12 @@ def test_cli_divergence_failure_exits_three(tmp_path, capsys):
 
 
 def test_cli_stalled_solve_exits_three(tmp_path, capsys, monkeypatch):
-    stalled = SimpleNamespace(report=SimpleNamespace(
-        converged=False, iterations=500, residuals=[1.0, 0.9],
-        condition_estimate=1.0))
-    monkeypatch.setattr(bench_cli, "solve", lambda *a, **k: stalled)
+    # the real solve, with a CG that stops unconverged at max_iter
+    def stalled_pcg(apply_operator, apply_preconditioner, rhs, **kwargs):
+        return np.zeros_like(rhs), PcgReport(
+            iterations=500, converged=False, residuals=[1.0, 0.9])
+
+    monkeypatch.setattr(msflow.preconditioner, "pcg", stalled_pcg)
     assert main(["comparison", "--grid", "8x8", "--coarse", "2x2",
                  "--space", "rt0", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err

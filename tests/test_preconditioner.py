@@ -416,11 +416,12 @@ def test_operators_build_block_factors_once_per_overlap(monkeypatch, rng):
     second = pc.solve(grid, ops, basis, F)
     # one exact overlap-0 batch and one lumped smoother, and no exact
     # factor of an overlapped box
-    assert built == {"exact": 1, "lumped": [2]}
+    overlap = pc.SolverSettings().overlap
+    assert built == {"exact": 1, "lumped": [overlap]}
     assert np.array_equal(first.velocity, second.velocity)
     # new operators for the same field build their own factors
     pc.solve(grid, mixed_fem.assemble_operators(grid, field), basis, F)
-    assert built == {"exact": 2, "lumped": [2, 2]}
+    assert built == {"exact": 2, "lumped": [overlap, overlap]}
 
 
 def test_solve_matches_dense_oracle(rng):
@@ -522,6 +523,18 @@ def test_breakdown_reraised_with_divergence_norm(monkeypatch):
     monkeypatch.setattr(pc, "pcg", bare_pcg)
     with pytest.raises(PcgBreakdownError, match="plain failure$"):
         pc.solve(grid, ops, basis, F)
+
+
+def test_solve_rejects_a_stalled_cg():
+    # rt0 on the 12x12 comb needs more than 2 iterations: a CG cut off at
+    # max_iter is not a solution, so solve raises instead of returning it
+    grid = mesh.build_grid((12, 12), (3, 3))
+    ops = mixed_fem.assemble_operators(grid, bench_field((12, 12), -6))
+    with pytest.raises(RuntimeError,
+                       match=r"^solve stalled after 2 iterations at "
+                             r"relative residual \d"):
+        pc.solve(grid, ops, coarse_space.build_rt0_space(grid),
+                 corner_source(grid), pc.SolverSettings(max_iter=2))
 
 
 def test_single_cell_grid_solves():

@@ -10,6 +10,7 @@ from scipy.sparse.linalg import splu
 
 import msflow.two_phase as tp
 from msflow import mesh, mixed_fem, preconditioner as pc
+from msflow.bench_cli import bench_field
 from msflow.coarse_space import build_rt0_space, build_space
 
 from conftest import random_log_field
@@ -123,7 +124,7 @@ def test_five_spot_layouts():
 
 def test_transport_without_flow_is_identity():
     grid = mesh.build_grid((4, 4), (2, 2))
-    state = tp.TransportState.initial(grid, s0=0.25)
+    state = tp.TransportState.initial(grid, porosity=0.2, s0=0.25)
     flow = tp.UpwindFlow.build(grid, np.zeros(grid.n_velocity),
                                tp.WellConfig([]))
     out = tp.transport_step(grid, tp.FluidModel(), state, flow, 0.1)
@@ -265,7 +266,7 @@ def five_spot_velocity(orders):
     kappa = mixed_fem.PermeabilityField(
         random_log_field(np.random.default_rng(3), grid.n_cells, orders))
     wells = tp.five_spot_wells(grid)
-    state = tp.TransportState.initial(grid, s0=0.0)
+    state = tp.TransportState.initial(grid, porosity=0.2, s0=0.0)
     ops = mixed_fem.assemble_operators(
         grid, tp.mobility_field(kappa, tp.FluidModel(), state.s))
     v, _ = tp.pressure_step(ops, build_rt0_space(grid), wells)
@@ -379,7 +380,7 @@ def test_jacobian_buffer_holds_each_newton_matrix(case, monkeypatch, rng):
         # an acyclic step that halves: its pieces refill the buffer
         grid = mesh.build_grid((6, 6), (2, 2))
         wells, dt = tp.five_spot_wells(grid), 0.05
-        state = tp.TransportState.initial(grid, s0=0.0)
+        state = tp.TransportState.initial(grid, porosity=0.2, s0=0.0)
         ops = mixed_fem.assemble_operators(grid, tp.mobility_field(
             mixed_fem.uniform_field(grid), fluid, state.s))
         v, _ = tp.pressure_step(ops, build_rt0_space(grid), wells)
@@ -426,7 +427,7 @@ def test_upwind_matrix_gives_the_face_by_face_outflow(rng):
 
 def test_transport_halves_steps_then_gives_up(monkeypatch):
     grid = mesh.build_grid((4, 4), (2, 2))
-    state = tp.TransportState.initial(grid)
+    state = tp.TransportState.initial(grid, porosity=0.2)
     wells = tp.WellConfig([])
     flow = tp.UpwindFlow.build(grid, np.zeros(grid.n_velocity), wells)
     calls = []
@@ -461,7 +462,7 @@ def test_newton_gives_up_on_a_cycling_step(monkeypatch):
     grid = mesh.build_grid((6, 6), (2, 2))
     wells = tp.five_spot_wells(grid)
     fluid = tp.FluidModel()
-    state = tp.TransportState.initial(grid, s0=0.0)
+    state = tp.TransportState.initial(grid, porosity=0.2, s0=0.0)
     ops = mixed_fem.assemble_operators(
         grid, tp.mobility_field(mixed_fem.uniform_field(grid), fluid, state.s))
     v, _ = tp.pressure_step(ops, build_rt0_space(grid), wells)
@@ -482,7 +483,7 @@ def test_pressure_step_reduces_to_single_phase(rng):
     kappa = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells, 4.0))
     basis = build_rt0_space(grid)
     wells = tp.five_spot_wells(grid)
-    state = tp.TransportState.initial(grid, s0=0.0)
+    state = tp.TransportState.initial(grid, porosity=0.2, s0=0.0)
     mobile = mixed_fem.assemble_operators(
         grid, tp.mobility_field(kappa, tp.FluidModel(), state.s))
     v, report = tp.pressure_step(mobile, basis, wells,
@@ -494,6 +495,17 @@ def test_pressure_step_reduces_to_single_phase(rng):
                    pc.SolverSettings(rel_tol=1e-10))
     scale = np.abs(ref.velocity).max()
     assert np.abs(v - ref.velocity).max() < 1e-6 * scale
+
+
+def test_impes_run_rejects_a_stalled_pressure_solve():
+    grid = mesh.build_grid((12, 12), (3, 3))
+    config = tp.IMPESConfig(grid=grid, kappa=bench_field((12, 12), -6),
+                            space="rt0", n_steps=2,
+                            settings=pc.SolverSettings(max_iter=2))
+    with pytest.raises(RuntimeError,
+                       match=r"^step 0 \(t=0\): pressure solve failed: "
+                             r"solve stalled after 2 iterations"):
+        tp.impes_run(config)
 
 
 @pytest.mark.parametrize("bad", [
@@ -621,14 +633,15 @@ def test_first_pressure_step_shares_the_basis_operators(monkeypatch, rng):
     assert len(tp.impes_run(config).reports) == 2
     # two sets of operators: one exact overlap-0 batch and one lumped
     # smoother each
-    assert built == {"exact": 2, "lumped": [2, 2]}
+    overlap = pc.SolverSettings().overlap
+    assert built == {"exact": 2, "lumped": [overlap, overlap]}
     built["exact"] = 0
     built["lumped"].clear()
     tp.impes_run(dataclasses.replace(config, rebuild_basis=True))
-    assert built == {"exact": 2, "lumped": [2, 2]}
+    assert built == {"exact": 2, "lumped": [overlap, overlap]}
 
     # shared factors give the velocity of freshly assembled ones, bit for bit
-    state = tp.TransportState.initial(grid)
+    state = tp.TransportState.initial(grid, porosity=0.2)
     field = tp.mobility_field(kappa, config.fluid, state.s)
     shared = mixed_fem.assemble_operators(grid, field)
     basis = build_space("gmsfem", grid, field, shared)
