@@ -212,7 +212,7 @@ class ExperimentConfig:
     field: str = "synth"
     layout: str = "text"
     layers: tuple | None = None
-    spaces: tuple = ("gmsfem",)
+    spaces: tuple = (IMPESConfig.space,)
     tol: float = GMSFEM_TOL
     contrasts: tuple | None = None  # None: robustness sweeps -6 .. 6
     eta: float = SolverSettings.eta

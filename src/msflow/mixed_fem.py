@@ -15,14 +15,14 @@ Box saddles are solved directly, all boxes of a set as one
 block-diagonal system.  The exact solves of the coarse blocks
 (`BlockBatch`, a dense `_BoxFactor` with its inverse Cholesky factor,
 held once per distinct box and applied to all its boxes at once) serve
-preprocessing, the basis build and pressure recovery.  The smoother's
-boxes, grown by an overlap, are mass-lumped (`LumpedBatch`): each box's
-velocity mass is integrated by the trapezoidal rule, which makes it
-diagonal and the mixed method equal to two-point cell fluxes (Russell &
-Wheeler 1983; Arbogast, Wheeler & Yotov, SINUM 34, 1997), so one sparse
-`sparse_linalg.factor` of pinned cell Laplacians serves every box, and
-a lumped solve is two solves with it and four sparse products.
-`MixedOperators` owns both for its coefficient.
+the msfem and gmsfem basis build.  The other boxes, the smoother's and
+those of preprocessing and recovery, are mass-lumped (`LumpedBatch`):
+each box's velocity mass is integrated by the trapezoidal rule, which
+makes it diagonal and the mixed method equal to two-point cell fluxes
+(Russell & Wheeler 1983; Arbogast, Wheeler & Yotov, SINUM 34, 1997), so
+one sparse `sparse_linalg.factor` of pinned cell Laplacians serves a
+set of boxes, and a lumped solve is two solves with it and four sparse
+products.  `MixedOperators` owns both for its coefficient.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class MixedOperators:
     after assembly, so they own the box factors and build them on first
     use, for every caller: `batch` the exact saddles of the coarse
     blocks, `smoother` the lumped saddles of the blocks grown by an
-    overlap, once per overlap.
+    overlap (0 included), once per overlap.
     """
 
     grid: mesh.CartesianTwoScaleGrid
@@ -83,8 +83,8 @@ class MixedOperators:
 
     def batch(self) -> BlockBatch:
         """`BlockBatch` of the `block_solvers` for overlap 0, one Schur
-        factor per distinct box: the exact solves of preprocessing, the
-        basis build and pressure recovery."""
+        factor per distinct box: the exact solves of the msfem and
+        gmsfem basis build."""
         if self._batch is None:
             self._batch = BlockBatch(block_solvers(self),
                                      self.grid.n_velocity)
@@ -449,7 +449,8 @@ class BlockBatch(_BoxSystem):
 
 class LumpedBatch(_BoxSystem):
     """Mass-lumped box saddles  M v + G p = a,  D v + mu 1 = b  of every
-    coarse block grown by `overlap` fine layers: the smoother's solves.
+    coarse block grown by `overlap` fine layers: the smoother's solves,
+    and at overlap 0 preprocessing's and pressure recovery's.
 
     M is the trapezoidal-rule velocity mass: the face between cells of
     weights w_l and w_h (volume / coefficient) gets the diagonal entry
@@ -501,6 +502,15 @@ class LumpedBatch(_BoxSystem):
         v -= self.W_DsT @ self.lu.solve(self.Ds @ v - b)
         v -= self.W_DsT @ self.lu.solve(self.Ds @ v - b)
         return v
+
+    def pressure(self, velocity_rhs) -> np.ndarray:
+        """Local cell pressures, pinned cells at 0, of D W G p = D W a
+        for global a (n,): G p = a by least squares in the W norm."""
+        p = np.zeros(len(self.pressure_idx))
+        if self.lu is not None:
+            p[self.free] = self.scale * self.lu.solve(
+                self.Ds @ (self.inv_mass * velocity_rhs[self.velocity_idx]))
+        return p
 
 
 def block_solvers(operators: MixedOperators) -> list:

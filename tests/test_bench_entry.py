@@ -35,4 +35,9 @@ def test_warmup_case_runs_under_a_full_tracer(name):
     assert (set(metrics) | {"trace.time_to_solution_s", "trace.overhead"}
             == set(workloads.PER_LAYER))
     assert metrics["sparse_linalg.pcg.iterations"] > 0
-    assert metrics["mixed_fem.block_solvers.overlap0.calls"] >= 1
+    # the exact overlap-0 boxes serve the gmsfem basis builds only
+    exact_builds = metrics["mixed_fem.block_solvers.overlap0.calls"]
+    if case.space == "rt0":
+        assert exact_builds == 0
+    else:
+        assert exact_builds >= 1

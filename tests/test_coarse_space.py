@@ -337,8 +337,9 @@ def test_coarse_operator_is_galerkin_projection(rng):
 
 def test_solve_factors_the_smoother_only(monkeypatch):
     # the coarse saddle and the exact boxes are dense: a solve with
-    # pressure on the impes-2d grid makes one sparse factor, the
-    # smoother's, with diagonal pivots
+    # pressure on the impes-2d grid makes two sparse factors, both of
+    # lumped boxes and with diagonal pivots: the smoother's and the
+    # overlap-0 boxes' of preprocessing and recovery
     from msflow import bench_cli, preconditioner as pc, sparse_linalg, \
         two_phase
     grid = mesh.build_grid((40, 40), (4, 4))
@@ -356,9 +357,10 @@ def test_solve_factors_the_smoother_only(monkeypatch):
     source = two_phase.five_spot_wells(grid).source_vector(grid.n_cells)
     settings = pc.SolverSettings(rel_tol=1e-10)
     pc.solve(grid, ops, basis, source, settings, with_pressure=True)
-    assert len(factors) == 1
-    assert factors[0].lu is ops.smoother(settings.overlap).lu
-    assert np.array_equal(factors[0].lu.perm_r, factors[0].lu.perm_c)
+    assert [f.lu for f in factors] == [ops.smoother(settings.overlap).lu,
+                                       ops.smoother(0).lu]
+    for f in factors:
+        assert np.array_equal(f.lu.perm_r, f.lu.perm_c)
 
 
 @pytest.mark.parametrize("kind", ["rt0", "gmsfem"])

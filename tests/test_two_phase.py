@@ -624,21 +624,22 @@ def test_frozen_basis_tracks_rebuilt(rng):
 
 def test_first_pressure_step_shares_the_basis_operators(monkeypatch, rng):
     # the t=0 basis build and the first pressure solve see one mobility,
-    # so one set of operators and overlap-0 factors serves both
+    # so one set of operators serves both
     grid = mesh.build_grid((12, 12), (3, 3))
     kappa = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells, 4.0))
     built = count_box_builds(monkeypatch)
     config = tp.IMPESConfig(grid=grid, kappa=kappa, dt=2e-3, n_steps=4,
                             pressure_interval=2)
     assert len(tp.impes_run(config).reports) == 2
-    # two sets of operators: one exact overlap-0 batch and one lumped
-    # smoother each
+    # two sets of operators, each with a lumped smoother and lumped
+    # overlap-0 boxes for preprocessing; a frozen basis builds the exact
+    # overlap-0 batch once, at t=0, and a rebuilt one at every step
     overlap = pc.SolverSettings().overlap
-    assert built == {"exact": 2, "lumped": [overlap, overlap]}
+    assert built == {"exact": 1, "lumped": [overlap, 0, overlap, 0]}
     built["exact"] = 0
     built["lumped"].clear()
     tp.impes_run(dataclasses.replace(config, rebuild_basis=True))
-    assert built == {"exact": 2, "lumped": [overlap, overlap]}
+    assert built == {"exact": 2, "lumped": [overlap, 0, overlap, 0]}
 
     # shared factors give the velocity of freshly assembled ones, bit for bit
     state = tp.TransportState.initial(grid, porosity=0.2)
