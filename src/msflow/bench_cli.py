@@ -106,13 +106,24 @@ class FieldSpec:
     the closed box.  Boxes aligned with cell boundaries select exact
     index ranges.  `n_random` adds that many seeded rectangular
     inclusions of fractional size `random_size`.  Feature cells get
-    10**exponent, everything else 1.
+    10**exponent, everything else 1; an exponent for which that is not
+    a positive, finite float raises ValueError.
     """
 
     exponent: float = 0.0
     boxes: list = dataclass_field(default_factory=list)
     n_random: int = 0
     random_size: float = 0.08
+
+    def __post_init__(self):
+        try:
+            value = 10.0 ** float(self.exponent)
+        except OverflowError:
+            value = float("inf")
+        if not 0.0 < value < float("inf"):
+            raise ValueError(f"contrast exponent {self.exponent!r} gives "
+                             f"10**exponent {value!r}; it must be positive "
+                             f"and finite")
 
 
 def synth_field(seed, dims, spec: FieldSpec) -> PermeabilityField:
@@ -309,6 +320,8 @@ def build_config(file_values: dict, overrides: dict) -> ExperimentConfig:
             setattr(config, key, value)
     for kind in config.spaces:
         check_space(kind, config.tol)
+    for contrast in config.contrasts or ():  # all of them, before any solve
+        FieldSpec(exponent=contrast)
     return config
 
 

@@ -15,8 +15,10 @@ Box saddles are solved directly, all boxes of a set as one
 block-diagonal system.  The exact solves of the coarse blocks
 (`BlockBatch`, a dense `_BoxFactor` with its inverse Cholesky factor,
 held once per distinct box and applied to all its boxes at once) serve
-the msfem and gmsfem basis build.  The other boxes, the smoother's and
-those of preprocessing and recovery, are mass-lumped (`LumpedBatch`):
+the msfem and gmsfem basis build only, which hands them box-local
+right-hand sides.  The other boxes, the smoother's and those of
+preprocessing and recovery, are mass-lumped (`LumpedBatch`), and only
+their velocities are summed back into global vectors:
 each box's velocity mass is integrated by the trapezoidal rule, which
 makes it diagonal and the mixed method equal to two-point cell fluxes
 (Russell & Wheeler 1983; Arbogast, Wheeler & Yotov, SINUM 34, 1997), so
@@ -68,8 +70,9 @@ class MixedOperators:
     `coefficient` instead of slicing A.  Operators are never mutated
     after assembly, so they own the box factors and build them on first
     use, for every caller: `batch` the exact saddles of the coarse
-    blocks, `smoother` the lumped saddles of the blocks grown by an
-    overlap (0 included), once per overlap.
+    blocks for the basis build, `smoother` the lumped saddles of the
+    blocks grown by an overlap (0 included), once per overlap, for
+    everything else.
     """
 
     grid: mesh.CartesianTwoScaleGrid
@@ -86,8 +89,7 @@ class MixedOperators:
         factor per distinct box: the exact solves of the msfem and
         gmsfem basis build."""
         if self._batch is None:
-            self._batch = BlockBatch(block_solvers(self),
-                                     self.grid.n_velocity)
+            self._batch = BlockBatch(block_solvers(self))
         return self._batch
 
     def smoother(self, overlap: int) -> LumpedBatch:
@@ -157,24 +159,6 @@ def assemble_operators(grid, field) -> MixedOperators:
         B=assemble_divergence(grid),
         coefficient=field.values,
     )
-
-
-def bordered_saddle_matrix(A, B) -> sparse.csc_matrix:
-    """[[A, B^T, 0], [B, 0, 1], [0, 1^T, 0]].
-
-    The all-ones border on the pressure block pins the pressure mean and
-    absorbs the compatibility multiplier; no dof is pinned.  It lays out
-    `BlockSolver.solve` and dense reference solves; no solver factors it.
-    """
-    nv = A.shape[0]
-    npr = B.shape[0]
-    ones = sparse.csr_matrix(np.ones((npr, 1)))
-    blocks = [
-        [A, B.T, sparse.csr_matrix((nv, 1))],
-        [B, None, ones],
-        [sparse.csr_matrix((1, nv)), ones.T, None],
-    ]
-    return sparse.bmat(blocks, format="csc")
 
 
 class _BoxLines:
@@ -269,10 +253,13 @@ class BlockSolver:
     for the exact solves of overlap 0, the `_BoxFactor` of its saddle.
     Box systems keep their boxes in block order, so box i is block i.
 
-    `solve` is the exact bordered saddle solve through a one-box
-    `BlockBatch`, built on the first solve.  Right-hand sides and
-    solutions are laid out as in `bordered_saddle_matrix`: [velocity;
-    pressure; border], velocities in the order of `velocity_idx`.
+    `solve` is the exact saddle solve of an overlap-0 box through a
+    one-box `BlockBatch`, built on the first solve, of the bordered
+    system  [[A, B^T, 0], [B, 0, 1], [0, 1^T, 0]]  with the box's mass A
+    and divergence B; the all-ones border pins the pressure mean and
+    absorbs the compatibility multiplier.  Right-hand sides and
+    solutions, (size,) or (size, k), are [velocity; pressure; border],
+    velocities in the order of `velocity_idx`.
     """
 
     velocity_idx: np.ndarray
@@ -290,7 +277,7 @@ class BlockSolver:
 
     @cached_property
     def _system(self):
-        return BlockBatch([self], self.n_velocity)
+        return BlockBatch([self])
 
     def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -335,9 +322,8 @@ class _BoxSystem:
     by index arithmetic.
     """
 
-    def __init__(self, boxes, n_velocity: int):
+    def __init__(self, boxes):
         lines = [box.lines for box in boxes]
-        self.n_velocity = n_velocity
         self.velocity_idx = np.concatenate([box.velocity_idx for box in boxes])
         self.pressure_idx = np.concatenate([box.pressure_idx for box in boxes])
         nv = np.array([box.n_velocity for box in lines])
@@ -358,12 +344,6 @@ class _BoxSystem:
         """Per-box sums of local cell values (rows of `x`)."""
         return np.add.reduceat(x, self.starts, axis=0)
 
-    def scatter(self, local) -> np.ndarray:
-        """Sum one column of local velocities into a global vector; dofs
-        shared by overlapping boxes add up."""
-        return np.bincount(self.velocity_idx, weights=local,
-                           minlength=self.n_velocity).astype(float, copy=False)
-
 
 class BlockBatch(_BoxSystem):
     """The exact box saddles of a set of `BlockSolver`s.
@@ -371,21 +351,22 @@ class BlockBatch(_BoxSystem):
     Every box solves  M v + G p = a,  D v + mu 1 = b,  1^T p = tau  on
     its interior velocities and cells, with G = D^T and M the exact
     velocity mass: its line matrices `T` and their inverses `T_inv` are
-    CSR on one pattern, a dense block per line of length `lens`.  The
+    CSR on one pattern, a dense block per line (`_BoxLines.lens`).  The
     Cholesky inverses of S + c 1 1^T stay dense, one per distinct
     `_BoxFactor`: `groups` pairs a copy of each factor's `L_inv` with
     the local cells of its boxes, shape (n, boxes), so a solve is a
-    dozen sparse products plus two dense ones per factor.
+    dozen sparse products plus two dense ones per factor.  Its one
+    solve, `solve_core`, takes and returns box-local unknowns; the boxes
+    are disjoint and nothing scatters them.
     """
 
-    def __init__(self, solvers, n_velocity: int):
-        super().__init__(solvers, n_velocity)
+    def __init__(self, solvers):
+        super().__init__(solvers)
         n_loc, self.G = len(self.velocity_idx), self.D.T
 
         # dense line blocks, stored row by row: a row of line i holds
         # columns first .. first + m[i] - 1 (int32, as scipy keeps them)
-        self.lens = m = np.concatenate(
-            [bs.lines.lens for bs in solvers]).astype(np.int32)
+        m = np.concatenate([bs.lines.lens for bs in solvers]).astype(np.int32)
         row_len = np.repeat(m, m)
         indptr = np.cumsum(np.concatenate([[0], row_len]), dtype=np.int32)
         first = np.repeat(np.cumsum(m, dtype=np.int32) - m, m)
@@ -436,21 +417,13 @@ class BlockBatch(_BoxSystem):
         dv, dp, dmu = self._pass(ra, rb, rt)
         return v + dv, p + dp, mu + dmu
 
-    def solve(self, velocity_rhs, pressure_rhs=None) -> np.ndarray:
-        """Local velocities of every box saddle for global right-hand
-        sides (n,) or (n, k); `pressure_rhs` None and the borders are 0."""
-        k = velocity_rhs.shape[1] if velocity_rhs.ndim > 1 else 1
-        b = (0 if pressure_rhs is None
-             else pressure_rhs[self.pressure_idx].reshape(-1, k))
-        v, _, _ = self.solve_core(
-            velocity_rhs[self.velocity_idx].reshape(-1, k), b, 0)
-        return v.reshape((-1,) + velocity_rhs.shape[1:])
-
 
 class LumpedBatch(_BoxSystem):
     """Mass-lumped box saddles  M v + G p = a,  D v + mu 1 = b  of every
     coarse block grown by `overlap` fine layers: the smoother's solves,
-    and at overlap 0 preprocessing's and pressure recovery's.
+    and at overlap 0 preprocessing's and pressure recovery's.  `solve`
+    gathers its right-hand sides from global vectors, and `scatter`
+    sums its local velocities back into one of `n_velocity`.
 
     M is the trapezoidal-rule velocity mass: the face between cells of
     weights w_l and w_h (volume / coefficient) gets the diagonal entry
@@ -471,7 +444,8 @@ class LumpedBatch(_BoxSystem):
 
     def __init__(self, operators: MixedOperators, overlap: int):
         grid = operators.grid
-        super().__init__(_boxes(grid, overlap), grid.n_velocity)
+        super().__init__(_boxes(grid, overlap))
+        self.n_velocity = grid.n_velocity
         w = grid.cell_volume / operators.coefficient[self.pressure_idx]
         low, high = self.velocity_cells.T
         self.inv_mass = 2.0 / (w[low] + w[high])
@@ -502,6 +476,12 @@ class LumpedBatch(_BoxSystem):
         v -= self.W_DsT @ self.lu.solve(self.Ds @ v - b)
         v -= self.W_DsT @ self.lu.solve(self.Ds @ v - b)
         return v
+
+    def scatter(self, local) -> np.ndarray:
+        """Sum one column of local velocities into a global vector; dofs
+        shared by overlapping boxes add up."""
+        return np.bincount(self.velocity_idx, weights=local,
+                           minlength=self.n_velocity).astype(float, copy=False)
 
     def pressure(self, velocity_rhs) -> np.ndarray:
         """Local cell pressures, pinned cells at 0, of D W G p = D W a

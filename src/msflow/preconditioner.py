@@ -56,9 +56,9 @@ class SolverSettings:
     overlap: int = 2
 
     def __post_init__(self):
-        if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"CG relative tolerance rel_tol must be "
-                             f"finite and not negative, got {self.rel_tol!r}")
+                             f"positive and finite, got {self.rel_tol!r}")
         for name in ("max_iter", "sweeps", "overlap"):
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got "
@@ -229,9 +229,10 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     residual history is in the preconditioner norm, relative to the
     first residual.  A bad `source` raises ValueError before any factor
     is built, a `preconditioner` of other `operators` or `basis` before
-    any solve.  A velocity whose divergence strays from the source by
-    more than `_divergence_bound` raises RuntimeError, and so does a CG
-    that stops at `max_iter` short of `rel_tol`.
+    any solve.  A CG that stops at `max_iter` short of `rel_tol` raises
+    RuntimeError, naming the divergence error it left; so does a
+    velocity whose divergence strays from the source by more than
+    `_divergence_bound`.
     """
     source = check_source(grid, source)
     if preconditioner is None:
@@ -263,14 +264,15 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     v = pre.velocity + w
     result = SolveResult(v, report)
     result.divergence_error = float(np.max(np.abs(operators.B @ v - source)))
+    if not report.converged:
+        raise RuntimeError(
+            f"solve stalled after {report.iterations} iterations at "
+            f"relative residual {report.residuals[-1]:.3e} (divergence "
+            f"error {result.divergence_error:.3e})")
     if result.divergence_error > _divergence_bound(source):
         raise RuntimeError(
             f"CG left divergence error {result.divergence_error:.3e} after "
             f"{report.iterations} iterations")
-    if not report.converged:
-        raise RuntimeError(
-            f"solve stalled after {report.iterations} iterations at "
-            f"relative residual {report.residuals[-1]:.3e}")
     if with_pressure:
         result.pressure = recover_pressure(operators, preconditioner.coarse, v)
     return result

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from msflow import mesh
 
@@ -97,6 +98,25 @@ def dense_saddle_solve(A, B, rhs_v, rhs_p):
     rhs = np.concatenate([rhs_v, rhs_p, [0.0]])
     sol = np.linalg.solve(K, rhs)
     return sol[:nv], sol[nv:nv + npr], sol[-1]
+
+
+def bordered_saddle_matrix(A, B) -> sparse.csc_matrix:
+    """[[A, B^T, 0], [B, 0, 1], [0, 1^T, 0]] from sparse blocks.
+
+    The all-ones border on the pressure block pins the pressure mean and
+    absorbs the compatibility multiplier; no dof is pinned.  It is the
+    layout of `mixed_fem.BlockSolver.solve`, for dense reference solves
+    of one box.
+    """
+    nv = A.shape[0]
+    npr = B.shape[0]
+    ones = sparse.csr_matrix(np.ones((npr, 1)))
+    blocks = [
+        [A, B.T, sparse.csr_matrix((nv, 1))],
+        [B, None, ones],
+        [sparse.csr_matrix((1, nv)), ones.T, None],
+    ]
+    return sparse.bmat(blocks, format="csc")
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,17 @@ def test_synth_field_validates_boxes():
         synth_field(0, (4, 4), FieldSpec(boxes=[((0.6, 0.2), (0.4, 0.4))]))
 
 
+def test_field_spec_rejects_exponents_outside_the_floats():
+    # 10**400 overflows, 10**-400 underflows to 0: neither is a
+    # permeability, so the spec refuses them before any field is made
+    for exponent in (400.0, -400.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            FieldSpec(exponent=exponent)
+    field = synth_field(0, (2, 2), FieldSpec(exponent=300.0,
+                                             boxes=[((0, 0), (0.5, 0.5))]))
+    assert sorted(field.values) == [1.0, 1.0, 1.0, 1e300]
+
+
 def _integer_box_mask(dims, boxes):
     # independent route: convert fractional bounds to index ranges via
     # the cell-centre rule ceil(lo*n - 1/2) .. floor(hi*n - 1/2)
@@ -501,7 +512,13 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
     comparison = ["comparison", "--grid", "8x8", "--coarse", "2x2",
                   "--out", str(tmp_path)]
     cases += [comparison + ["--tol", "nan"], comparison + ["--tol", "-5"],
-              comparison + ["--rtol", "nan"],
+              comparison + ["--rtol", "nan"], comparison + ["--rtol", "0"],
+              # 10**exponent must be a positive, finite float; every
+              # exponent is checked before the first one is solved
+              comparison + ["--contrasts", "400"],
+              comparison + ["--contrasts=-400"],
+              ["robustness", "--grid", "8x8", "--coarse", "2x2", "--space",
+               "rt0", "--contrasts", "0,400", "--out", str(tmp_path)],
               comparison + ["--space", "gmsfem,bogus"],
               comparison + ["--space", "rt0", "--tol", "-1"],
               ["robustness", "--grid", "8x8", "--coarse", "2x2",

@@ -10,6 +10,7 @@ from msflow.sparse_linalg import SingularMatrixError
 from msflow.bench_cli import FieldSpec, synth_field
 
 from conftest import (
+    bordered_saddle_matrix,
     dense_saddle_solve,
     oracle_divergence,
     oracle_velocity_mass,
@@ -74,7 +75,7 @@ def test_bordered_solve_is_a_neumann_solution(rng):
 def test_bordered_matrix_blocks():
     grid = mesh.build_grid((3, 3), (1, 1))
     ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
-    K = mixed_fem.bordered_saddle_matrix(ops.A, ops.B).toarray()
+    K = bordered_saddle_matrix(ops.A, ops.B).toarray()
     nv, nc = grid.n_velocity, grid.n_cells
     assert K.shape == (nv + nc + 1, nv + nc + 1)
     assert np.allclose(K, K.T, atol=0)
@@ -82,8 +83,8 @@ def test_bordered_matrix_blocks():
     assert K[-1, -1] == 0.0
     assert np.abs(K[:nv, -1]).max() == 0.0
     # a single-cell block has no interior velocity: only the mean border
-    lone = mixed_fem.bordered_saddle_matrix(sparse.csr_matrix((0, 0)),
-                                            sparse.csr_matrix((1, 0)))
+    lone = bordered_saddle_matrix(sparse.csr_matrix((0, 0)),
+                                  sparse.csr_matrix((1, 0)))
     assert np.array_equal(lone.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -91,7 +92,7 @@ def local_bordered_matrix(ops, velocity_idx, pressure_idx):
     """Dense bordered saddle of the operators restricted to one block."""
     A = ops.A[velocity_idx][:, velocity_idx]
     B = ops.B[pressure_idx][:, velocity_idx]
-    return mixed_fem.bordered_saddle_matrix(A, B).toarray()
+    return bordered_saddle_matrix(A, B).toarray()
 
 
 def trapezoidal_mass(ops, velocity_idx):
@@ -107,7 +108,7 @@ def lumped_box_solve(ops, velocity_idx, pressure_idx, rhs):
     1e-14 relative on boxes of condition 1e6."""
     A = sparse.diags(trapezoidal_mass(ops, velocity_idx))
     B = ops.B[pressure_idx][:, velocity_idx]
-    K = mixed_fem.bordered_saddle_matrix(A, B).toarray()
+    K = bordered_saddle_matrix(A, B).toarray()
     x = np.linalg.solve(K, rhs)
     return x + np.linalg.solve(K, rhs - K @ x)
 
@@ -302,7 +303,7 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
             assert solvers[0].lines.shape[0] == 1
             assert np.all(solvers[0].lines.lens
                           == grid.block_size[1] - 1)
-        batch = mixed_fem.BlockBatch(solvers, grid.n_velocity)
+        batch = mixed_fem.BlockBatch(solvers)
         # one Schur inverse per distinct factor, equal to that factor's,
         # with the local cells of its boxes; every box is in one group
         n = int(np.prod(grid.block_size))
@@ -345,26 +346,42 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
     r = rng.standard_normal(grid.n_velocity)
     q = rng.standard_normal(grid.n_cells)
     for pressure_rhs in (None, q):
-        local = batch.solve(r, pressure_rhs)
+        if overlap:
+            local = batch.solve(r, pressure_rhs)
+        else:
+            # the exact batch solves box-local right-hand sides, borders 0
+            b = (0 if pressure_rhs is None
+                 else pressure_rhs[batch.pressure_idx, None])
+            local = batch.solve_core(r[batch.velocity_idx, None], b, 0)[0][:, 0]
         want = np.zeros(grid.n_velocity)
         for box in range(grid.n_blocks):
             ref = loop_solve(box, r, pressure_rhs)
             vidx = batch.velocity_idx[batch.velocity_box == box]
             want[vidx] += ref
             assert_relative_close(local[batch.velocity_box == box], ref)
-        assert_relative_close(batch.scatter(local), want)
+        if overlap:  # the exact boxes are disjoint and never scattered
+            assert_relative_close(batch.scatter(local), want)
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
 def test_block_batch_columns_match_single_solves(case, rng):
     grid, field = batch_case(case, rng)
     ops = mixed_fem.assemble_operators(grid, field)
-    # the exact overlap-0 batch and the lumped overlap-2 smoother
-    for batch in (ops.batch(), ops.smoother(2)):
-        r = rng.standard_normal((grid.n_velocity, 3))
-        q = rng.standard_normal((grid.n_cells, 3))
-        many = batch.solve(r, q)
-        assert many.shape == (len(batch.velocity_idx), 3)
-        for j in range(3):
-            assert_relative_close(many[:, j], batch.solve(r[:, j], q[:, j]))
+    # the exact overlap-0 batch on box-local right-hand sides, borders 0
+    batch = ops.batch()
+    a = rng.standard_normal((len(batch.velocity_idx), 3))
+    b = rng.standard_normal((len(batch.pressure_idx), 3))
+    many, _, _ = batch.solve_core(a, b, 0)
+    assert many.shape == a.shape
+    for j in range(3):
+        one, _, _ = batch.solve_core(a[:, [j]], b[:, [j]], 0)
+        assert_relative_close(many[:, j], one[:, 0])
+    # the lumped overlap-2 smoother on global ones
+    batch = ops.smoother(2)
+    r = rng.standard_normal((grid.n_velocity, 3))
+    q = rng.standard_normal((grid.n_cells, 3))
+    many = batch.solve(r, q)
+    assert many.shape == (len(batch.velocity_idx), 3)
+    for j in range(3):
+        assert_relative_close(many[:, j], batch.solve(r[:, j], q[:, j]))
 

@@ -349,11 +349,15 @@ def test_batched_solves_divergence_free_at_high_contrast(fine, coarse):
     ops = mixed_fem.assemble_operators(grid, mixed_fem.PermeabilityField(coeff))
     precond = pc.build_preconditioner(grid, ops,
                                       coarse_space.build_rt0_space(grid))
-    # lumped smoother boxes (overlap 2), exact basis-build boxes
-    # (overlap 0)
-    for batch in (precond.batch, ops.batch()):
-        r = rng.standard_normal(grid.n_velocity)
-        assert_box_divergence(ops, batch, batch.solve(r), None, 1e-14)
+    # lumped smoother boxes (overlap 2), then the exact basis-build
+    # boxes (overlap 0) on box-local right-hand sides
+    batch = precond.batch
+    r = rng.standard_normal(grid.n_velocity)
+    assert_box_divergence(ops, batch, batch.solve(r), None, 1e-14)
+    batch = ops.batch()
+    r = rng.standard_normal(grid.n_velocity)
+    local, _, _ = batch.solve_core(r[batch.velocity_idx, None], 0, 0)
+    assert_box_divergence(ops, batch, local[:, 0], None, 1e-14)
 
     # preprocessing's lumped overlap-0 boxes: B_loc v = the coarse
     # residual, to 2.6e-16 of the flux scale here
@@ -524,6 +528,7 @@ def test_degenerate_settings_rejected():
     for bad in ({"overlap": 0}, {"sweeps": 0}, {"eta": 0.0}, {"eta": -0.1},
                 {"eta": float("nan")}, {"rel_tol": float("nan")},
                 {"rel_tol": float("inf")}, {"rel_tol": -5.0},
+                {"rel_tol": 0.0},
                 {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
                 {"max_iter": 10.0}, {"sweeps": 1.5}, {"sweeps": True},
                 {"overlap": 1.5}, {"overlap": True}, {"overlap": "2"}):
@@ -566,9 +571,11 @@ def test_solve_rejects_a_stalled_cg():
     # max_iter is not a solution, so solve raises instead of returning it
     grid = mesh.build_grid((12, 12), (3, 3))
     ops = mixed_fem.assemble_operators(grid, bench_field((12, 12), -6))
+    # the stall is named first, with the divergence error it left
     with pytest.raises(RuntimeError,
                        match=r"^solve stalled after 2 iterations at "
-                             r"relative residual \d"):
+                             r"relative residual \d\.\d+e[-+]\d+ "
+                             r"\(divergence error \d\.\d+e[-+]\d+\)$"):
         pc.solve(grid, ops, coarse_space.build_rt0_space(grid),
                  corner_source(grid), pc.SolverSettings(max_iter=2))
 
