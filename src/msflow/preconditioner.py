@@ -6,6 +6,9 @@ a coarse saddle solve plus independent per-block corrections.  The
 remaining divergence-free correction is then computed by CG on the
 velocity mass operator, preconditioned with a V-cycle that combines an
 additive overlapping-block smoother with a Galerkin coarse correction.
+A caller holding a velocity that already meets the source divergence,
+such as the previous IMPES pressure step's, can start CG from it and
+skip preprocessing (`solve`'s `start`).
 
 The smoother's local saddles are mass-lumped (`mixed_fem.LumpedBatch`),
 where the paper solves them exactly.  A lumped saddle still has a
@@ -210,6 +213,27 @@ def preprocess(operators: MixedOperators, coarse: CoarseOperator,
     return PreprocessResult(v, v_coarse, err, coarse_residual, norms)
 
 
+def check_start(operators: MixedOperators, source: np.ndarray,
+                start) -> np.ndarray:
+    """`start` as a float array, or ValueError unless it holds one
+    finite value per velocity dof and meets the checked `source`
+    divergence to within `_divergence_bound`."""
+    start = np.asarray(start, dtype=float)
+    n = operators.grid.n_velocity
+    if start.shape != (n,):
+        raise ValueError(f"start velocity has shape {start.shape}; expected "
+                         f"one value per velocity dof, ({n},)")
+    bad = np.flatnonzero(~np.isfinite(start))
+    if bad.size:
+        raise ValueError(f"start velocity must be finite; dof {bad[0]} has "
+                         f"value {float(start[bad[0]])!r}")
+    err = float(np.max(np.abs(operators.B @ start - source)))
+    if err > _divergence_bound(source):
+        raise ValueError(f"start velocity misses the source divergence by "
+                         f"{err:.3e}")
+    return start
+
+
 @dataclass
 class SolveResult:
     velocity: np.ndarray
@@ -221,34 +245,43 @@ class SolveResult:
 def solve(grid, operators: MixedOperators, basis: CoarseBasis,
           source: np.ndarray, settings: SolverSettings = SolverSettings(),
           with_pressure: bool = False,
-          preconditioner: TwoGridPreconditioner | None = None) -> SolveResult:
+          preconditioner: TwoGridPreconditioner | None = None,
+          start: np.ndarray | None = None) -> SolveResult:
     """Full velocity solve: preprocessing plus preconditioned CG.
 
     CG runs on the mass operator restricted to divergence-free
     velocities, starting from the preprocessed field; the reported
     residual history is in the preconditioner norm, relative to the
-    first residual.  A bad `source` raises ValueError before any factor
-    is built, a `preconditioner` of other `operators` or `basis` before
-    any solve.  A CG that stops at `max_iter` short of `rel_tol` raises
-    RuntimeError, naming the divergence error it left; so does a
-    velocity whose divergence strays from the source by more than
-    `_divergence_bound`.
+    first residual.  A `start` velocity that already meets the source
+    divergence takes the place of preprocessing: CG corrections are
+    divergence free, so CG starts from `start` as it is, and stops
+    relative to its own first residual too.  A bad `source`, or a
+    `start` of the wrong shape, with a non-finite entry or off the
+    source divergence by more than `_divergence_bound`, raises
+    ValueError before any factor is built, a `preconditioner` of other
+    `operators` or `basis` before any solve.  A CG that stops at
+    `max_iter` short of `rel_tol` raises RuntimeError, naming the
+    divergence error it left; so does a velocity whose divergence strays
+    from the source by more than `_divergence_bound`.
     """
     source = check_source(grid, source)
+    if start is not None:
+        start = check_start(operators, source, start)
     if preconditioner is None:
         preconditioner = build_preconditioner(grid, operators, basis, settings)
     elif (preconditioner.operators is not operators
           or preconditioner.coarse.basis is not basis):
         raise ValueError("the preconditioner was built on other operators "
                          "or another coarse basis")
-    pre = preprocess(operators, preconditioner.coarse, source)
+    if start is None:
+        start = preprocess(operators, preconditioner.coarse, source).velocity
 
     A = operators.A
-    rhs = -(A @ pre.velocity)
-    # when the preprocessed field already solves the momentum equation,
-    # the rhs is a pure discrete gradient and its natural norm is all
+    rhs = -(A @ start)
+    # when the starting field already solves the momentum equation, the
+    # rhs is a pure discrete gradient and its natural norm is all
     # roundoff; CG then returns the zero correction without iterating
-    energy = max(float(-(pre.velocity @ rhs)), 0.0)
+    energy = max(float(-(start @ rhs)), 0.0)
     floor = 4.0 * np.sqrt(np.finfo(float).eps * energy)
     try:
         w, report = pcg(lambda x: A @ x, preconditioner.apply, rhs,
@@ -261,7 +294,7 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
             raise PcgBreakdownError(
                 f"{exc}; iterate divergence norm {div:.3e}") from exc
         raise
-    v = pre.velocity + w
+    v = start + w
     result = SolveResult(v, report)
     result.divergence_error = float(np.max(np.abs(operators.B @ v - source)))
     if not report.converged:

@@ -6,7 +6,10 @@ permeability times the current total mobility (`mobility_field`); the
 water saturation is then advanced by an implicit upwind finite-volume
 step solved with Newton's method.  The multiscale coarse space is built
 once from the initial mobility field and kept frozen; only its Galerkin
-projection is refreshed when the mobility changes.
+projection is refreshed when the mobility changes.  The wells are fixed,
+so every pressure solve after the first starts CG from the previous
+velocity, which meets their divergence already, and skips the
+preprocessing step.
 
 The velocity is fixed between pressure solves, so everything transport
 needs from it and from the wells is built once per pressure solve as an
@@ -177,21 +180,27 @@ def mobility_field(kappa: PermeabilityField, fluid: FluidModel,
 
 
 def pressure_step(operators, basis, wells: WellConfig,
-                  settings: SolverSettings = SolverSettings()):
+                  settings: SolverSettings = SolverSettings(), start=None):
     """Total-velocity solve on operators assembled from a
     `mobility_field`.
 
     The coarse basis is whatever the caller froze; only the coarse
     Galerkin operator and the block factorizations see the updated
-    coefficient.  Returns (velocity, PcgReport); a `solve` that fails,
-    or stalls, raises RuntimeError("pressure solve failed: ...").
+    coefficient.  A `start` velocity, the previous pressure step's for
+    the same wells, is handed to `solve`: CG starts from it and no
+    preprocessing runs.  CG then stops at `settings.rel_tol` relative
+    to its own first residual, as a cold start does; that residual is
+    smaller than a cold start's, so a warm step takes a few more
+    iterations and leaves a smaller error.  Returns (velocity,
+    PcgReport); a `solve` that fails, or stalls, raises
+    RuntimeError("pressure solve failed: ...").
     """
     grid = operators.grid
     precond = build_preconditioner(grid, operators, basis, settings)
     f = wells.source_vector(grid.n_cells)
     try:
         result = solve(grid, operators, basis, f, settings,
-                       preconditioner=precond)
+                       preconditioner=precond, start=start)
     except RuntimeError as exc:
         raise RuntimeError(f"pressure solve failed: {exc}") from exc
     return result.velocity, result.report
@@ -425,7 +434,10 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
     The pressure equation is re-solved every `pressure_interval`
     transport steps with the mobility of the current saturation; the
     coarse space comes from the t=0 mobility unless `rebuild_basis`
-    asks for a fresh one at every pressure solve.  Water cut is the
+    asks for a fresh one at every pressure solve.  The t=0 solve
+    preprocesses; every later one starts from the previous velocity
+    (`pressure_step`'s `start`), with a frozen or a rebuilt basis
+    alike.  Water cut is the
     rate-weighted fractional flow over the producer cells, recorded
     after every transport step.
     """
@@ -443,6 +455,7 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
     weights /= weights.sum()
 
     states, reports, cuts, checkpoints = [state], [], [], {}
+    v = None
     for step in range(config.n_steps):
         if step % config.pressure_interval == 0:
             # the first pressure solve shares the basis build's operators
@@ -454,7 +467,8 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
                     basis = build_space(config.space, grid, field, ops,
                                         tol=config.tol)
             try:
-                v, report = pressure_step(ops, basis, wells, config.settings)
+                v, report = pressure_step(ops, basis, wells, config.settings,
+                                          start=v)
             except RuntimeError as exc:
                 raise RuntimeError(f"step {step} (t={state.time:g}): "
                                    f"{exc}") from exc

@@ -652,6 +652,43 @@ def test_rt0_solve_builds_no_box_factor(monkeypatch):
     assert ops._batch is None
 
 
+def test_solve_from_a_start_velocity(monkeypatch, rng):
+    grid = mesh.build_grid((12, 12), (3, 3))
+    f = WellConfig([(0, 1.0), (grid.n_cells - 1, -1.0)]).source_vector(
+        grid.n_cells)
+    old = mixed_fem.assemble_operators(grid, mixed_fem.PermeabilityField(
+        random_log_field(rng, grid.n_cells, 4.0)))
+    basis = coarse_space.build_gmsfem_space(old)
+    start = pc.solve(grid, old, basis, f).velocity
+    ops = mixed_fem.assemble_operators(grid, mixed_fem.PermeabilityField(
+        random_log_field(rng, grid.n_cells, 4.0)))
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a factor was built")
+
+    # a bad start is rejected before the preconditioner is built
+    with monkeypatch.context() as patched:
+        for owner, name in ((mixed_fem, "factor"), (mixed_fem, "LumpedBatch"),
+                            (pc, "coarse_operator")):
+            patched.setattr(owner, name, no_factor)
+        nan = start.copy()
+        nan[7] = np.nan
+        for bad, message in ((start[:-1], "shape"), (nan, "finite"),
+                             (np.zeros_like(start), "misses the source")):
+            with pytest.raises(ValueError, match=message):
+                pc.solve(grid, ops, basis, f, start=bad)
+
+    # the previous velocity meets B v = f: CG starts there, no
+    # preprocessing runs, and the velocity is the cold solve's
+    monkeypatch.setattr(pc, "preprocess", no_factor)
+    result = pc.solve(grid, ops, basis, f, start=start)
+    v_ref, _, _ = dense_saddle_solve(ops.A, ops.B, np.zeros(grid.n_velocity), f)
+    diff = result.velocity - v_ref
+    error = np.sqrt(diff @ (ops.A @ diff) / (v_ref @ (ops.A @ v_ref)))
+    assert result.report.converged and result.divergence_error <= 1e-14
+    assert error <= 1e-4
+
+
 def test_recover_pressure_warns_on_bad_velocity(rng, monkeypatch):
     grid = mesh.build_grid((10, 10), (2, 2))
     field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
