@@ -21,7 +21,8 @@ import numpy as np
 from . import mesh
 from .mixed_fem import PermeabilityField, assemble_operators
 from .coarse_space import GMSFEM_TOL, SPACE_KINDS, build_space, check_space
-from .preconditioner import SolverSettings, build_preconditioner, solve
+from .preconditioner import (SMOOTHER_OVERLAP, SolverSettings,
+                             build_preconditioner, solve)
 from .two_phase import FluidModel, IMPESConfig, five_spot_wells, impes_run
 
 
@@ -228,7 +229,7 @@ class ExperimentConfig:
     contrasts: tuple | None = None  # None: robustness sweeps -6 .. 6
     eta: float = SolverSettings.eta
     sweeps: int = SolverSettings.sweeps
-    overlap: int = SolverSettings.overlap
+    overlap: int | None = SolverSettings.overlap  # None: per coarse space
     rtol: float = SolverSettings.rel_tol
     seed: int = 0
     out: str = "."
@@ -336,6 +337,7 @@ class RunRow:
     dim: int
     iterations: int
     condition: float
+    overlap: int
     setup_seconds: float
     solve_seconds: float
     face_modes: tuple
@@ -346,14 +348,16 @@ class RunReport:
     rows: list
 
     HEADER = ("field", "contrast", "space", "dim", "iterations",
-              "condition", "setup_seconds", "solve_seconds", "face_modes")
+              "condition", "overlap", "setup_seconds", "solve_seconds",
+              "face_modes")
 
     def write(self, path):
-        """One row per run; `face_modes` holds the velocity mode count of
-        every coarse face, in face order, joined by ';'."""
+        """One row per run; `overlap` is the smoother's, and `face_modes`
+        holds the velocity mode count of every coarse face, in face
+        order, joined by ';'."""
         write_csv(path, self.HEADER,
                   [(r.label, r.contrast, r.space, r.dim, r.iterations,
-                    f"{r.condition:.6g}", f"{r.setup_seconds:.3f}",
+                    f"{r.condition:.6g}", r.overlap, f"{r.setup_seconds:.3f}",
                     f"{r.solve_seconds:.3f}",
                     ";".join(str(n) for n in r.face_modes))
                    for r in self.rows])
@@ -380,7 +384,8 @@ def _solve_one(grid, field, kind, config, label, contrast) -> RunRow:
                    preconditioner=precond)
     t2 = time.perf_counter()
     return RunRow(label, contrast, kind, basis.dim, result.report.iterations,
-                  result.report.condition_estimate, t1 - t0, t2 - t1,
+                  result.report.condition_estimate,
+                  settings.smoother_overlap(basis.kind), t1 - t0, t2 - t1,
                   tuple(basis.face_mode_counts))
 
 
@@ -489,7 +494,8 @@ def _add_common(parser):
     parser.add_argument("--contrasts", help="exponents, comma-separated")
     parser.add_argument("--eta", help="smoother damping")
     parser.add_argument("--sweeps", help="smoother sweeps per V-cycle side")
-    parser.add_argument("--overlap", help="oversampling layers")
+    parser.add_argument("--overlap", help="smoother layers, for every space "
+                        f"(default by space: {SMOOTHER_OVERLAP})")
     parser.add_argument("--rtol", help="PCG relative tolerance")
     parser.add_argument("--seed", help="synthetic field seed")
     parser.add_argument("--out", help="output directory")

@@ -10,10 +10,13 @@ A caller holding a velocity that already meets the source divergence,
 such as the previous IMPES pressure step's, can start CG from it and
 skip preprocessing (`solve`'s `start`).
 
-The smoother's local saddles are mass-lumped (`mixed_fem.LumpedBatch`),
-where the paper solves them exactly.  A lumped saddle still has a
-symmetric positive definite mass and the exact box divergence, so the
-properties below hold; only the smoother's spectral quality changes.
+The smoother's boxes are the coarse blocks grown by `SMOOTHER_OVERLAP`
+fine layers: the spectral gmsfem space carries the contrast with one,
+rt0 and msfem need two.  Their saddles are mass-lumped
+(`mixed_fem.LumpedBatch`), where the paper solves them exactly.  A
+lumped saddle still has a symmetric positive definite mass and the
+exact box divergence, so the properties below hold; only the
+smoother's spectral quality changes.
 Preprocessing and pressure recovery use the lumped saddles of the
 non-overlapping blocks.  Every factor is of a positive definite matrix.
 
@@ -38,6 +41,14 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# the smoother's overlap in fine layers, by coarse space.  Spectral
+# coarse spaces make the two-grid bound independent of the contrast, and
+# the overlap enters it only through 1 + H/delta, so gmsfem keeps its
+# counts at one layer; rt0 and msfem have no spectral modes, and at one
+# layer the rt0-2d input gives them condition estimates of 3e5..6e5
+SMOOTHER_OVERLAP = {"gmsfem": 1, "msfem": 2, "rt0": 2}
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Knobs for the preconditioned solve.
@@ -46,30 +57,32 @@ class SolverSettings:
     regions covering a dof, eta <= 2**-d keeps it a contraction; the
     default 0.2 meets that in 2D only, so in 3D criterion 3 and
     `test_vcycle_symmetric_3d_high_contrast` check positivity.  `sweeps`
-    smoother sweeps run before and after the coarse correction.  Values
-    that cannot give a converging solve, and counts that are not
-    integers, raise ValueError here; the settings are frozen so that
-    they stay checked.
+    smoother sweeps run before and after the coarse correction.
+    `overlap` grows the smoother's boxes by that many fine layers for
+    every coarse space; None, the default, takes the space's entry in
+    `SMOOTHER_OVERLAP` (`smoother_overlap`).  Values that cannot give a
+    converging solve, and counts that are not integers, raise
+    ValueError here; the settings are frozen so that they stay checked.
     """
 
     rel_tol: float = 1e-7
     max_iter: int = 500
     eta: float = 0.2
     sweeps: int = 1
-    overlap: int = 2
+    overlap: int | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"CG relative tolerance rel_tol must be "
                              f"positive and finite, got {self.rel_tol!r}")
         for name in ("max_iter", "sweeps", "overlap"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got "
-                                 f"{getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (is_integer(value) or name == "overlap" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iter < 1:
             raise ValueError(f"CG needs max_iter of at least 1, got "
                              f"{self.max_iter!r}")
-        if self.overlap < 1:
+        if self.overlap is not None and self.overlap < 1:
             # without oversampling the block interiors miss every
             # coarse-face dof and the V-cycle goes singular there,
             # stalling CG silently
@@ -82,6 +95,11 @@ class SolverSettings:
             raise ValueError(
                 f"smoother damping eta must be positive and finite, got "
                 f"{self.eta!r}")
+
+    def smoother_overlap(self, kind: str) -> int:
+        """The smoother's overlap for coarse space `kind`: `overlap`, or
+        the space's entry in `SMOOTHER_OVERLAP` when that is None."""
+        return SMOOTHER_OVERLAP[kind] if self.overlap is None else self.overlap
 
 
 @dataclass(eq=False)
@@ -123,7 +141,8 @@ class TwoGridPreconditioner:
 def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
                          settings: SolverSettings = SolverSettings()):
     return TwoGridPreconditioner(operators, coarse_operator(basis, operators),
-                                 operators.smoother(settings.overlap),
+                                 operators.smoother(
+                                     settings.smoother_overlap(basis.kind)),
                                  settings.eta, settings.sweeps)
 
 

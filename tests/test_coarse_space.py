@@ -357,7 +357,8 @@ def test_solve_factors_the_smoother_only(monkeypatch):
     source = two_phase.five_spot_wells(grid).source_vector(grid.n_cells)
     settings = pc.SolverSettings(rel_tol=1e-10)
     pc.solve(grid, ops, basis, source, settings, with_pressure=True)
-    assert [f.lu for f in factors] == [ops.smoother(settings.overlap).lu,
+    overlap = settings.smoother_overlap(basis.kind)
+    assert [f.lu for f in factors] == [ops.smoother(overlap).lu,
                                        ops.smoother(0).lu]
     for f in factors:
         assert np.array_equal(f.lu.perm_r, f.lu.perm_c)

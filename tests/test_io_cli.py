@@ -376,25 +376,25 @@ def test_cli_robustness_writes_report(tmp_path, capsys):
 
     rows = _read_csv(out)
     assert rows[0] == ["field", "contrast", "space", "dim", "iterations",
-                       "condition", "setup_seconds", "solve_seconds",
-                       "face_modes"]
+                       "condition", "overlap", "setup_seconds",
+                       "solve_seconds", "face_modes"]
     assert len(rows) == 3
     assert [r[1] for r in rows[1:]] == ["0.0", "2.0"]
     for row in rows[1:]:
         assert row[0] == "bench" and row[2] == "gmsfem"
         assert int(row[3]) > 0 and 0 < int(row[4]) <= 60
-        assert float(row[5]) >= 1.0
-        float(row[6]), float(row[7])
+        assert float(row[5]) >= 1.0 and row[6] == "1"
+        float(row[7]), float(row[8])
         # one count per coarse face (2 * 3 * 4 on 4x4 blocks), plus one
         # pressure mode per block make up the dimension
-        modes = [int(n) for n in row[8].split(";")]
+        modes = [int(n) for n in row[9].split(";")]
         assert len(modes) == 24 and min(modes) >= 1
         assert sum(modes) + 16 == int(row[3])
 
     # a second identical run reproduces everything but the wall times
     assert main(argv[:-1] + [str(tmp_path / "b")]) == 0
     rerun = _read_csv(tmp_path / "b" / "robustness.csv")
-    assert [r[:6] + r[8:] for r in rerun] == [r[:6] + r[8:] for r in rows]
+    assert [r[:7] + r[9:] for r in rerun] == [r[:7] + r[9:] for r in rows]
 
 
 def test_cli_comparison_defaults_to_all_spaces(tmp_path, capsys):
@@ -405,7 +405,14 @@ def test_cli_comparison_defaults_to_all_spaces(tmp_path, capsys):
     assert [r[2] for r in rows[1:]] == ["gmsfem", "msfem", "rt0"]
     assert all(r[0] == "comparison" for r in rows[1:])
     # msfem and rt0 keep one mode on each of the 4 coarse faces
-    assert [r[8] for r in rows[2:]] == ["1;1;1;1"] * 2
+    assert [r[9] for r in rows[2:]] == ["1;1;1;1"] * 2
+    # each row names its smoother's overlap: the space's default, or the
+    # one --overlap forces on every space
+    assert [r[6] for r in rows[1:]] == ["1", "2", "2"]
+    assert main(["comparison", "--grid", "8x8", "--coarse", "2x2",
+                 "--overlap", "3", "--out", str(tmp_path)]) == 0
+    rows = _read_csv(tmp_path / "comparison.csv")
+    assert [r[6] for r in rows[1:]] == ["3", "3", "3"]
 
 
 def test_cli_robustness_solves_a_raster_once_per_space(tmp_path, capsys):

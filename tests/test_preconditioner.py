@@ -6,7 +6,8 @@ import pytest
 
 import msflow.preconditioner as pc
 from msflow import coarse_space, mesh, mixed_fem, sparse_linalg
-from msflow.bench_cli import bench_field, corner_source
+from msflow.bench_cli import (BENCH_BOXES_2D, FieldSpec, bench_field,
+                              corner_source, synth_field)
 from msflow.sparse_linalg import PcgBreakdownError
 from msflow.two_phase import WellConfig
 
@@ -31,7 +32,9 @@ def _channel_setup(fine=(16, 16), coarse=(4, 4), contrast=1e6):
 def test_settings_defaults():
     s = pc.SolverSettings()
     assert (s.rel_tol, s.max_iter) == (1e-7, 500)
-    assert (s.eta, s.sweeps, s.overlap) == (0.2, 1, 2)
+    assert (s.eta, s.sweeps, s.overlap) == (0.2, 1, None)
+    # None: the spectral space carries the contrast at one layer
+    assert pc.SMOOTHER_OVERLAP == {"gmsfem": 1, "msfem": 2, "rt0": 2}
 
 
 def test_stage_outputs_are_divergence_free(rng):
@@ -130,7 +133,7 @@ def test_solve_across_sixteen_orders_between_boxes(kind):
     result = pc.solve(grid, ops, basis, F)
     assert result.report.converged
     assert result.divergence_error <= 1e-10
-    batch = ops.smoother(pc.SolverSettings().overlap)
+    batch = ops.smoother(pc.SolverSettings().smoother_overlap(basis.kind))
     r = np.random.default_rng(22).standard_normal(grid.n_velocity)
     assert_box_divergence(ops, batch, batch.solve(r), None, 1e-14)
 
@@ -288,7 +291,8 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
     r = rng.standard_normal(grid.n_velocity)
     want = np.zeros(grid.n_velocity)
     for block in range(grid.n_blocks):
-        cells = mesh.oversample(grid, block, settings.overlap)
+        cells = mesh.oversample(grid, block,
+                                settings.smoother_overlap(basis.kind))
         vidx = mesh.velocity_dofs_interior_to(grid, cells)
         want[vidx] += settings.eta * dense_lumped_velocity(ops, cells, vidx,
                                                            r[vidx])
@@ -384,14 +388,15 @@ def test_lumped_solves_divergence_free_with_pressure_rhs(case):
                                                             grid.n_cells)
     ops = mixed_fem.assemble_operators(grid,
                                        mixed_fem.PermeabilityField(values))
-    batch = ops.smoother(pc.SolverSettings().overlap)
     rng = np.random.default_rng(24)
     r = rng.standard_normal(grid.n_velocity)
     q = 1.0 + rng.standard_normal(grid.n_cells)
-    assert np.abs(batch.box_sums(q[batch.pressure_idx])).min() > 1.0
-    assert_box_divergence(ops, batch, batch.solve(r), None, 1e-14)
-    assert_box_divergence(ops, batch, batch.solve(r, q), q, 1e-14,
-                          centred=True)
+    for overlap in sorted(set(pc.SMOOTHER_OVERLAP.values())):
+        batch = ops.smoother(overlap)
+        assert np.abs(batch.box_sums(q[batch.pressure_idx])).min() > 1.0
+        assert_box_divergence(ops, batch, batch.solve(r), None, 1e-14)
+        assert_box_divergence(ops, batch, batch.solve(r, q), q, 1e-14,
+                              centred=True)
 
 
 def test_apply_makes_two_triangular_solves_per_lumped_solve(monkeypatch,
@@ -448,13 +453,51 @@ def test_operators_build_block_factors_once_per_overlap(monkeypatch, rng):
     # the basis build's exact overlap-0 batch, the lumped smoother and
     # preprocessing's lumped overlap-0 boxes, and no exact factor of an
     # overlapped box
-    overlap = pc.SolverSettings().overlap
+    overlap = pc.SolverSettings().smoother_overlap(basis.kind)
     assert built == {"exact": 1, "lumped": [overlap, 0]}
     assert np.array_equal(first.velocity, second.velocity)
     # new operators for the same field build their own factors, and
     # solving on a built basis needs no exact box
     pc.solve(grid, mixed_fem.assemble_operators(grid, field), basis, F)
     assert built == {"exact": 1, "lumped": [overlap, 0, overlap, 0]}
+
+
+def test_smoother_overlap_follows_the_coarse_space(rng):
+    # one layer for the spectral space, two for the others, unless the
+    # settings name an overlap, which then holds for every space
+    grid = mesh.build_grid((12, 12), (3, 3))
+    field = mixed_fem.PermeabilityField(random_log_field(rng, grid.n_cells))
+    ops = mixed_fem.assemble_operators(grid, field)
+    for kind, overlap in (("gmsfem", 1), ("msfem", 2), ("rt0", 2)):
+        basis = coarse_space.build_space(kind, grid, field, ops)
+        assert pc.build_preconditioner(grid, ops, basis).batch \
+            is ops.smoother(overlap)
+        forced = pc.build_preconditioner(grid, ops, basis,
+                                         pc.SolverSettings(overlap=3))
+        assert forced.batch is ops.smoother(3)
+    for bad in (0, -1, 1.0, True):
+        with pytest.raises(ValueError, match="overlap"):
+            pc.SolverSettings(overlap=bad)
+
+
+@pytest.mark.parametrize("kind", ["rt0", "msfem"])
+def test_fixed_coarse_spaces_keep_two_smoother_layers(kind):
+    # the rt0-2d input at seed 424244: with no spectral modes the V-cycle
+    # goes near singular at one smoother layer (condition estimates 6.2e5
+    # for rt0 and 5.8e5 for msfem), and is well conditioned at the
+    # default (67.9 and 66.8)
+    grid = mesh.build_grid((40, 40), (4, 4))
+    field = synth_field(424244, (40, 40),
+                        FieldSpec(exponent=-6.0, boxes=BENCH_BOXES_2D,
+                                  n_random=3, random_size=0.05))
+    ops = mixed_fem.assemble_operators(grid, field)
+    basis = coarse_space.build_space(kind, grid, field, ops)
+    source = corner_source(grid)
+    default = pc.solve(grid, ops, basis, source).report
+    assert default.condition_estimate < 1e3
+    thin = pc.solve(grid, ops, basis, source,
+                    pc.SolverSettings(overlap=1)).report
+    assert thin.condition_estimate > 1e5
 
 
 def test_solve_matches_dense_oracle(rng):
@@ -486,7 +529,7 @@ def test_solve_variant_settings(rng):
     basis = coarse_space.build_gmsfem_space(ops)
     tight = pc.solve(grid, ops, basis, F,
                      settings=pc.SolverSettings(rel_tol=1e-11)).velocity
-    for settings in (pc.SolverSettings(overlap=1),
+    for settings in (pc.SolverSettings(overlap=2),
                      pc.SolverSettings(sweeps=2)):
         result = pc.solve(grid, ops, basis, F, settings=settings)
         assert result.report.converged
@@ -525,13 +568,15 @@ def test_cg_reaches_the_requested_tolerance():
 def test_degenerate_settings_rejected():
     # uncovered dofs, no smoothing or no stopping rule make the V-cycle
     # or CG unusable, so the settings refuse them before any solve
-    for bad in ({"overlap": 0}, {"sweeps": 0}, {"eta": 0.0}, {"eta": -0.1},
+    for bad in ({"overlap": 0}, {"overlap": -1}, {"sweeps": 0}, {"eta": 0.0},
+                {"eta": -0.1},
                 {"eta": float("nan")}, {"rel_tol": float("nan")},
                 {"rel_tol": float("inf")}, {"rel_tol": -5.0},
                 {"rel_tol": 0.0},
                 {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
                 {"max_iter": 10.0}, {"sweeps": 1.5}, {"sweeps": True},
-                {"overlap": 1.5}, {"overlap": True}, {"overlap": "2"}):
+                {"overlap": 1.5}, {"overlap": 1.0}, {"overlap": True},
+                {"overlap": "2"}):
         with pytest.raises(ValueError):
             pc.SolverSettings(**bad)
     # numpy integers are integers

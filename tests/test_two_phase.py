@@ -660,7 +660,7 @@ def test_first_pressure_step_shares_the_basis_operators(monkeypatch, rng):
     # t=0 step builds lumped overlap-0 boxes for preprocessing, the warm
     # one starts from its velocity.  A frozen basis builds the exact
     # overlap-0 batch once, at t=0, and a rebuilt one at every step
-    overlap = pc.SolverSettings().overlap
+    overlap = config.settings.smoother_overlap(config.space)
     assert built == {"exact": 1, "lumped": [overlap, 0, overlap]}
     built["exact"] = 0
     built["lumped"].clear()
