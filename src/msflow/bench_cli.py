@@ -492,7 +492,9 @@ def _add_common(parser):
                         help="coarse spaces, comma-separated")
     parser.add_argument("--tol", help="eigenvalue selection tolerance")
     parser.add_argument("--contrasts", help="exponents, comma-separated")
-    parser.add_argument("--eta", help="smoother damping")
+    parser.add_argument("--eta", help="relaxation of each color's box solves "
+                        f"in a smoother sweep, in (0, 2) (default "
+                        f"{SolverSettings.eta})")
     parser.add_argument("--sweeps", help="smoother sweeps per V-cycle side")
     parser.add_argument("--overlap", help="smoother layers, for every space "
                         f"(default by space: {SMOOTHER_OVERLAP})")

@@ -17,14 +17,14 @@ block-diagonal system.  The exact solves of the coarse blocks
 held once per distinct box and applied to all its boxes at once) serve
 the msfem and gmsfem basis build only, which hands them box-local
 right-hand sides.  The other boxes, the smoother's and those of
-preprocessing and recovery, are mass-lumped (`LumpedBatch`), and only
-their velocities are summed back into global vectors:
+preprocessing and recovery, are mass-lumped (`LumpedBatch`) and held
+color by color, so that the boxes of one color share no velocity:
 each box's velocity mass is integrated by the trapezoidal rule, which
 makes it diagonal and the mixed method equal to two-point cell fluxes
 (Russell & Wheeler 1983; Arbogast, Wheeler & Yotov, SINUM 34, 1997), so
-one sparse `sparse_linalg.factor` of pinned cell Laplacians serves a
-set of boxes, and a lumped solve is two solves with it and four sparse
-products.  `MixedOperators` owns both for its coefficient.
+one sparse `sparse_linalg.factor` of pinned cell Laplacians serves the
+boxes of a color, and a lumped solve is two solves with it and four
+sparse products.  `MixedOperators` owns both for its coefficient.
 """
 
 from __future__ import annotations
@@ -161,38 +161,50 @@ def assemble_operators(grid, field) -> MixedOperators:
     )
 
 
+def _lattice(extents, strides) -> np.ndarray:
+    """Ids sum_j m_j strides[j] of the lattice 0 <= m < extents, in C
+    order (the last axis fastest)."""
+    ids = 0
+    for n, stride in zip(extents, strides):
+        ids = np.add.outer(ids, np.arange(n) * stride)
+    return np.ravel(ids)
+
+
 class _BoxLines:
     """Grid lines of a box shape, numbering its velocities line-major
-    (axis by axis, line by line).  `order` picks them out of the F-order
-    of `mesh.velocity_dofs_interior_to`; `axes` holds (axis, cell ids per
-    line), `lens` every line's length, and velocity i joins the cells
-    `cells[i]` with divergence entries `div[i]` (+area, -area)."""
+    (axis by axis, line by line).  `faces` holds their global dofs for
+    the box at the grid's origin and `face_axis` their axes; `axes`
+    holds (axis, cell ids per line), `lens` every line's length, and
+    velocity i joins the cells `cells[i]` with divergence entries
+    `div[i]` (+area, -area)."""
 
     def __init__(self, grid, shape):
         self.shape = tuple(int(s) for s in shape)
         self.n_cells = int(np.prod(self.shape))
-        cell_idx = np.arange(self.n_cells).reshape(self.shape, order="F")
+        strides = np.cumprod((1,) + self.shape[:-1])
+        offsets = grid.face_offsets
         # the empty first part serves boxes without velocity dofs
-        parts = [(np.zeros(0, int),) * 2 + (np.zeros((0, 2), int),
-                                             np.zeros((0, 2)))]
-        self.axes, start = [], 0
+        parts = [(np.zeros(0, int),) * 3 + (np.zeros((0, 2), int),
+                                              np.zeros((0, 2)))]
+        self.axes = []
         for a, s in enumerate(self.shape):
             if s < 2:
                 continue
-            ids = np.moveaxis(cell_idx, a, -1).reshape(-1, s)
-            face_shape = self.shape[:a] + (s - 1,) + self.shape[a + 1:]
-            n_a = int(np.prod(face_shape))
-            faces = start + np.arange(n_a).reshape(face_shape, order="F")
-            start += n_a
+            # a line runs along axis a, lines in C order of the others
+            order = [j for j in range(grid.dim) if j != a] + [a]
+            extents = [self.shape[j] for j in order]
+            ids = _lattice(extents, strides[order]).reshape(-1, s)
+            face_strides = np.cumprod((1,) + grid.axis_face_shape(a)[:-1])
+            extents[-1] -= 1
+            faces = offsets[a] + _lattice(extents, face_strides[order])
+            area = grid.face_area(a)
             self.axes.append((a, ids))
-            parts.append((np.moveaxis(faces, a, -1).ravel(),
-                          np.full(len(ids), s - 1),
+            parts.append((faces, np.full(len(faces), a), np.full(len(ids), s - 1),
                           np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], 1),
-                          np.tile([grid.face_area(a), -grid.face_area(a)],
-                                  (n_a, 1))))
-        self.n_velocity = start
-        self.order, self.lens, self.cells, self.div = map(np.concatenate,
-                                                          zip(*parts))
+                          np.repeat([[area, -area]], len(faces), axis=0)))
+        (self.faces, self.face_axis, self.lens, self.cells,
+         self.div) = map(np.concatenate, zip(*parts))
+        self.n_velocity = len(self.faces)
 
 
 class _BoxFactor:
@@ -251,7 +263,7 @@ class BlockSolver:
     """One coarse block grown by an overlap: its cells, its interior
     velocities in the line order of `lines`, the box shape's lines and,
     for the exact solves of overlap 0, the `_BoxFactor` of its saddle.
-    Box systems keep their boxes in block order, so box i is block i.
+    `BlockBatch` keeps its boxes in block order, so box i is block i.
 
     `solve` is the exact saddle solve of an overlap-0 box through a
     one-box `BlockBatch`, built on the first solve, of the bordered
@@ -294,51 +306,86 @@ def _boxes(grid, overlap: int) -> list:
     its shape at the origin, with its `_BoxLines`, shifted by its ravelled
     corner on the cells and on each face lattice (as `mesh.coarse_faces`)."""
     lo, hi = mesh.grown_blocks(grid, np.arange(grid.n_blocks), overlap)
-    shapes, kind = np.unique(hi - lo, axis=0, return_inverse=True)
+    _, first, kind = np.unique(np.ravel_multi_index((hi - lo).T, np.add(
+        grid.fine, 1)), return_index=True, return_inverse=True)
     # each box corner ravelled on the cells (column 0) and on the faces
     # normal to axis a (column 1 + a), unchecked: a lattice may be empty
     lattices = [grid.fine] + [grid.axis_face_shape(a) for a in range(grid.dim)]
     shift = lo @ np.array([np.cumprod((1,) + n[:-1]) for n in lattices]).T
     boxes = [None] * grid.n_blocks
-    for k, shape in enumerate(shapes):
-        lines = _BoxLines(grid, shape)
-        cells = mesh.box_cells(grid, np.zeros_like(shape), shape)
-        faces = mesh.velocity_dofs_interior_to(grid, cells)[lines.order]
-        axis = np.searchsorted(grid.face_offsets, faces, side="right")
-        for b in np.flatnonzero(kind.ravel() == k):
-            boxes[b] = BlockSolver(faces + shift[b, axis], cells + shift[b, 0],
-                                   lines)
+    for k, b in enumerate(first):
+        lines = _BoxLines(grid, hi[b] - lo[b])
+        cells = mesh.box_cells(grid, np.zeros(grid.dim, int), hi[b] - lo[b])
+        members = np.flatnonzero(kind == k)
+        faces = lines.faces + shift[members][:, 1 + lines.face_axis]
+        for m, f, c in zip(members, faces, cells + shift[members, :1]):
+            boxes[m] = BlockSolver(f, c, lines)
     return boxes
+
+
+def _box_layout(grid, lo, hi) -> tuple:
+    """Interior velocities and cells of the boxes [lo, hi), one row per
+    box, concatenated box by box, by index arithmetic on all boxes at
+    once: the global cell of every local cell, F-ordered in its box, and
+    of every local velocity, axis by axis and F-ordered in its box's
+    face lattice, with its two box-local cells and its divergence
+    entries there (+area, -area).  Returns (velocity_idx, pressure_idx,
+    velocities per box, cells per box, velocity cells, velocity
+    divergence entries): the first four are what `_BoxSystem` takes."""
+    dim, n = grid.dim, len(lo)
+    extent = hi - lo
+    strides = np.cumprod(np.column_stack([np.ones(n, int), extent[:, :-1]]),
+                         axis=1)
+    counts = np.prod(extent, axis=1)
+    box = np.repeat(np.arange(n), counts)
+    t = np.arange(len(box)) - (np.cumsum(counts) - counts)[box]
+    cells = 0
+    for j, stride in enumerate(np.cumprod((1,) + grid.fine[:-1])):
+        cells = cells + (lo[box, j] + t % extent[box, j]) * stride
+        t //= extent[box, j]
+
+    # the faces normal to axis a of a box form the lattice of its
+    # extents less one along a; segment (box, a) holds them
+    lattice = (extent[:, None, :] - np.eye(dim, dtype=int)).reshape(-1, dim)
+    sizes = np.prod(lattice, axis=1)
+    segment = np.repeat(np.arange(n * dim), sizes)
+    box, axis = np.divmod(segment, dim)
+    t = np.arange(len(segment)) - (np.cumsum(sizes) - sizes)[segment]
+    face_strides = np.array([np.cumprod((1,) + grid.axis_face_shape(a)[:-1])
+                             for a in range(dim)])
+    faces = np.array(grid.face_offsets)[axis]
+    low = 0
+    for j in range(dim):
+        m = t % lattice[segment, j]
+        t //= lattice[segment, j]
+        faces += (lo[box, j] + m) * face_strides[axis, j]
+        low = low + m * strides[box, j]
+    area = np.array([grid.face_area(a) for a in range(dim)])[axis]
+    return (faces, cells, sizes.reshape(n, dim).sum(axis=1), counts,
+            np.column_stack([low, low + strides[box, axis]]),
+            np.column_stack([area, -area]))
 
 
 class _BoxSystem:
     """Boxes of interior velocities and cells as one block-diagonal
-    system, their local unknowns concatenated in block order (box i is
-    block i), so every grid line is a contiguous run of velocities.
+    system, their local unknowns concatenated box by box.
     `velocity_idx` and `pressure_idx` give the global dof of every local
-    unknown, `velocity_box` and `cell_box` its box, `counts` each box's
-    cells and `velocity_cells` the two local cells of every velocity.
-    D, the box divergences, is CSC with two entries per column, built
-    by index arithmetic.
+    unknown, `velocity_box` and `cell_box` its box, and `counts` each
+    box's cells.
     """
 
-    def __init__(self, boxes):
-        lines = [box.lines for box in boxes]
-        self.velocity_idx = np.concatenate([box.velocity_idx for box in boxes])
-        self.pressure_idx = np.concatenate([box.pressure_idx for box in boxes])
-        nv = np.array([box.n_velocity for box in lines])
-        self.counts = np.array([box.n_cells for box in lines])
-        self.starts = np.cumsum(self.counts) - self.counts
-        self.velocity_box = np.repeat(np.arange(len(boxes)), nv)
-        self.cell_box = np.repeat(np.arange(len(boxes)), self.counts)
-        n_loc, n_cells = len(self.velocity_idx), len(self.pressure_idx)
+    def __init__(self, velocity_idx, pressure_idx, n_velocity, counts):
+        self.velocity_idx, self.pressure_idx = velocity_idx, pressure_idx
+        self.counts = counts
+        self.starts = np.cumsum(counts) - counts
+        self.velocity_box = np.repeat(np.arange(len(counts)), n_velocity)
+        self.cell_box = np.repeat(np.arange(len(counts)), counts)
 
-        cells = np.concatenate([box.cells for box in lines])
-        cells += self.starts[self.velocity_box][:, None]
-        self.velocity_cells = cells
-        self.D = sparse.csc_matrix(
-            (np.concatenate([box.div for box in lines]).ravel(), cells.ravel(),
-             np.arange(0, 2 * n_loc + 1, 2)), shape=(n_cells, n_loc))
+    def _local_cells(self, box_cells):
+        """The two cells of every velocity, from box-local numbers to
+        the system's, in place."""
+        box_cells += self.starts[self.velocity_box][:, None]
+        return box_cells
 
     def box_sums(self, x):
         """Per-box sums of local cell values (rows of `x`)."""
@@ -361,8 +408,20 @@ class BlockBatch(_BoxSystem):
     """
 
     def __init__(self, solvers):
-        super().__init__(solvers)
-        n_loc, self.G = len(self.velocity_idx), self.D.T
+        lines = [bs.lines for bs in solvers]
+        super().__init__(
+            np.concatenate([bs.velocity_idx for bs in solvers]),
+            np.concatenate([bs.pressure_idx for bs in solvers]),
+            np.array([box.n_velocity for box in lines]),
+            np.array([box.n_cells for box in lines]))
+        # D, the box divergences, is CSC with two entries per column
+        n_loc = len(self.velocity_idx)
+        cells = self._local_cells(np.concatenate([box.cells for box in lines]))
+        self.D = sparse.csc_matrix(
+            (np.concatenate([box.div for box in lines]).ravel(), cells.ravel(),
+             np.arange(0, 2 * n_loc + 1, 2)),
+            shape=(len(self.pressure_idx), n_loc))
+        self.G = self.D.T
 
         # dense line blocks, stored row by row: a row of line i holds
         # columns first .. first + m[i] - 1 (int32, as scipy keeps them)
@@ -418,12 +477,111 @@ class BlockBatch(_BoxSystem):
         return v + dv, p + dp, mu + dmu
 
 
+def _box_colors(lo, hi) -> np.ndarray:
+    """Greedy colors of the boxes [lo, hi), one row each, in their
+    order: a box takes the least color of no earlier box it shares a
+    cell with.  Boxes of one color then share no velocity, nor an entry
+    of the velocity mass.  On blocks at least twice the overlap wide
+    this is the parity coloring, 2**d colors; disjoint boxes get one."""
+    shared = np.all((lo[:, None] < hi) & (lo < hi[:, None]), axis=-1)
+    colors = []
+    for b, row in enumerate(shared):
+        taken = {colors[j] for j in np.flatnonzero(row[:b])}
+        colors.append(min(set(range(len(taken) + 1)) - taken))
+    return np.array(colors)
+
+
+def _pinned_schur(velocity_cells, velocity_div, inv_mass, row, n_free):
+    """The free rows D_f of the box divergences, column by column, and
+    D_f W D_f^T, both by index arithmetic; `row` is the free row of every
+    local cell, -1 when pinned.  Returns (indptr, rows, div, w div) of
+    D_f, as CSC by velocity with the weighted entries W D_f^T alongside,
+    and (indptr, rows, data) of the Laplacian, CSC by free cell."""
+    rows = row[velocity_cells]
+    kept = rows >= 0
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
+    joins = indptr[:-1][kept.all(axis=1)]
+    rows, div = rows[kept], velocity_div[kept]
+    w_div = np.repeat(inv_mass, np.diff(indptr)) * div
+    # each velocity adds w area^2 to the diagonal of its free cells, and
+    # joins two free cells by one off-diagonal pair (two cells share at
+    # most one face)
+    diag = np.arange(n_free, dtype=np.int32)
+    low, high = rows[joins], rows[joins + 1]
+    off = w_div[joins] * div[joins + 1]
+    col = np.concatenate([diag, low, high])
+    entry = np.argsort(col, kind="stable")
+    laplacian = (
+        np.searchsorted(col[entry], np.arange(n_free + 1)).astype(np.int32),
+        np.concatenate([diag, high, low])[entry],
+        np.concatenate([np.bincount(rows, w_div * div, n_free), off, off])[entry])
+    return (indptr, rows, div, w_div), laplacian
+
+
+class _LumpedColor:
+    """The boxes of one color of a `LumpedBatch`: its local velocities
+    `velocities` and free cells `free` (slices of the batch's), the
+    global dofs `idx` of those velocities, which never repeat, and the
+    color's lumped Schur system.  `lu` is the `sparse_linalg.factor` of
+    its pinned cell Laplacian (None when no cell is free, and then no
+    box has a velocity), whose scaling `scale` is folded into `Ds` =
+    scale D_f and `W_DsT` = W Ds^T; both share one index pattern.
+    """
+
+    def __init__(self, batch, velocities, free, d_f, laplacian):
+        self.velocities, self.free = velocities, free
+        self.idx = batch.velocity_idx[velocities]
+        self.inv_mass = batch.inv_mass[velocities]
+        self.lu = None
+        n_free = free.stop - free.start
+        if not n_free:
+            return
+        # the color's slices of the batch's D_f (by velocity) and
+        # Laplacian (by free cell), renumbered from its first free cell
+        indptr, rows, div, w_div = d_f
+        first, last = indptr[velocities.start], indptr[velocities.stop]
+        ptr = indptr[velocities.start:velocities.stop + 1] - first
+        rows = rows[first:last] - free.start
+        L_ptr, L_rows, L_data = laplacian
+        a, b = L_ptr[free.start], L_ptr[free.stop]
+        f = factor(sparse.csc_matrix(
+            (L_data[a:b], L_rows[a:b] - free.start,
+             L_ptr[free.start:free.stop + 1] - a), shape=(n_free, n_free)))
+        self.lu, self.scale = f.lu, f.scale
+        scale = f.scale[rows]
+        shape = (n_free, len(self.idx))
+        self.Ds = sparse.csc_matrix((scale * div[first:last], rows, ptr),
+                                    shape=shape)
+        self.W_DsT = sparse.csr_matrix((scale * w_div[first:last], rows, ptr),
+                                       shape=shape[::-1])
+
+    def solve(self, a, b=None):
+        """Local velocities of the color's box saddles for its local
+        right-hand sides: `a` on its velocities, (n,) or (n, k), and `b`
+        on its free cells less the box means (None is 0)."""
+        shape = (-1,) + (1,) * (a.ndim - 1)
+        v = self.inv_mass.reshape(shape) * a
+        if self.lu is None:
+            return v
+        b = 0.0 if b is None else self.scale.reshape(shape) * b
+        v -= self.W_DsT @ self.lu.solve(self.Ds @ v - b)
+        v -= self.W_DsT @ self.lu.solve(self.Ds @ v - b)
+        return v
+
+
 class LumpedBatch(_BoxSystem):
     """Mass-lumped box saddles  M v + G p = a,  D v + mu 1 = b  of every
     coarse block grown by `overlap` fine layers: the smoother's solves,
-    and at overlap 0 preprocessing's and pressure recovery's.  `solve`
-    gathers its right-hand sides from global vectors, and `scatter`
-    sums its local velocities back into one of `n_velocity`.
+    and at overlap 0 preprocessing's and pressure recovery's.
+
+    The boxes are colored (`_box_colors`) and held color by color, in
+    block order within a color: `blocks` is the block of each box, and
+    `colors` (`_LumpedColor`) cover contiguous ranges of boxes, local
+    velocities and free cells.  The boxes of one color share no
+    velocity, so a color's solution adds into a global vector without
+    summing.  At overlap 0 the boxes are disjoint: one color, in block
+    order, so box i is block i.
 
     M is the trapezoidal-rule velocity mass: the face between cells of
     weights w_l and w_h (volume / coefficient) gets the diagonal entry
@@ -432,64 +590,72 @@ class LumpedBatch(_BoxSystem):
     box constants, which G annihilates; so pinning one cell per box, its
     most permeable (a pin in a low-permeability region would leave the
     permeable rest of the box nearly floating), gives the free rows D_f
-    and one positive definite D_f W D_f^T for all boxes.  `lu` is its
-    `sparse_linalg.factor`, whose scaling s to unit diagonal keeps the
-    pivot check local to each box.  With s folded into `Ds` = s D_f and
-    `W_DsT` = W Ds^T, a solve is the Schur pass
-    v = W a - W_DsT lu^-1 (Ds W a - s b~), b~ being b less its box means
-    (which is mu), then the divergence-only pass
-    v -= W_DsT lu^-1 (Ds v - s b~), which keeps the box divergences at
+    (`free`) and a positive definite D_f W D_f^T, block diagonal by
+    color.  Each color factors its own block, whose scaling s to unit
+    diagonal keeps the pivot check local to each box.  A solve is the
+    Schur pass v = W a - W Ds^T lu^-1 (Ds W a - s b~), b~ being b less
+    its box means (which is mu), then the divergence-only pass
+    v -= W Ds^T lu^-1 (Ds v - s b~), which keeps the box divergences at
     roundoff.
     """
 
     def __init__(self, operators: MixedOperators, overlap: int):
         grid = operators.grid
-        super().__init__(_boxes(grid, overlap))
-        self.n_velocity = grid.n_velocity
+        lo, hi = mesh.grown_blocks(grid, np.arange(grid.n_blocks), overlap)
+        colors = _box_colors(lo, hi)
+        self.blocks = np.argsort(colors, kind="stable")
+        *layout, cells, div = _box_layout(grid, lo[self.blocks],
+                                          hi[self.blocks])
+        super().__init__(*layout)
+        cells = self._local_cells(cells)
         w = grid.cell_volume / operators.coefficient[self.pressure_idx]
-        low, high = self.velocity_cells.T
+        low, high = cells.T
         self.inv_mass = 2.0 / (w[low] + w[high])
-        # the least w in each box is its largest coefficient
+        # the least w in each box is its largest coefficient; every
+        # local cell gets its free row, -1 when pinned
         pinned = np.lexsort((w, self.cell_box))[self.starts]
-        self.free = np.setdiff1d(np.arange(len(self.pressure_idx)), pinned)
-        self.Ds = self.D.tocsr()[self.free]
-        self.lu = None
-        if len(self.free):  # else every box is one cell, with no velocity
-            f = factor(self.Ds @ sparse.diags(self.inv_mass) @ self.Ds.T)
-            self.lu, self.scale = f.lu, f.scale
-            self.Ds.data *= np.repeat(f.scale, np.diff(self.Ds.indptr))
-        self.W_DsT = self.Ds.T.tocsr()
-        self.W_DsT.data *= np.repeat(self.inv_mass, np.diff(self.W_DsT.indptr))
+        row = np.ones(len(w), dtype=np.int32)
+        row[pinned] = 0
+        row = np.cumsum(row, dtype=np.int32) - 1
+        row[pinned] = -1
+        self.free = np.flatnonzero(row >= 0)
+        d_f, laplacian = _pinned_schur(cells, div, self.inv_mass, row,
+                                       len(self.free))
+        del cells, div  # freed before the factors, which set the peak
+
+        # each color's first box, local velocity and free cell
+        first = np.searchsorted(colors[self.blocks], np.arange(max(colors) + 2))
+        velocity = np.searchsorted(self.velocity_box, first)
+        free = np.searchsorted(self.cell_box, first) - first
+        self.colors = [
+            _LumpedColor(self, slice(*velocity[c:c + 2]), slice(*free[c:c + 2]),
+                         d_f, laplacian)
+            for c in range(len(first) - 1)]
 
     def solve(self, velocity_rhs, pressure_rhs=None) -> np.ndarray:
         """Local velocities of every box saddle for global right-hand
         sides (n,) or (n, k); `pressure_rhs` None is 0."""
-        shape = (-1,) + (1,) * (velocity_rhs.ndim - 1)
-        v = self.inv_mass.reshape(shape) * velocity_rhs[self.velocity_idx]
-        if self.lu is None:
-            return v
-        b = 0.0
+        a = velocity_rhs[self.velocity_idx]
+        b = None
         if pressure_rhs is not None:
+            shape = (-1,) + (1,) * (velocity_rhs.ndim - 1)
             b = pressure_rhs[self.pressure_idx]
             b = b - (self.box_sums(b) / self.counts.reshape(shape))[self.cell_box]
-            b = self.scale.reshape(shape) * b[self.free]
-        v -= self.W_DsT @ self.lu.solve(self.Ds @ v - b)
-        v -= self.W_DsT @ self.lu.solve(self.Ds @ v - b)
-        return v
-
-    def scatter(self, local) -> np.ndarray:
-        """Sum one column of local velocities into a global vector; dofs
-        shared by overlapping boxes add up."""
-        return np.bincount(self.velocity_idx, weights=local,
-                           minlength=self.n_velocity).astype(float, copy=False)
+            b = b[self.free]
+        return np.concatenate([
+            color.solve(a[color.velocities],
+                        None if b is None else b[color.free])
+            for color in self.colors])
 
     def pressure(self, velocity_rhs) -> np.ndarray:
         """Local cell pressures, pinned cells at 0, of D W G p = D W a
         for global a (n,): G p = a by least squares in the W norm."""
         p = np.zeros(len(self.pressure_idx))
-        if self.lu is not None:
-            p[self.free] = self.scale * self.lu.solve(
-                self.Ds @ (self.inv_mass * velocity_rhs[self.velocity_idx]))
+        a = self.inv_mass * velocity_rhs[self.velocity_idx]
+        for color in self.colors:
+            if color.lu is not None:
+                p[self.free[color.free]] = color.scale * color.lu.solve(
+                    color.Ds @ a[color.velocities])
         return p
 
 

@@ -4,25 +4,35 @@ The flow problem is solved in two stages.  A preprocessing step produces
 a velocity whose divergence matches the source cell by cell, built from
 a coarse saddle solve plus independent per-block corrections.  The
 remaining divergence-free correction is then computed by CG on the
-velocity mass operator, preconditioned with a V-cycle that combines an
-additive overlapping-block smoother with a Galerkin coarse correction.
-A caller holding a velocity that already meets the source divergence,
-such as the previous IMPES pressure step's, can start CG from it and
-skip preprocessing (`solve`'s `start`).
+velocity mass operator, preconditioned with a V-cycle that wraps a
+Galerkin coarse correction in colored multiplicative smoothing sweeps
+over overlapping blocks.  A caller holding a velocity that already
+meets the source divergence, such as the previous IMPES pressure
+step's, can start CG from it and skip preprocessing (`solve`'s
+`start`).
 
 The smoother's boxes are the coarse blocks grown by `SMOOTHER_OVERLAP`
 fine layers: the spectral gmsfem space carries the contrast with one,
-rt0 and msfem need two.  Their saddles are mass-lumped
-(`mixed_fem.LumpedBatch`), where the paper solves them exactly.  A
-lumped saddle still has a symmetric positive definite mass and the
-exact box divergence, so the properties below hold; only the
+rt0 and msfem need two.  The boxes are colored so that those of one
+color share no cell; a sweep visits the colors in turn, each solving
+its boxes on the residual left by the colors before it (multiplicative
+Schwarz, A. Toselli and O. Widlund, Domain Decomposition Methods,
+Springer 2005, ch. 2), and the V-cycle sweeps the colors forward before
+the coarse correction and backward after it.  The box saddles are
+mass-lumped (`mixed_fem.LumpedBatch`), where the paper solves them
+exactly.  A lumped saddle still has a symmetric positive definite mass
+and the exact box divergence, so the properties below hold; only the
 smoother's spectral quality changes.
 Preprocessing and pressure recovery use the lumped saddles of the
 non-overlapping blocks.  Every factor is of a positive definite matrix.
 
 Both preconditioner stages return divergence-free velocities and
 annihilate discrete gradients, so plain CG updates never leave the
-constraint subspace and no explicit projection is needed.
+constraint subspace and no explicit projection is needed.  In floating
+point the V-cycle annihilates a gradient only to roundoff relative to
+it, so a residual that is mostly gradient leaks divergence into CG's
+updates; `solve` takes the gradient out of the residual when that leak
+shows (`_gradient_fit`).
 """
 
 import numbers
@@ -45,7 +55,7 @@ def is_integer(value) -> bool:
 # coarse spaces make the two-grid bound independent of the contrast, and
 # the overlap enters it only through 1 + H/delta, so gmsfem keeps its
 # counts at one layer; rt0 and msfem have no spectral modes, and at one
-# layer the rt0-2d input gives them condition estimates of 3e5..6e5
+# layer the rt0-2d input gives them condition estimates of 0.7e5..1.3e5
 SMOOTHER_OVERLAP = {"gmsfem": 1, "msfem": 2, "rt0": 2}
 
 
@@ -53,11 +63,12 @@ SMOOTHER_OVERLAP = {"gmsfem": 1, "msfem": 2, "rt0": 2}
 class SolverSettings:
     """Knobs for the preconditioned solve.
 
-    `eta` damps the additive smoother.  With up to 2**d overlapping
-    regions covering a dof, eta <= 2**-d keeps it a contraction; the
-    default 0.2 meets that in 2D only, so in 3D criterion 3 and
-    `test_vcycle_symmetric_3d_high_contrast` check positivity.  `sweeps`
-    smoother sweeps run before and after the coarse correction.
+    `eta` is the relaxation of every color's box solves in a smoother
+    sweep.  The lumped mass bounds the exact one from above on every box
+    (the eigenvalues of M_L^-1 M_E lie in [1/3, 1]), so each relaxed
+    color solve contracts in the energy norm for 0 < eta < 2, and the
+    V-cycle stays positive definite; values of 2 and above raise.
+    `sweeps` smoother sweeps run before and after the coarse correction.
     `overlap` grows the smoother's boxes by that many fine layers for
     every coarse space; None, the default, takes the space's entry in
     `SMOOTHER_OVERLAP` (`smoother_overlap`).  Values that cannot give a
@@ -67,7 +78,7 @@ class SolverSettings:
 
     rel_tol: float = 1e-7
     max_iter: int = 500
-    eta: float = 0.2
+    eta: float = 1.0
     sweeps: int = 1
     overlap: int | None = None
 
@@ -91,10 +102,10 @@ class SolverSettings:
             raise ValueError(
                 "CG needs a positive definite V-cycle; use at least 1 "
                 "smoother sweep")
-        if not (np.isfinite(self.eta) and self.eta > 0):
+        if not 0 < self.eta < 2:
             raise ValueError(
-                f"smoother damping eta must be positive and finite, got "
-                f"{self.eta!r}")
+                f"smoother relaxation eta must lie in (0, 2), where every "
+                f"color solve contracts, got {self.eta!r}")
 
     def smoother_overlap(self, kind: str) -> int:
         """The smoother's overlap for coarse space `kind`: `overlap`, or
@@ -104,12 +115,14 @@ class SolverSettings:
 
 @dataclass(eq=False)
 class TwoGridPreconditioner:
-    """Additive block smoother wrapped around a coarse correction.
+    """Colored multiplicative block smoother wrapped around a coarse
+    correction.
 
-    apply() runs a symmetric V-cycle: `sweeps` damped smoother sweeps,
-    one coarse solve, `sweeps` more, recomputing the residual between
-    stages.  Equal sweep counts on both sides keep the operator
-    symmetric positive definite, which CG requires.
+    apply() runs a symmetric V-cycle: `sweeps` forward smoother sweeps,
+    one coarse solve, `sweeps` backward sweeps, recomputing the residual
+    between stages.  A backward sweep is the energy-norm adjoint of a
+    forward one, so the V-cycle is symmetric, and positive definite on
+    the divergence-free velocities, which CG requires.
     """
 
     operators: MixedOperators
@@ -118,10 +131,16 @@ class TwoGridPreconditioner:
     eta: float
     sweeps: int
 
-    def smooth(self, r: np.ndarray) -> np.ndarray:
-        """One damped additive sweep: sum of the lumped local saddle
-        solves of r, all boxes in one block-diagonal solve."""
-        return self.batch.scatter(self.eta * self.batch.solve(r))
+    def smooth(self, r: np.ndarray, reverse: bool = False) -> np.ndarray:
+        """One sweep from zero over the colors, in reverse order when
+        `reverse`: each color adds eta times its box solves of the
+        residual r - A z on its own velocities."""
+        A, colors = self.operators.A, self.batch.colors
+        z = np.zeros_like(r)
+        for k, color in enumerate(colors[::-1] if reverse else colors):
+            res = r[color.idx] - (A @ z)[color.idx] if k else r[color.idx]
+            z[color.idx] += self.eta * color.solve(res)
+        return z
 
     def coarse_correct(self, r: np.ndarray) -> np.ndarray:
         y_v, _ = self.coarse.solve(self.coarse.P_v_T @ r, None)
@@ -134,7 +153,7 @@ class TwoGridPreconditioner:
             z += self.smooth(r - A @ z)
         z += self.coarse_correct(r - A @ z)
         for _ in range(self.sweeps):
-            z += self.smooth(r - A @ z)
+            z += self.smooth(r - A @ z, reverse=True)
         return z
 
 
@@ -179,6 +198,12 @@ def _divergence_bound(source: np.ndarray) -> float:
     return 1e-10 * max(1.0, float(np.max(np.abs(source))))
 
 
+# the share of `_divergence_bound` that CG's correction may leak before
+# `solve` takes the gradient out of its residual: far below the bound,
+# far above the roundoff of a solve that does not drift (about 1e-16)
+DRIFT_TRIGGER = 1e-3
+
+
 @dataclass
 class PreprocessResult:
     velocity: np.ndarray
@@ -218,10 +243,12 @@ def preprocess(operators: MixedOperators, coarse: CoarseOperator,
         raise RuntimeError(
             f"block {block} source imbalance {imbalance[block]:.3e} after "
             f"the coarse solve; the coarse pressure space is inconsistent")
-    A = operators.A
-    v = v_coarse + batch.scatter(batch.solve(-(A @ v_coarse), residual))
+    # the overlap-0 boxes are disjoint: their velocities never repeat
+    A, idx = operators.A, batch.velocity_idx
+    v = v_coarse.copy()
+    v[idx] += batch.solve(-(A @ v_coarse), residual)
     for _ in range(MASS_PASSES):
-        v += MASS_DAMPING * batch.scatter(batch.solve(-(A @ v)))
+        v[idx] += MASS_DAMPING * batch.solve(-(A @ v))
     norms = np.sqrt(np.bincount(
         batch.velocity_box, weights=(v - v_coarse)[batch.velocity_idx] ** 2,
         minlength=len(batch.counts)))
@@ -274,7 +301,10 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     first residual.  A `start` velocity that already meets the source
     divergence takes the place of preprocessing: CG corrections are
     divergence free, so CG starts from `start` as it is, and stops
-    relative to its own first residual too.  A bad `source`, or a
+    relative to its own first residual too.  Once CG's correction leaks
+    `DRIFT_TRIGGER` of `_divergence_bound` off the divergence, and again
+    each time that leak doubles, CG's residual loses its discrete
+    gradient (`_gradient_fit`; `report.fits` counts these).  A bad `source`, or a
     `start` of the wrong shape, with a non-finite entry or off the
     source divergence by more than `_divergence_bound`, raises
     ValueError before any factor is built, a `preconditioner` of other
@@ -302,10 +332,23 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     # roundoff; CG then returns the zero correction without iterating
     energy = max(float(-(start @ rhs)), 0.0)
     floor = 4.0 * np.sqrt(np.finfo(float).eps * energy)
+    B, trigger = operators.B, DRIFT_TRIGGER * _divergence_bound(source)
+
+    def drop_gradient(w, r):
+        # CG's correction w should stay divergence free; once it has
+        # leaked past the trigger, the gradient goes out of r, and the
+        # trigger doubles, so a leak that stays put fits once
+        nonlocal trigger
+        leak = float(np.max(np.abs(B @ w)))
+        if leak <= trigger:
+            return None
+        trigger = 2.0 * leak
+        return r - B.T @ _gradient_fit(operators, preconditioner.coarse, r)
+
     try:
         w, report = pcg(lambda x: A @ x, preconditioner.apply, rhs,
                         rel_tol=settings.rel_tol, max_iter=settings.max_iter,
-                        abs_floor=floor)
+                        abs_floor=floor, residual_hook=drop_gradient)
     except PcgBreakdownError as exc:
         iterate = getattr(exc, "iterate", None)
         if iterate is not None:
@@ -330,23 +373,29 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     return result
 
 
+def _gradient_fit(operators: MixedOperators, coarse: CoarseOperator,
+                  a: np.ndarray) -> np.ndarray:
+    """Cell pressures q whose discrete gradient B^T q fits the velocity
+    vector `a`: the lumped saddles of the coarse blocks fit q inside
+    each block up to a constant, and the `coarse` saddle on what is left
+    gives the block constants.  Exact when `a` is a discrete gradient,
+    otherwise a least-squares fit weighted by those solves."""
+    B, batch = operators.B, operators.smoother(0)
+    q = np.zeros(B.shape[0])
+    q[batch.pressure_idx] = batch.pressure(a)
+    _, q_H = coarse.solve(coarse.P_v_T @ (a - B.T @ q), None)
+    return q + coarse.basis.P_p @ q_H
+
+
 def recover_pressure(operators: MixedOperators, coarse: CoarseOperator,
                      v: np.ndarray) -> np.ndarray:
-    """Zero-mean cell pressures from the momentum balance  B^T p = -A v.
-
-    The lumped saddles of the coarse blocks fit p inside each block up
-    to a constant; the `coarse` saddle on the momentum residual left
-    gives the block constants.  Exact for a converged v, otherwise a
-    least-squares fit weighted by those solves.
-    """
-    B, basis, batch = operators.B, coarse.basis, operators.smoother(0)
+    """Zero-mean cell pressures from the momentum balance  B^T p = -A v,
+    by `_gradient_fit`: exact for a converged v."""
     Av = operators.A @ v
-    p = np.zeros(B.shape[0])
-    p[batch.pressure_idx] = batch.pressure(-Av)
-    _, p_H = coarse.solve(-(coarse.P_v_T @ (Av + B.T @ p)), None)
-    p += basis.P_p @ p_H
+    p = _gradient_fit(operators, coarse, -Av)
     p -= p.mean()
-    momentum = np.linalg.norm(Av + B.T @ p) / max(np.linalg.norm(Av), 1e-300)
+    momentum = np.linalg.norm(Av + operators.B.T @ p) / max(
+        np.linalg.norm(Av), 1e-300)
     if momentum > 1e-5:
         warnings.warn(f"pressure recovery relative momentum residual "
                       f"{momentum:.3e} exceeds 1e-5; the velocity is "

@@ -337,9 +337,9 @@ def test_coarse_operator_is_galerkin_projection(rng):
 
 def test_solve_factors_the_smoother_only(monkeypatch):
     # the coarse saddle and the exact boxes are dense: a solve with
-    # pressure on the impes-2d grid makes two sparse factors, both of
-    # lumped boxes and with diagonal pivots: the smoother's and the
-    # overlap-0 boxes' of preprocessing and recovery
+    # pressure on the impes-2d grid makes sparse factors of lumped boxes
+    # only, all with diagonal pivots: one per color of the smoother's
+    # (four) and one of the overlap-0 boxes of preprocessing and recovery
     from msflow import bench_cli, preconditioner as pc, sparse_linalg, \
         two_phase
     grid = mesh.build_grid((40, 40), (4, 4))
@@ -358,8 +358,9 @@ def test_solve_factors_the_smoother_only(monkeypatch):
     settings = pc.SolverSettings(rel_tol=1e-10)
     pc.solve(grid, ops, basis, source, settings, with_pressure=True)
     overlap = settings.smoother_overlap(basis.kind)
-    assert [f.lu for f in factors] == [ops.smoother(overlap).lu,
-                                       ops.smoother(0).lu]
+    colors = ops.smoother(overlap).colors + ops.smoother(0).colors
+    assert len(colors) == 5
+    assert [f.lu for f in factors] == [color.lu for color in colors]
     for f in factors:
         assert np.array_equal(f.lu.perm_r, f.lu.perm_c)
 

@@ -515,6 +515,8 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
          "--field", str(tmp_path / "absent.txt"), "--space", "rt0"],
         ["comparison", "--grid", "8x8", "--coarse", "2x2", "--space", "rt0",
          "--eta", "0", "--out", str(tmp_path)],
+        ["comparison", "--grid", "8x8", "--coarse", "2x2", "--space", "rt0",
+         "--eta", "2", "--out", str(tmp_path)],
     ]
     comparison = ["comparison", "--grid", "8x8", "--coarse", "2x2",
                   "--out", str(tmp_path)]

@@ -129,7 +129,16 @@ def test_boxes_match_the_per_block_layouts(fine, coarse):
             cells = mesh.oversample(grid, block, overlap)
             vidx = mesh.velocity_dofs_interior_to(grid, cells)
             assert np.array_equal(box.pressure_idx, cells)
-            assert np.array_equal(box.velocity_idx, vidx[box.lines.order])
+            assert np.array_equal(np.sort(box.velocity_idx), vidx)
+            # line-major: each line is a run of faces one lattice step
+            # apart along its axis
+            lens = box.lines.lens
+            for start, n in zip(np.cumsum(lens) - lens, lens):
+                axis = box.lines.face_axis[start]
+                step = np.cumprod((1,) + grid.axis_face_shape(axis))[axis]
+                assert np.all(box.lines.face_axis[start:start + n] == axis)
+                assert np.all(np.diff(box.velocity_idx[start:start + n])
+                              == step)
         shapes = {box.lines.shape: id(box.lines) for box in boxes}
         assert len({id(box.lines) for box in boxes}) == len(shapes)
 
@@ -153,10 +162,9 @@ def test_block_solver_matches_dense(fine, coarse, overlap, rng):
         r = rng.standard_normal((grid.n_velocity, 2))
         q = rng.standard_normal((grid.n_cells, 2))
         local = batch.solve(r, q)
-        # box i is block i
-        for box in range(grid.n_blocks):
+        for box, block in enumerate(batch.blocks):
             vidx = batch.velocity_idx[batch.velocity_box == box]
-            cells = mesh.oversample(grid, box, overlap)
+            cells = mesh.oversample(grid, block, overlap)
             assert np.array_equal(batch.pressure_idx[batch.cell_box == box],
                                   cells)
             rhs = np.vstack([r[vidx], q[cells], np.zeros((1, 2))])
@@ -335,11 +343,13 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
                 rhs[len(vidx):-1] = q[cells]
             return lumped_box_solve(ops, vidx, cells, rhs)[:len(vidx)]
 
-    assert len(batch.counts) == grid.n_blocks
-    for box in range(grid.n_blocks):
-        # box i is block i; its interior dofs, in line order
+    # the exact boxes are in block order, the lumped ones color by color
+    blocks = batch.blocks if overlap else range(grid.n_blocks)
+    assert sorted(blocks) == list(range(grid.n_blocks))
+    for box, block in enumerate(blocks):
+        # every box holds its block's cells and interior dofs
         cells = batch.pressure_idx[batch.cell_box == box]
-        assert np.array_equal(cells, mesh.oversample(grid, box, overlap))
+        assert np.array_equal(cells, mesh.oversample(grid, block, overlap))
         assert np.array_equal(
             np.sort(batch.velocity_idx[batch.velocity_box == box]),
             mesh.velocity_dofs_interior_to(grid, cells))
@@ -353,14 +363,9 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
             b = (0 if pressure_rhs is None
                  else pressure_rhs[batch.pressure_idx, None])
             local = batch.solve_core(r[batch.velocity_idx, None], b, 0)[0][:, 0]
-        want = np.zeros(grid.n_velocity)
         for box in range(grid.n_blocks):
             ref = loop_solve(box, r, pressure_rhs)
-            vidx = batch.velocity_idx[batch.velocity_box == box]
-            want[vidx] += ref
             assert_relative_close(local[batch.velocity_box == box], ref)
-        if overlap:  # the exact boxes are disjoint and never scattered
-            assert_relative_close(batch.scatter(local), want)
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
@@ -385,3 +390,30 @@ def test_block_batch_columns_match_single_solves(case, rng):
     for j in range(3):
         assert_relative_close(many[:, j], batch.solve(r[:, j], q[:, j]))
 
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_boxes_of_one_color_share_no_velocity(case, rng):
+    # the smoother adds a color's box solutions into one vector without
+    # summing and solves its boxes at once: no two boxes of a color may
+    # share a velocity dof, nor a cell, whose faces the mass couples
+    grid, field = batch_case(case, rng)
+    ops = mixed_fem.assemble_operators(grid, field)
+    for overlap in range(4):
+        batch = mixed_fem.LumpedBatch(ops, overlap)
+        assert sorted(batch.blocks) == list(range(grid.n_blocks))
+        # the colors cover the local velocities and free cells in order
+        assert [c.velocities.start for c in batch.colors[1:]] == \
+            [c.velocities.stop for c in batch.colors[:-1]]
+        assert batch.colors[-1].velocities.stop == len(batch.velocity_idx)
+        assert batch.colors[-1].free.stop == len(batch.free)
+        for color in batch.colors:
+            assert len(np.unique(color.idx)) == len(color.idx)
+            boxes = np.unique(batch.velocity_box[color.velocities])
+            cells = batch.pressure_idx[np.isin(batch.cell_box, boxes)]
+            assert len(np.unique(cells)) == len(cells)
+        if overlap == 0:  # disjoint boxes: one color, in block order
+            assert len(batch.colors) == 1
+            assert np.array_equal(batch.blocks, np.arange(grid.n_blocks))
+        elif min(grid.block_size) >= 2 * overlap:  # parity
+            assert len(batch.colors) == 2 ** grid.dim

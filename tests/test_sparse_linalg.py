@@ -124,6 +124,30 @@ def test_pcg_solves_spd_system(rng):
     assert report.residuals[-1] <= 1e-12
 
 
+def test_pcg_residual_hook_replaces_residuals(rng):
+    n = 50
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + n * np.eye(n)
+    b = rng.standard_normal(n)
+    plain, report = pcg(lambda v: A @ v, lambda v: v, b, rel_tol=1e-12,
+                        max_iter=200)
+    assert report.fits == 0
+    seen = []
+
+    def hook(x, r):
+        seen.append(x.copy())
+        # every third update, the true residual takes the recursive one's
+        # place; a hook that returns None changes nothing
+        return b - A @ x if len(seen) % 3 == 0 else None
+
+    x, hooked = pcg(lambda v: A @ v, lambda v: v, b, rel_tol=1e-12,
+                    max_iter=200, residual_hook=hook)
+    assert hooked.converged and len(seen) == hooked.iterations
+    assert hooked.fits == hooked.iterations // 3 > 0
+    assert np.allclose(x, plain, rtol=1e-10, atol=1e-12)
+    assert np.array_equal(seen[-1], x)
+
+
 def test_pcg_zero_rhs_short_circuits():
     x, report = pcg(lambda v: v, lambda v: v, np.zeros(5))
     assert report.iterations == 0 and report.converged
