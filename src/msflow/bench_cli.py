@@ -317,8 +317,13 @@ def build_config(file_values: dict, overrides: dict) -> ExperimentConfig:
             if key not in _CONVERTERS:
                 raise ValueError(f"unknown config key {key!r}")
             if isinstance(value, str):
-                value = _CONVERTERS[key](value)
+                try:
+                    value = _CONVERTERS[key](value)
+                except ValueError as exc:
+                    raise ValueError(f"{key}: {exc}") from exc
             setattr(config, key, value)
+    if config.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {config.seed}")
     for kind in config.spaces:
         check_space(kind, config.tol)
     for contrast in config.contrasts or ():  # all of them, before any solve

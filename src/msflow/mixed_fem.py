@@ -12,13 +12,15 @@ row per cell with signed face measures, so constant fields are exactly
 divergence free and column sums vanish (interior faces only).
 
 Box saddles are solved directly, all boxes of a set as one
-block-diagonal system.  The exact solves of the coarse blocks
-(`BlockBatch`, a dense `_BoxFactor` with its inverse Cholesky factor,
-held once per distinct box and applied to all its boxes at once) serve
-the msfem and gmsfem basis build only, which hands them box-local
-right-hand sides.  The other boxes, the smoother's and those of
-preprocessing and recovery, are mass-lumped (`LumpedBatch`) and held
-color by color, so that the boxes of one color share no velocity:
+block-diagonal system, their unknowns numbered by `_box_layout`.  The
+exact solves of the coarse blocks (`BlockBatch`: the line matrices of
+one block's `_BoxLines` template tiled over the blocks, and a dense
+`_BoxFactor` with its inverse Cholesky factor, held once per distinct
+block and applied to all its blocks at once) serve the msfem and gmsfem
+basis build only, which hands them box-local right-hand sides.  The
+other boxes, the smoother's and those of preprocessing and recovery,
+are mass-lumped (`LumpedBatch`) and held color by color, so that the
+boxes of one color share no velocity:
 each box's velocity mass is integrated by the trapezoidal rule, which
 makes it diagonal and the mixed method equal to two-point cell fluxes
 (Russell & Wheeler 1983; Arbogast, Wheeler & Yotov, SINUM 34, 1997), so
@@ -161,54 +163,59 @@ def assemble_operators(grid, field) -> MixedOperators:
     )
 
 
-def _lattice(extents, strides) -> np.ndarray:
-    """Ids sum_j m_j strides[j] of the lattice 0 <= m < extents, in C
-    order (the last axis fastest)."""
-    ids = 0
-    for n, stride in zip(extents, strides):
-        ids = np.add.outer(ids, np.arange(n) * stride)
-    return np.ravel(ids)
-
-
 class _BoxLines:
-    """Grid lines of a box shape, numbering its velocities line-major
-    (axis by axis, line by line).  `faces` holds their global dofs for
-    the box at the grid's origin and `face_axis` their axes; `axes`
-    holds (axis, cell ids per line), `lens` every line's length, and
-    velocity i joins the cells `cells[i]` with divergence entries
-    `div[i]` (+area, -area)."""
+    """Grid lines of the grid's block shape, in `_box_layout`'s numbering
+    of one box: its velocities normal to axis a, F-ordered on the lattice
+    of the block's extents less one along a, and its cells, F-ordered on
+    the block.  `axes` holds (velocities, cells, G) of every axis the
+    block is at least two cells long on: row i is line i of the lattice
+    with axis a moved last, and G the divergence of a line, shape
+    (cells, velocities).  `indptr` and `indices` are the CSR pattern of
+    the block's line blocks, a dense block per line, and `entries` takes
+    the entries of those blocks, line by line and row by row, to that
+    pattern's order.  Velocity i joins the local cells `cells[i]` with
+    divergence entries `div[i]` (+area, -area)."""
 
-    def __init__(self, grid, shape):
-        self.shape = tuple(int(s) for s in shape)
-        self.n_cells = int(np.prod(self.shape))
-        strides = np.cumprod((1,) + self.shape[:-1])
-        offsets = grid.face_offsets
-        # the empty first part serves boxes without velocity dofs
-        parts = [(np.zeros(0, int),) * 3 + (np.zeros((0, 2), int),
-                                              np.zeros((0, 2)))]
-        self.axes = []
-        for a, s in enumerate(self.shape):
-            if s < 2:
+    def __init__(self, grid):
+        shape = np.array(grid.block_size)
+        self.n_cells = int(np.prod(shape))
+        lattices = shape - np.eye(grid.dim, dtype=int)
+        sizes = np.prod(lattices, axis=1)
+        self.n_velocity = int(sizes.sum())
+        self.cells = np.zeros((self.n_velocity, 2), dtype=int)
+        self.div = np.zeros((self.n_velocity, 2))
+        cell_ids = np.arange(self.n_cells).reshape(shape, order="F")
+        # the empty first parts serve blocks without velocity dofs
+        self.axes, indices, entries = [], [np.zeros(0, int)], [np.zeros(0, int)]
+        first = start = 0  # the first velocity and line block entry of axis a
+        for a, m in enumerate(shape - 1):
+            if not m:  # a one-cell axis has no velocity normal to it
                 continue
-            # a line runs along axis a, lines in C order of the others
-            order = [j for j in range(grid.dim) if j != a] + [a]
-            extents = [self.shape[j] for j in order]
-            ids = _lattice(extents, strides[order]).reshape(-1, s)
-            face_strides = np.cumprod((1,) + grid.axis_face_shape(a)[:-1])
-            extents[-1] -= 1
-            faces = offsets[a] + _lattice(extents, face_strides[order])
+            velocities = np.moveaxis(np.arange(first, first + sizes[a]).reshape(
+                lattices[a], order="F"), a, -1).reshape(-1, m)
+            cells = np.moveaxis(cell_ids, a, -1).reshape(-1, m + 1)
             area = grid.face_area(a)
-            self.axes.append((a, ids))
-            parts.append((faces, np.full(len(faces), a), np.full(len(ids), s - 1),
-                          np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], 1),
-                          np.repeat([[area, -area]], len(faces), axis=0)))
-        (self.faces, self.face_axis, self.lens, self.cells,
-         self.div) = map(np.concatenate, zip(*parts))
-        self.n_velocity = len(self.faces)
+            self.axes.append((velocities, cells,
+                              area * (np.eye(m + 1, m) - np.eye(m + 1, m, -1))))
+            self.cells[velocities] = np.stack([cells[:, :-1], cells[:, 1:]], -1)
+            self.div[first:first + sizes[a]] = area, -area
+            # row velocities[i, j] is row j of line i's block, in the
+            # columns velocities[i]; CSR takes the rows in ascending order
+            # (by a scatter: an argsort's SIMD kernels page in 0.4 MB)
+            rows = np.empty(sizes[a], int)
+            rows[velocities.ravel() - first] = np.arange(sizes[a])
+            indices.append(np.repeat(velocities, m, axis=0)[rows].ravel())
+            entries.append(start + np.arange(sizes[a] * m).reshape(
+                -1, m)[rows].ravel())
+            first, start = first + sizes[a], start + sizes[a] * m
+        self.indptr = np.cumsum(np.append(0, np.repeat(shape - 1, sizes)),
+                                dtype=np.int32)
+        self.indices = np.concatenate(indices).astype(np.int32)
+        self.entries = np.concatenate(entries)
 
 
 class _BoxFactor:
-    """Factors of the bordered saddle on a box of cells.
+    """Factors of the bordered saddle on a coarse block.
 
     On a tensor grid the velocity mass matrix decouples into independent
     tridiagonal systems along grid lines, one per axis and transverse
@@ -221,63 +228,57 @@ class _BoxFactor:
     a Schur solve is the two products L^-T (L^-1 r), which unlike an
     explicit inverse of S stays backward stable at high contrast.
 
-    Instances depend on the box shape and cell coefficients only, so
-    identical blocks (uniform background) share one factor.  It owns its
-    arrays, numbered by `lines`: the line matrices `T` and `T_inv` row
-    by row and the (n, n) `L_inv`, which `BlockBatch` copies once.
+    Instances depend on the cell coefficients only, so identical blocks
+    (uniform background) share one factor.  It owns its arrays, numbered
+    by `lines`: the line matrices `T` and `T_inv` as the data of the
+    lines' CSR pattern and the (n, n) `L_inv`, which `BlockBatch` copies
+    once.
     """
 
     def __init__(self, grid, lines: _BoxLines, coeff_box: np.ndarray):
-        w = (grid.cell_volume / np.asarray(coeff_box, dtype=float)).reshape(
-            lines.shape, order="F")
+        self.lines = lines
+        w = grid.cell_volume / np.asarray(coeff_box, dtype=float)
         parts = [(np.zeros(0), np.zeros(0))]
         schur = np.zeros((lines.n_cells,) * 2)
-        for a, ids in lines.axes:
-            s = ids.shape[1]
-            w_lines = np.moveaxis(w, a, -1).reshape(-1, s)
-            j = np.arange(s - 1)
-            T = np.zeros((len(w_lines), s - 1, s - 1))
+        for _, ids, G in lines.axes:
+            w_lines = w[ids]
+            j = np.arange(ids.shape[1] - 1)
+            T = np.zeros((len(ids), len(j), len(j)))
             T[:, j, j] = (w_lines[:, :-1] + w_lines[:, 1:]) / 3.0
             T[:, j[1:], j[:-1]] = T[:, j[:-1], j[1:]] = w_lines[:, 1:-1] / 6.0
             T_inv = np.linalg.inv(T)
             parts.append((T.ravel(), T_inv.ravel()))
-
-            # Schur contribution G T^-1 G^T, a dense (s x s) block per
-            # line; the lines of one axis are disjoint, so no entry of
-            # the fancy-indexed sum repeats
-            G = np.zeros((s, s - 1))
-            G[j, j] = grid.face_area(a)
-            G[j + 1, j] = -grid.face_area(a)
+            # Schur contribution G T^-1 G^T, a dense block per line; the
+            # lines of one axis are disjoint, so no entry of the
+            # fancy-indexed sum repeats
             schur[ids[:, :, None], ids[:, None, :]] += G @ T_inv @ G.T
 
-        self.T, self.T_inv = map(np.concatenate, zip(*parts))
+        self.T, self.T_inv = (np.concatenate(p)[lines.entries]
+                              for p in zip(*parts))
         # c = trace / n^2 puts the constant mode of S + c 1 1^T among the
         # others, at the mean diagonal entry
         schur += np.trace(schur) / schur.size or 1.0
         self.L_inv = inverse_cholesky(
-            schur, f"box {lines.shape}: pressure Schur complement")
+            schur, f"box {grid.block_size}: pressure Schur complement")
 
 
 @dataclass(eq=False)
 class BlockSolver:
-    """One coarse block grown by an overlap: its cells, its interior
-    velocities in the line order of `lines`, the box shape's lines and,
-    for the exact solves of overlap 0, the `_BoxFactor` of its saddle.
-    `BlockBatch` keeps its boxes in block order, so box i is block i.
+    """One coarse block: its cells and interior velocities, numbered as
+    `_box_layout` numbers a box, and the `_BoxFactor` of its saddle.
 
-    `solve` is the exact saddle solve of an overlap-0 box through a
-    one-box `BlockBatch`, built on the first solve, of the bordered
-    system  [[A, B^T, 0], [B, 0, 1], [0, 1^T, 0]]  with the box's mass A
-    and divergence B; the all-ones border pins the pressure mean and
-    absorbs the compatibility multiplier.  Right-hand sides and
-    solutions, (size,) or (size, k), are [velocity; pressure; border],
-    velocities in the order of `velocity_idx`.
+    `solve` is the exact saddle solve of the block through a one-box
+    `BlockBatch`, built on the first solve, of the bordered system
+    [[A, B^T, 0], [B, 0, 1], [0, 1^T, 0]]  with the box's mass A and
+    divergence B; the all-ones border pins the pressure mean and absorbs
+    the compatibility multiplier.  Right-hand sides and solutions, (size,)
+    or (size, k), are [velocity; pressure; border], velocities in the
+    order of `velocity_idx`.
     """
 
     velocity_idx: np.ndarray
     pressure_idx: np.ndarray
-    lines: _BoxLines
-    factor: _BoxFactor | None = None
+    factor: _BoxFactor
 
     @property
     def n_velocity(self) -> int:
@@ -297,30 +298,6 @@ class BlockSolver:
         nv = self.n_velocity
         v, p, mu = self._system.solve_core(cols[:nv], cols[nv:-1], cols[-1:])
         return np.vstack([v, p, mu]).reshape(rhs.shape)
-
-
-def _boxes(grid, overlap: int) -> list:
-    """The `BlockSolver` of every coarse block in block order, without a
-    factor, oversampled by `overlap` fine layers and clipped at the
-    domain boundary.  F-order ravels are linear, so a box is the box of
-    its shape at the origin, with its `_BoxLines`, shifted by its ravelled
-    corner on the cells and on each face lattice (as `mesh.coarse_faces`)."""
-    lo, hi = mesh.grown_blocks(grid, np.arange(grid.n_blocks), overlap)
-    _, first, kind = np.unique(np.ravel_multi_index((hi - lo).T, np.add(
-        grid.fine, 1)), return_index=True, return_inverse=True)
-    # each box corner ravelled on the cells (column 0) and on the faces
-    # normal to axis a (column 1 + a), unchecked: a lattice may be empty
-    lattices = [grid.fine] + [grid.axis_face_shape(a) for a in range(grid.dim)]
-    shift = lo @ np.array([np.cumprod((1,) + n[:-1]) for n in lattices]).T
-    boxes = [None] * grid.n_blocks
-    for k, b in enumerate(first):
-        lines = _BoxLines(grid, hi[b] - lo[b])
-        cells = mesh.box_cells(grid, np.zeros(grid.dim, int), hi[b] - lo[b])
-        members = np.flatnonzero(kind == k)
-        faces = lines.faces + shift[members][:, 1 + lines.face_axis]
-        for m, f, c in zip(members, faces, cells + shift[members, :1]):
-            boxes[m] = BlockSolver(f, c, lines)
-    return boxes
 
 
 def _box_layout(grid, lo, hi) -> tuple:
@@ -397,40 +374,38 @@ class BlockBatch(_BoxSystem):
 
     Every box solves  M v + G p = a,  D v + mu 1 = b,  1^T p = tau  on
     its interior velocities and cells, with G = D^T and M the exact
-    velocity mass: its line matrices `T` and their inverses `T_inv` are
-    CSR on one pattern, a dense block per line (`_BoxLines.lens`).  The
-    Cholesky inverses of S + c 1 1^T stay dense, one per distinct
-    `_BoxFactor`: `groups` pairs a copy of each factor's `L_inv` with
-    the local cells of its boxes, shape (n, boxes), so a solve is a
-    dozen sparse products plus two dense ones per factor.  Its one
-    solve, `solve_core`, takes and returns box-local unknowns; the boxes
-    are disjoint and nothing scatters them.
+    velocity mass.  The boxes are blocks, so they share one `_BoxLines`:
+    D, the line matrices `T` and their inverses `T_inv` tile its one-box
+    patterns over the boxes, the latter two CSR with each box's
+    `_BoxFactor` data.  The Cholesky inverses of S + c 1 1^T stay dense,
+    one per distinct `_BoxFactor`: `groups` pairs a copy of each factor's
+    `L_inv` with the local cells of its boxes, shape (n, boxes), so a
+    solve is a dozen sparse products plus two dense ones per factor.  Its
+    one solve, `solve_core`, takes and returns box-local unknowns; the
+    boxes are disjoint and nothing scatters them.
     """
 
     def __init__(self, solvers):
-        lines = [bs.lines for bs in solvers]
+        lines = solvers[0].factor.lines
+        n, nv = len(solvers), lines.n_velocity
         super().__init__(
             np.concatenate([bs.velocity_idx for bs in solvers]),
             np.concatenate([bs.pressure_idx for bs in solvers]),
-            np.array([box.n_velocity for box in lines]),
-            np.array([box.n_cells for box in lines]))
-        # D, the box divergences, is CSC with two entries per column
-        n_loc = len(self.velocity_idx)
-        cells = self._local_cells(np.concatenate([box.cells for box in lines]))
+            np.full(n, nv), np.full(n, lines.n_cells))
+        # D is CSC with two entries per column
+        n_loc = n * nv
+        cells = self._local_cells(np.tile(lines.cells, (n, 1)))
         self.D = sparse.csc_matrix(
-            (np.concatenate([box.div for box in lines]).ravel(), cells.ravel(),
+            (np.tile(lines.div.ravel(), n), cells.ravel(),
              np.arange(0, 2 * n_loc + 1, 2)),
             shape=(len(self.pressure_idx), n_loc))
         self.G = self.D.T
 
-        # dense line blocks, stored row by row: a row of line i holds
-        # columns first .. first + m[i] - 1 (int32, as scipy keeps them)
-        m = np.concatenate([bs.lines.lens for bs in solvers]).astype(np.int32)
-        row_len = np.repeat(m, m)
-        indptr = np.cumsum(np.concatenate([[0], row_len]), dtype=np.int32)
-        first = np.repeat(np.cumsum(m, dtype=np.int32) - m, m)
-        indices = (np.arange(indptr[-1], dtype=np.int32)
-                   + np.repeat(first - indptr[:-1], row_len))
+        # box i's rows and columns of the line blocks are shifted by i nv
+        box = np.arange(n, dtype=np.int32)[:, None]
+        nnz = lines.indptr[-1]
+        indptr = np.append(lines.indptr[:-1] + nnz * box, n * nnz)
+        indices = (lines.indices + nv * box).ravel()
         self.T, self.T_inv = (
             sparse.csr_matrix((np.concatenate(data), indices, indptr),
                               shape=(n_loc, n_loc))
@@ -666,14 +641,19 @@ def block_solvers(operators: MixedOperators) -> list:
     Every block has the grid's `block_size`, so blocks whose
     coefficients coincide share one factorization, which collapses the
     setup cost on fields with a uniform background.  Solver i is block
-    i; it keeps its velocity dofs in the line order of its factor.
+    i, its unknowns row i of `_box_layout`'s, which the one `_BoxLines`
+    of the block shape indexes.
     """
     grid, coeff = operators.grid, operators.coefficient
-    solvers, factors = _boxes(grid, 0), {}
-    for box in solvers:
-        coeff_box = coeff[box.pressure_idx]
+    n = grid.n_blocks
+    velocity_idx, pressure_idx = _box_layout(
+        grid, *mesh.grown_blocks(grid, np.arange(n), 0))[:2]
+    lines, factors, solvers = _BoxLines(grid), {}, []
+    for v, cells in zip(velocity_idx.reshape(n, -1),
+                        pressure_idx.reshape(n, -1)):
+        coeff_box = coeff[cells]
         key = coeff_box.tobytes()
         if key not in factors:
-            factors[key] = _BoxFactor(grid, box.lines, coeff_box)
-        box.factor = factors[key]
+            factors[key] = _BoxFactor(grid, lines, coeff_box)
+        solvers.append(BlockSolver(v, cells, factors[key]))
     return solvers

@@ -541,6 +541,17 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
     for argv in cases:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    # a value that does not convert is named by its key, and a negative
+    # seed stops here rather than in numpy's generator
+    for bad, message in (
+            (["--contrasts", ""],
+             "error: contrasts: could not convert string to float: ''"),
+            (["--space", "rt0", "--layers", "a:b"],
+             "error: layers: invalid literal for int() with base 10: 'a'"),
+            (["--space", "rt0", "--seed", "-1"],
+             "error: seed must be non-negative, got -1")):
+        assert main(comparison + bad) == 2
+        assert capsys.readouterr().err.strip() == message
 
     two_phase = ["twophase", "--grid", "8x8", "--coarse", "2x2",
                  "--space", "rt0", "--steps", "4", "--out", str(tmp_path)]
@@ -591,16 +602,16 @@ def test_cli_basis_failure_exits_three(tmp_path, capsys):
         "definite")
 
 
-def test_cli_divergence_failure_exits_three(tmp_path, capsys):
-    # 1e+-8 log-uniform cells: CG reports convergence, but its velocity
-    # misses the source, so no CSV row may be written
-    path = tmp_path / "k.txt"
-    np.savetxt(path, 10.0 ** np.random.default_rng(0).uniform(-8, 8, 576))
-    assert main(["comparison", "--grid", "24x24", "--coarse", "4x4",
-                 "--field", str(path), "--space", "gmsfem",
+def test_cli_divergence_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # the bench field at 1e8 without gradient fits: CG reports
+    # convergence, but its velocity misses the source, so no CSV row may
+    # be written
+    monkeypatch.setattr(msflow.preconditioner, "DRIFT_TRIGGER", np.inf)
+    assert main(["comparison", "--grid", "40x40", "--coarse", "4x4",
+                 "--contrasts", "8", "--seed", "424242", "--space", "rt0",
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith(
-        "numerical failure: space gmsfem: CG left divergence error")
+        "numerical failure: space rt0: CG left divergence error")
     assert not (tmp_path / "out" / "comparison.csv").exists()
 
 

@@ -118,29 +118,45 @@ def lumped_box_solve(ops, velocity_idx, pressure_idx, rhs):
     ((4, 1), (2, 1)), ((1, 1), (1, 1)),
 ])
 def test_boxes_match_the_per_block_layouts(fine, coarse):
-    # one template per box shape, shifted by the ravelled box corners,
-    # is what each block's own oversampled box gives; a singleton axis
-    # and a one-cell grid have face lattices with an empty axis
+    # index arithmetic on all boxes at once gives each block's own
+    # oversampled box; a singleton axis and a one-cell grid have face
+    # lattices with an empty axis
     grid = mesh.build_grid(fine, coarse)
+    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
     for overlap in range(4):
-        boxes = mixed_fem._boxes(grid, overlap)
-        assert len(boxes) == grid.n_blocks
-        for block, box in enumerate(boxes):
-            cells = mesh.oversample(grid, block, overlap)
-            vidx = mesh.velocity_dofs_interior_to(grid, cells)
-            assert np.array_equal(box.pressure_idx, cells)
-            assert np.array_equal(np.sort(box.velocity_idx), vidx)
-            # line-major: each line is a run of faces one lattice step
-            # apart along its axis
-            lens = box.lines.lens
-            for start, n in zip(np.cumsum(lens) - lens, lens):
-                axis = box.lines.face_axis[start]
-                step = np.cumprod((1,) + grid.axis_face_shape(axis))[axis]
-                assert np.all(box.lines.face_axis[start:start + n] == axis)
-                assert np.all(np.diff(box.velocity_idx[start:start + n])
-                              == step)
-        shapes = {box.lines.shape: id(box.lines) for box in boxes}
-        assert len({id(box.lines) for box in boxes}) == len(shapes)
+        faces, cells, n_velocity, counts, *_ = mixed_fem._box_layout(
+            grid, *mesh.grown_blocks(grid, np.arange(grid.n_blocks), overlap))
+        assert len(counts) == grid.n_blocks
+        boxes = zip(np.split(faces, np.cumsum(n_velocity)[:-1]),
+                    np.split(cells, np.cumsum(counts)[:-1]))
+        for block, (box_faces, box_cells) in enumerate(boxes):
+            assert np.array_equal(box_cells,
+                                  mesh.oversample(grid, block, overlap))
+            assert np.array_equal(np.sort(box_faces),
+                                  mesh.velocity_dofs_interior_to(grid, box_cells))
+    # at overlap 0 the exact layer's lines cover each block's velocities
+    # once, and each line is a run of global faces one lattice step apart
+    # along its axis, between the line's cells with the divergence of B
+    lines = mixed_fem._BoxLines(grid)
+    local = np.concatenate([v.ravel() for v, _, _ in lines.axes] + [[]])
+    assert np.array_equal(np.sort(local), np.arange(lines.n_velocity))
+    faces, cells, *_ = mixed_fem._box_layout(
+        grid, *mesh.grown_blocks(grid, np.arange(grid.n_blocks), 0))
+    axis_of = np.searchsorted(grid.face_offsets, faces, side="right") - 1
+    faces, axis_of, cells = (x.reshape(grid.n_blocks, -1)
+                             for x in (faces, axis_of, cells))
+    for box_faces, box_axes, box_cells in zip(faces, axis_of, cells):
+        for velocities, line_cells, _ in lines.axes:
+            axis = box_axes[velocities[0, 0]]
+            step = np.cumprod((1,) + grid.axis_face_shape(axis))[axis]
+            assert np.all(box_axes[velocities] == axis)
+            assert np.all(np.diff(box_faces[velocities], axis=1) == step)
+            assert np.all(np.diff(box_cells[line_cells], axis=1)
+                          == np.cumprod((1,) + grid.fine)[axis])
+        B = ops.B[box_cells][:, box_faces].toarray()
+        for i, (low, high) in enumerate(lines.cells):
+            assert B[low, i] == lines.div[i, 0] and B[high, i] == lines.div[i, 1]
+            assert np.count_nonzero(B[:, i]) == 2
 
 
 @pytest.mark.parametrize("fine,coarse,overlap", [
@@ -270,6 +286,8 @@ def batch_case(name, rng):
         return grid, mixed_fem.uniform_field(grid, 3.0)
     if name == "log-3d":
         grid = mesh.build_grid((6, 6, 4), (3, 3, 2))
+    elif name == "non-square":  # lines of two lengths
+        grid = mesh.build_grid((12, 8), (4, 2))
     else:  # "singleton-axis": one-cell-wide blocks have no axis-0 lines
         grid = mesh.build_grid((4, 4), (4, 2))
     return grid, mixed_fem.PermeabilityField(
@@ -307,10 +325,11 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
         if case == "uniform-2d":
             assert unique < grid.n_blocks
         if case == "singleton-axis":
-            # one-cell-wide boxes: every line runs along axis 1
-            assert solvers[0].lines.shape[0] == 1
-            assert np.all(solvers[0].lines.lens
-                          == grid.block_size[1] - 1)
+            # one-cell-wide boxes: one line, along axis 1
+            [(velocities, cells, _)] = solvers[0].factor.lines.axes
+            assert grid.block_size[0] == 1
+            assert velocities.shape == (1, grid.block_size[1] - 1)
+            assert np.array_equal(cells, [np.arange(grid.block_size[1])])
         batch = mixed_fem.BlockBatch(solvers)
         # one Schur inverse per distinct factor, equal to that factor's,
         # with the local cells of its boxes; every box is in one group
@@ -366,6 +385,24 @@ def test_block_batch_matches_block_loop(case, overlap, rng):
         for box in range(grid.n_blocks):
             ref = loop_solve(box, r, pressure_rhs)
             assert_relative_close(local[batch.velocity_box == box], ref)
+
+
+@pytest.mark.parametrize("case", BATCH_CASES + ["non-square"])
+def test_exact_line_matrices_are_the_box_masses(case, rng):
+    # the exact batch's line matrices are each box's exact velocity mass,
+    # block diagonal by box, and their inverses invert them
+    grid, field = batch_case(case, rng)
+    ops = mixed_fem.assemble_operators(grid, field)
+    batch = ops.batch()
+    T = batch.T.toarray()
+    for box in range(grid.n_blocks):
+        local = batch.velocity_box == box
+        v = batch.velocity_idx[local]
+        want = ops.A[v][:, v].toarray()
+        assert np.all(T[local][:, ~local] == 0)
+        assert np.all(np.abs(T[local][:, local] - want) <= 1e-15 * np.abs(want))
+    n = len(batch.velocity_idx)
+    assert np.abs((batch.T_inv @ batch.T).toarray() - np.eye(n)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
