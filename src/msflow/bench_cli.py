@@ -227,8 +227,6 @@ class ExperimentConfig:
     spaces: tuple = (IMPESConfig.space,)
     tol: float = GMSFEM_TOL
     contrasts: tuple | None = None  # None: robustness sweeps -6 .. 6
-    eta: float = SolverSettings.eta
-    sweeps: int = SolverSettings.sweeps
     overlap: int | None = SolverSettings.overlap  # None: per coarse space
     rtol: float = SolverSettings.rel_tol
     seed: int = 0
@@ -244,8 +242,7 @@ class ExperimentConfig:
     rate: float | None = None  # None: the default of five_spot_wells
 
     def settings(self) -> SolverSettings:
-        return SolverSettings(rel_tol=self.rtol, eta=self.eta,
-                              sweeps=self.sweeps, overlap=self.overlap)
+        return SolverSettings(rel_tol=self.rtol, overlap=self.overlap)
 
     def contrast(self, command) -> float:
         """The one exponent of `comparison` and `twophase`, 0 by default."""
@@ -275,6 +272,13 @@ def _parse_dims(text):
     return dims
 
 
+def _parse_layers(text):
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected start:stop, like 5:85, got {text!r}")
+    return tuple(int(p) for p in parts)
+
+
 def parse_config_file(path) -> dict:
     """`key = value` lines; # starts a comment; keys match CLI options."""
     out = {}
@@ -299,10 +303,10 @@ _CONVERTERS = {
     "spaces": lambda s: tuple(p.strip() for p in s.split(",")),
     "contrasts": lambda s: tuple(float(p) for p in s.split(",")),
     "checkpoints": lambda s: tuple(int(p) for p in s.split(",")),
-    "layers": lambda s: tuple(int(p) for p in s.split(":")),
-    "tol": float, "eta": float, "rtol": float, "dt": float,
+    "layers": _parse_layers,
+    "tol": float, "rtol": float, "dt": float,
     "mu_w": float, "mu_o": float, "porosity": float, "rate": float,
-    "sweeps": int, "overlap": int, "seed": int,
+    "overlap": int, "seed": int,
     "steps": int, "pressure_interval": int,
     "field": str, "layout": str, "out": str,
 }
@@ -497,10 +501,6 @@ def _add_common(parser):
                         help="coarse spaces, comma-separated")
     parser.add_argument("--tol", help="eigenvalue selection tolerance")
     parser.add_argument("--contrasts", help="exponents, comma-separated")
-    parser.add_argument("--eta", help="relaxation of each color's box solves "
-                        f"in a smoother sweep, in (0, 2) (default "
-                        f"{SolverSettings.eta})")
-    parser.add_argument("--sweeps", help="smoother sweeps per V-cycle side")
     parser.add_argument("--overlap", help="smoother layers, for every space "
                         f"(default by space: {SMOOTHER_OVERLAP})")
     parser.add_argument("--rtol", help="PCG relative tolerance")

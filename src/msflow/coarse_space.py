@@ -148,7 +148,7 @@ class _FaceGroup:
         `solve_core` per side: dofs and values as in `SnapshotFamily`,
         stacked to (nf, 2 nv + J) and (nf, 2 nv + J, k)."""
         batch, nv, nc, k = self.batch, self.nv, self.nc, trace.shape[1]
-        area = self.grid.face_area(self.axis)
+        area = self.grid.face_areas[self.axis]
         parts = []
         for side, sign in ((0, 1.0), (1, -1.0)):
             a = np.zeros((len(batch.velocity_idx), k))
@@ -179,7 +179,7 @@ class _FaceGroup:
         S = trace.transpose(0, 2, 1) @ (face_mass * trace)
         # each block's nc cells diverge by +-area * (net trace) / nc
         net = trace.sum(axis=1)
-        S += (2.0 * grid.face_area(self.axis) ** 2 / (self.nc * grid.cell_volume)
+        S += (2.0 * grid.face_areas[self.axis] ** 2 / (self.nc * grid.cell_volume)
               * net[:, :, None] * net[:, None])
         for side in (0, 1):
             V = values[:, side * nv:(side + 1) * nv]
@@ -214,7 +214,7 @@ def _trace_weights(operators, axis, fine_faces):
     mean across e_l."""
     grid, coeff = operators.grid, operators.coefficient
     lo, hi = mesh.face_adjacent_cells(grid, fine_faces)
-    return grid.face_area(axis) * 0.5 * (1.0 / coeff[lo] + 1.0 / coeff[hi])
+    return grid.face_areas[axis] * 0.5 * (1.0 / coeff[lo] + 1.0 / coeff[hi])
 
 
 def face_bilinear_a(operators, face) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -24,7 +24,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CartesianTwoScaleGrid:
-    """Immutable description of the fine/coarse cell layout."""
+    """Immutable description of the fine/coarse cell layout.  Derived
+    sizes are cached on the instance; equality and hashing see the three
+    fields only."""
 
     fine: tuple
     coarse: tuple
@@ -34,7 +36,7 @@ class CartesianTwoScaleGrid:
     def dim(self) -> int:
         return len(self.fine)
 
-    @property
+    @cached_property
     def h(self) -> tuple:
         return tuple(length / n for length, n in zip(self.lengths, self.fine))
 
@@ -55,13 +57,15 @@ class CartesianTwoScaleGrid:
     def n_blocks(self) -> int:
         return math.prod(self.coarse)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
-    def face_area(self, axis: int) -> float:
-        """Measure of a fine face normal to `axis` (length in 2D)."""
-        return float(np.prod(self.h) / self.h[axis])
+    @cached_property
+    def face_areas(self) -> tuple:
+        """Measure of a fine face normal to each axis (length in 2D)."""
+        return tuple(float(np.prod(self.h) / self.h[axis])
+                     for axis in range(self.dim))
 
     def axis_face_shape(self, axis: int) -> tuple:
         """Shape of the interior-face lattice normal to `axis`."""
@@ -70,13 +74,13 @@ class CartesianTwoScaleGrid:
     def axis_face_count(self, axis: int) -> int:
         return math.prod(self.axis_face_shape(axis))
 
-    @property
+    @cached_property
     def face_offsets(self) -> tuple:
         """Start of each axis block in the global velocity numbering."""
         counts = [self.axis_face_count(a) for a in range(self.dim)]
         return tuple(accumulate(counts[:-1], initial=0))
 
-    @property
+    @cached_property
     def n_velocity(self) -> int:
         return sum(self.axis_face_count(a) for a in range(self.dim))
 

@@ -141,7 +141,7 @@ def assemble_divergence(grid) -> sparse.csr_matrix:
     cells = np.arange(grid.n_cells)
     for axis in range(grid.dim):
         low, high = mesh.cell_face_ids(grid, axis)
-        area = grid.face_area(axis)
+        area = grid.face_areas[axis]
         has_low = low >= 0
         has_high = high >= 0
         rows += [cells[has_low], cells[has_high]]
@@ -194,7 +194,7 @@ class _BoxLines:
             velocities = np.moveaxis(np.arange(first, first + sizes[a]).reshape(
                 lattices[a], order="F"), a, -1).reshape(-1, m)
             cells = np.moveaxis(cell_ids, a, -1).reshape(-1, m + 1)
-            area = grid.face_area(a)
+            area = grid.face_areas[a]
             self.axes.append((velocities, cells,
                               area * (np.eye(m + 1, m) - np.eye(m + 1, m, -1))))
             self.cells[velocities] = np.stack([cells[:, :-1], cells[:, 1:]], -1)
@@ -337,7 +337,7 @@ def _box_layout(grid, lo, hi) -> tuple:
         t //= lattice[segment, j]
         faces += (lo[box, j] + m) * face_strides[axis, j]
         low = low + m * strides[box, j]
-    area = np.array([grid.face_area(a) for a in range(dim)])[axis]
+    area = np.array(grid.face_areas)[axis]
     return (faces, cells, sizes.reshape(n, dim).sum(axis=1), counts,
             np.column_stack([low, low + strides[box, axis]]),
             np.column_stack([area, -area]))

@@ -17,12 +17,14 @@ rt0 and msfem need two.  The boxes are colored so that those of one
 color share no cell; a sweep visits the colors in turn, each solving
 its boxes on the residual left by the colors before it (multiplicative
 Schwarz, A. Toselli and O. Widlund, Domain Decomposition Methods,
-Springer 2005, ch. 2), and the V-cycle sweeps the colors forward before
-the coarse correction and backward after it.  The box saddles are
-mass-lumped (`mixed_fem.LumpedBatch`), where the paper solves them
-exactly.  A lumped saddle still has a symmetric positive definite mass
-and the exact box divergence, so the properties below hold; only the
-smoother's spectral quality changes.
+Springer 2005, ch. 2), and the V-cycle sweeps the colors once forward
+before the coarse correction and once backward after it, at unit
+relaxation; the backward sweep is the forward one's adjoint, so the
+cycle is symmetric by construction.  The box saddles are mass-lumped
+(`mixed_fem.LumpedBatch`), where the paper solves them exactly.  A
+lumped saddle still has a symmetric positive definite mass and the
+exact box divergence, so the properties below hold; only the smoother's
+spectral quality changes.
 Preprocessing and pressure recovery use the lumped saddles of the
 non-overlapping blocks.  Every factor is of a positive definite matrix.
 
@@ -63,30 +65,26 @@ SMOOTHER_OVERLAP = {"gmsfem": 1, "msfem": 2, "rt0": 2}
 class SolverSettings:
     """Knobs for the preconditioned solve.
 
-    `eta` is the relaxation of every color's box solves in a smoother
-    sweep.  The lumped mass bounds the exact one from above on every box
-    (the eigenvalues of M_L^-1 M_E lie in [1/3, 1]), so each relaxed
-    color solve contracts in the energy norm for 0 < eta < 2, and the
-    V-cycle stays positive definite; values of 2 and above raise.
-    `sweeps` smoother sweeps run before and after the coarse correction.
     `overlap` grows the smoother's boxes by that many fine layers for
     every coarse space; None, the default, takes the space's entry in
-    `SMOOTHER_OVERLAP` (`smoother_overlap`).  Values that cannot give a
-    converging solve, and counts that are not integers, raise
+    `SMOOTHER_OVERLAP` (`smoother_overlap`).  The V-cycle itself has one
+    schedule: the lumped mass bounds the exact one from above on every
+    box (M_E <= M_L, the eigenvalues of M_L^-1 M_E lie in [1/3, 1]), so
+    each color's box solves at unit relaxation contract in the energy
+    norm, and the cycle stays positive definite.  Values that cannot
+    give a converging solve, and counts that are not integers, raise
     ValueError here; the settings are frozen so that they stay checked.
     """
 
     rel_tol: float = 1e-7
     max_iter: int = 500
-    eta: float = 1.0
-    sweeps: int = 1
     overlap: int | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"CG relative tolerance rel_tol must be "
                              f"positive and finite, got {self.rel_tol!r}")
-        for name in ("max_iter", "sweeps", "overlap"):
+        for name in ("max_iter", "overlap"):
             value = getattr(self, name)
             if not (is_integer(value) or name == "overlap" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -98,14 +96,6 @@ class SolverSettings:
             # coarse-face dof and the V-cycle goes singular there,
             # stalling CG silently
             raise ValueError("smoother overlap must be at least 1 fine layer")
-        if self.sweeps < 1:
-            raise ValueError(
-                "CG needs a positive definite V-cycle; use at least 1 "
-                "smoother sweep")
-        if not 0 < self.eta < 2:
-            raise ValueError(
-                f"smoother relaxation eta must lie in (0, 2), where every "
-                f"color solve contracts, got {self.eta!r}")
 
     def smoother_overlap(self, kind: str) -> int:
         """The smoother's overlap for coarse space `kind`: `overlap`, or
@@ -118,28 +108,27 @@ class TwoGridPreconditioner:
     """Colored multiplicative block smoother wrapped around a coarse
     correction.
 
-    apply() runs a symmetric V-cycle: `sweeps` forward smoother sweeps,
-    one coarse solve, `sweeps` backward sweeps, recomputing the residual
-    between stages.  A backward sweep is the energy-norm adjoint of a
-    forward one, so the V-cycle is symmetric, and positive definite on
-    the divergence-free velocities, which CG requires.
+    apply() runs a symmetric V-cycle: one forward smoother sweep, one
+    coarse solve, one backward sweep, recomputing the residual between
+    stages.  The backward sweep is the energy-norm adjoint of the
+    forward one, so the V-cycle is symmetric by construction, and
+    positive definite on the divergence-free velocities, which CG
+    requires.
     """
 
     operators: MixedOperators
     coarse: CoarseOperator
     batch: LumpedBatch
-    eta: float
-    sweeps: int
 
     def smooth(self, r: np.ndarray, reverse: bool = False) -> np.ndarray:
         """One sweep from zero over the colors, in reverse order when
-        `reverse`: each color adds eta times its box solves of the
-        residual r - A z on its own velocities."""
+        `reverse`: each color adds its box solves of the residual
+        r - A z on its own velocities."""
         A, colors = self.operators.A, self.batch.colors
         z = np.zeros_like(r)
         for k, color in enumerate(colors[::-1] if reverse else colors):
             res = r[color.idx] - (A @ z)[color.idx] if k else r[color.idx]
-            z[color.idx] += self.eta * color.solve(res)
+            z[color.idx] += color.solve(res)
         return z
 
     def coarse_correct(self, r: np.ndarray) -> np.ndarray:
@@ -148,12 +137,9 @@ class TwoGridPreconditioner:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         A = self.operators.A
-        z = self.smooth(r)  # the first sweep's residual is r itself
-        for _ in range(self.sweeps - 1):
-            z += self.smooth(r - A @ z)
+        z = self.smooth(r)  # the forward sweep's residual is r itself
         z += self.coarse_correct(r - A @ z)
-        for _ in range(self.sweeps):
-            z += self.smooth(r - A @ z, reverse=True)
+        z += self.smooth(r - A @ z, reverse=True)
         return z
 
 
@@ -161,8 +147,7 @@ def build_preconditioner(grid, operators: MixedOperators, basis: CoarseBasis,
                          settings: SolverSettings = SolverSettings()):
     return TwoGridPreconditioner(operators, coarse_operator(basis, operators),
                                  operators.smoother(
-                                     settings.smoother_overlap(basis.kind)),
-                                 settings.eta, settings.sweeps)
+                                     settings.smoother_overlap(basis.kind)))
 
 
 def check_source(grid, source) -> np.ndarray:

@@ -241,7 +241,7 @@ class UpwindFlow:
         from scipy.sparse.csgraph import connected_components
 
         n = grid.n_cells
-        areas = np.repeat([grid.face_area(a) for a in range(grid.dim)],
+        areas = np.repeat(grid.face_areas,
                           [grid.axis_face_count(a) for a in range(grid.dim)])
         faces = np.flatnonzero(v)
         lo, hi = mesh.face_adjacent_cells(grid, faces)

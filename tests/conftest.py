@@ -65,7 +65,7 @@ def oracle_divergence(grid) -> np.ndarray:
     n_v = grid.n_velocity
     B = np.zeros((grid.n_cells, n_v))
     for axis in range(grid.dim):
-        area = grid.face_area(axis)
+        area = grid.face_areas[axis]
         low, high = mesh.cell_face_ids(grid, axis)
         low = low.ravel(order="F")
         high = high.ravel(order="F")

@@ -59,7 +59,7 @@ def _dense_snapshots(grid, ops, face):
         # unit outflow (lower block) or inflow (upper block) through
         # fine face l, balanced by a constant divergence over the block
         sign = 1.0 if side == 0 else -1.0
-        const = sign * grid.face_area(face.axis) / len(cells)
+        const = sign * grid.face_areas[face.axis] / len(cells)
         for l, e in enumerate(face.fine_faces):
             v, _, _ = dense_saddle_solve(
                 A[np.ix_(inner, inner)], B[np.ix_(cells, inner)],

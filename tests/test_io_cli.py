@@ -291,17 +291,17 @@ def test_build_config_rejects_unknown_keys():
     # BLAS reads its thread count when numpy loads, before any config
     with pytest.raises(ValueError, match="unknown config key 'threads'"):
         build_config({"threads": "4"}, {})
-    # pre- and post-smoothing are one setting, `sweeps`
-    with pytest.raises(ValueError, match="unknown config key 'm1'"):
-        build_config({"m1": "2"}, {})
+    # the V-cycle has one schedule: no pre- and post-smoothing counts,
+    # no sweep count and no relaxation
+    for key in ("m1", "sweeps", "eta"):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            build_config({key: "2"}, {})
 
 
 def test_settings_mapping(tmp_path, monkeypatch):
     assert ExperimentConfig().settings() == SolverSettings()
-    custom = build_config({}, {"rtol": "1e-9", "eta": "0.3", "sweeps": "2",
-                               "overlap": "1"}).settings()
-    assert custom == SolverSettings(rel_tol=1e-9, eta=0.3, sweeps=2,
-                                    overlap=1)
+    custom = build_config({}, {"rtol": "1e-9", "overlap": "1"}).settings()
+    assert custom == SolverSettings(rel_tol=1e-9, overlap=1)
 
     # two-phase defaults: a twophase run without options runs the
     # library's IMPESConfig, FluidModel and five_spot_wells defaults
@@ -513,10 +513,6 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
         ["robustness", "--grid", "8x8", "--coarse", "3x3"],
         ["comparison", "--grid", "8x8", "--coarse", "2x2",
          "--field", str(tmp_path / "absent.txt"), "--space", "rt0"],
-        ["comparison", "--grid", "8x8", "--coarse", "2x2", "--space", "rt0",
-         "--eta", "0", "--out", str(tmp_path)],
-        ["comparison", "--grid", "8x8", "--coarse", "2x2", "--space", "rt0",
-         "--eta", "2", "--out", str(tmp_path)],
     ]
     comparison = ["comparison", "--grid", "8x8", "--coarse", "2x2",
                   "--out", str(tmp_path)]
@@ -549,9 +545,19 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys, monkeypatch):
             (["--space", "rt0", "--layers", "a:b"],
              "error: layers: invalid literal for int() with base 10: 'a'"),
             (["--space", "rt0", "--seed", "-1"],
-             "error: seed must be non-negative, got -1")):
+             "error: seed must be non-negative, got -1"),
+            (["--space", "rt0", "--layout", "spe10", "--layers", "0:2:3"],
+             "error: layers: expected start:stop, like 5:85, got '0:2:3'"),
+            (["--space", "rt0", "--layout", "spe10", "--layers", "1"],
+             "error: layers: expected start:stop, like 5:85, got '1'")):
         assert main(comparison + bad) == 2
         assert capsys.readouterr().err.strip() == message
+    # the V-cycle's relaxation and sweep count are not options
+    for bad in ("--eta=1", "--sweeps=2"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(comparison + ["--space", "rt0", bad])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {bad}" in capsys.readouterr().err
 
     two_phase = ["twophase", "--grid", "8x8", "--coarse", "2x2",
                  "--space", "rt0", "--steps", "4", "--out", str(tmp_path)]

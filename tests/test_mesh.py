@@ -27,6 +27,27 @@ def test_build_grid_validates():
     assert g.H == (0.5, 0.25)
 
 
+def test_cached_sizes_keep_grids_equal():
+    a = mesh.build_grid((12, 6, 4), (3, 2, 2), domain_lengths=(3.0, 1.0, 0.7))
+    b = mesh.build_grid((12, 6, 4), (3, 2, 2), domain_lengths=(3.0, 1.0, 0.7))
+    h = tuple(L / n for L, n in zip(a.lengths, a.fine))
+    assert a.h == h
+    assert a.cell_volume == float(np.prod(h))
+    assert a.face_areas == tuple(float(np.prod(h) / h[axis])
+                                 for axis in range(3))
+    assert a.face_offsets == (0, 11 * 6 * 4, 11 * 6 * 4 + 12 * 5 * 4)
+    assert a.n_velocity == 11 * 6 * 4 + 12 * 5 * 4 + 12 * 6 * 3
+    # the cached values live on `a` only; equality, hashing and the
+    # lru_cache keys still see the three fields
+    assert "h" in vars(a) and "h" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    mesh.coarse_faces.cache_clear()
+    assert mesh.coarse_faces(a) is mesh.coarse_faces(b)
+    assert mesh.coarse_faces.cache_info().hits == 1
+    with pytest.raises(AttributeError):
+        a.fine = (6, 6, 4)
+
+
 def test_dof_counts_2d():
     g = mesh.build_grid((100, 100), (10, 10))
     nv, npr = mesh.count_dofs(g)

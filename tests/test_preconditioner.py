@@ -31,9 +31,7 @@ def _channel_setup(fine=(16, 16), coarse=(4, 4), contrast=1e6):
 
 def test_settings_defaults():
     s = pc.SolverSettings()
-    assert (s.rel_tol, s.max_iter) == (1e-7, 500)
-    # eta relaxes each color's box solves of the multiplicative sweep
-    assert (s.eta, s.sweeps, s.overlap) == (1.0, 1, None)
+    assert (s.rel_tol, s.max_iter, s.overlap) == (1e-7, 500, None)
     # None: the spectral space carries the contrast at one layer
     assert pc.SMOOTHER_OVERLAP == {"gmsfem": 1, "msfem": 2, "rt0": 2}
 
@@ -297,12 +295,12 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
     grid, field = batch_case(case, rng)
     ops = mixed_fem.assemble_operators(grid, field)
     basis = coarse_space.build_rt0_space(grid)
-    settings = pc.SolverSettings(eta=0.7)
+    settings = pc.SolverSettings()
     precond = pc.build_preconditioner(grid, ops, basis, settings)
 
     # reference: one sweep from zero, color by color; every oversampled
-    # block of a color adds eta times its dense lumped saddle on the
-    # residual the colors before it left
+    # block of a color adds its dense lumped saddle on the residual the
+    # colors before it left
     r = rng.standard_normal(grid.n_velocity)
     overlap = settings.smoother_overlap(basis.kind)
     colors = greedy_block_colors(grid, overlap)
@@ -315,7 +313,7 @@ def test_batched_sweep_and_preprocess_match_block_loop(case, rng):
             for block in np.flatnonzero(colors == color):
                 cells = mesh.oversample(grid, block, overlap)
                 vidx = mesh.velocity_dofs_interior_to(grid, cells)
-                want[vidx] += settings.eta * dense_lumped_velocity(
+                want[vidx] += dense_lumped_velocity(
                     ops, cells, vidx, residual[vidx])
         assert_relative_close(precond.smooth(r, reverse), want)
 
@@ -593,12 +591,11 @@ def test_solve_variant_settings(rng):
     basis = coarse_space.build_gmsfem_space(ops)
     tight = pc.solve(grid, ops, basis, F,
                      settings=pc.SolverSettings(rel_tol=1e-11)).velocity
-    for settings in (pc.SolverSettings(overlap=2),
-                     pc.SolverSettings(sweeps=2)):
-        result = pc.solve(grid, ops, basis, F, settings=settings)
-        assert result.report.converged
-        scale = np.abs(tight).max()
-        assert np.abs(result.velocity - tight).max() < 1e-4 * scale
+    result = pc.solve(grid, ops, basis, F,
+                      settings=pc.SolverSettings(overlap=2))
+    assert result.report.converged
+    scale = np.abs(tight).max()
+    assert np.abs(result.velocity - tight).max() < 1e-4 * scale
 
 
 def test_cg_reaches_the_requested_tolerance():
@@ -630,26 +627,23 @@ def test_cg_reaches_the_requested_tolerance():
 
 
 def test_degenerate_settings_rejected():
-    # uncovered dofs, no smoothing or no stopping rule make the V-cycle
-    # or CG unusable, so the settings refuse them before any solve
-    for bad in ({"overlap": 0}, {"overlap": -1}, {"sweeps": 0}, {"eta": 0.0},
-                {"eta": -0.1}, {"eta": 2.0}, {"eta": 5.0}, {"eta": float("inf")},
-                {"eta": float("nan")}, {"rel_tol": float("nan")},
+    # uncovered dofs or no stopping rule make the V-cycle or CG
+    # unusable, so the settings refuse them before any solve
+    for bad in ({"overlap": 0}, {"overlap": -1}, {"rel_tol": float("nan")},
                 {"rel_tol": float("inf")}, {"rel_tol": -5.0},
                 {"rel_tol": 0.0},
                 {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
-                {"max_iter": 10.0}, {"sweeps": 1.5}, {"sweeps": True},
+                {"max_iter": 10.0},
                 {"overlap": 1.5}, {"overlap": 1.0}, {"overlap": True},
                 {"overlap": "2"}):
         with pytest.raises(ValueError):
             pc.SolverSettings(**bad)
-    # a relaxed color solve contracts for 0 < eta < 2 only
-    with pytest.raises(ValueError, match=r"eta must lie in \(0, 2\)"):
-        pc.SolverSettings(eta=2.0)
-    pc.SolverSettings(eta=1.9)
+    # the V-cycle has one schedule: unit relaxation, one sweep a side
+    for removed in ({"eta": 1.0}, {"sweeps": 1}):
+        with pytest.raises(TypeError):
+            pc.SolverSettings(**removed)
     # numpy integers are integers
-    pc.SolverSettings(max_iter=np.int64(5), sweeps=np.int32(1),
-                      overlap=np.int64(2))
+    pc.SolverSettings(max_iter=np.int64(5), overlap=np.int64(2))
     # frozen, so checked settings stay checked
     with pytest.raises(AttributeError):
         pc.SolverSettings().overlap = 0

@@ -140,7 +140,7 @@ def test_transport_matches_scalar_oracle():
     q, dt = 0.3, 0.05
     wells = tp.WellConfig([(0, q), (1, -q)])
     state = tp.TransportState.initial(grid, porosity=0.2, s0=0.1)
-    area = grid.face_area(0)
+    area = grid.face_areas[0]
     v = np.array([q / area])
     out = tp.transport_step(grid, fluid, state,
                             tp.UpwindFlow.build(grid, v, wells), dt)
@@ -183,8 +183,8 @@ def face_by_face(grid, fluid, s, v, wells):
     Jacobian, summed face by face and well by well."""
     faces = np.arange(grid.n_velocity)
     lo, hi = mesh.face_adjacent_cells(grid, faces)
-    area = np.where(faces < grid.face_offsets[1], grid.face_area(0),
-                    grid.face_area(1))
+    area = np.where(faces < grid.face_offsets[1], grid.face_areas[0],
+                    grid.face_areas[1])
     q_plus, q_minus = wells.split(grid.n_cells)
     fw, dfw = tp.fractional_flow(fluid, np.clip(s, 0.0, 1.0))
     out = -q_plus - fw * q_minus
