@@ -19,10 +19,13 @@ Lie, JCP 227, 2008), and in that order one matrix `K` that maps the
 fractional flows of the cells to their net water outflow, with a
 Jacobian buffer on its pattern.  A Newton iteration is one pass for f_w
 and its closed-form derivative, one product with `K` and, when it goes
-on, one write of the Jacobian values into the buffer and one solve.  An
-acyclic flow's Jacobian is lower triangular and solved by one forward
-substitution; a circulating flow keeps each cycle together as one block
-and is factored, with fill inside it only.
+on, one write of the Jacobian, scaled by column to unit diagonal, into
+the buffer and one solve.  An acyclic flow's Jacobian is lower
+triangular and solved by one forward substitution; a circulating flow
+keeps each cycle together as one block and is factored, with fill
+inside it only.  Between pressure solves the steps share one flow and
+one dt, so every step after the first starts Newton from the linear
+extrapolation of the two saturations before it.
 """
 
 import warnings
@@ -221,8 +224,9 @@ class UpwindFlow:
     entry, `diagonal` the data position of every diagonal and `q_plus`
     the injection rate of every cell.  `K` indexes by C ints, which the
     triangular kernel takes; it is lower triangular when the upwind
-    graph has no cycle (`acyclic`).  Newton writes every Jacobian into
-    `jacobian`, which shares `K`'s pattern.
+    graph has no cycle (`acyclic`).  Newton writes every Jacobian J,
+    as J D^-1 with D its diagonal, into `jacobian`, which shares `K`'s
+    pattern.
     """
 
     K: sparse.csc_matrix
@@ -278,46 +282,52 @@ class _NewtonFailure(Exception):
 
 
 # iterations in a row without a new lowest residual that give a step up;
-# converging five-spot steps go at most two without one
+# converging five-spot steps go at most two without one, from s_n or
+# from an extrapolated start
 _NEWTON_STALL = 4
 _NEWTON_MAX_ITER = 25
 
 
-def _solve_jacobian(flow: UpwindFlow, jacobian, b):
-    """jacobian^-1 b for a Jacobian on the pattern of `flow.K`, whose
-    diagonal is at least pv > 0.  An acyclic flow's is lower triangular:
-    scaled by column to unit diagonal, one forward substitution solves
-    it, with no factorization.  A flow with cycles is factored, with
-    fill inside the cycles only."""
+def _solve_jacobian(flow: UpwindFlow, d, b):
+    """J^-1 b for the Newton Jacobian J on the pattern of `flow.K`,
+    held as J D^-1 in `flow.jacobian`: scaled by column to unit
+    diagonal, with D = diag(d) its diagonal, d >= pv > 0.  An acyclic
+    flow's is lower triangular and one forward substitution solves it,
+    with no factorization.  A flow with cycles is factored, with fill
+    inside the cycles only."""
+    scaled = flow.jacobian
     if flow.acyclic:
-        d = jacobian.data[flow.diagonal]
         n = len(d)
-        x, _ = gstrs("N", n, jacobian.nnz, jacobian.data / d[flow.columns],
-                     jacobian.indices, jacobian.indptr, n, 0, np.empty(0),
+        x, _ = gstrs("N", n, scaled.nnz, scaled.data, scaled.indices,
+                     scaled.indptr, n, 0, np.empty(0),
                      np.empty(0, np.intc), np.zeros(n + 1, np.intc), b)
         return x / d
-    # SuperLU's default panel workspace would be faulted in on every call
-    return splu(jacobian, permc_spec="NATURAL", panel_size=1,
-                relax=1).solve(b)
+    # SuperLU's default panel workspace would be faulted in on every call;
+    # the column scaling leaves its row pivots as they were
+    return splu(scaled, permc_spec="NATURAL", panel_size=1,
+                relax=1).solve(b) / d
 
 
-def _newton_transport(grid, fluid: FluidModel, s0, porosity, dt,
+def _newton_transport(fluid: FluidModel, s0, start, pv, dt,
                       flow: UpwindFlow):
-    """One implicit upwind step for the velocity and wells in `flow`.
+    """One implicit upwind step from `s0` for the velocity and wells in
+    `flow`, with Newton started at `start`.
 
-    Returns (saturation, Newton iterations); raises _NewtonFailure when
-    stuck: after `_NEWTON_MAX_ITER` iterations, or as soon as the
-    residual max-norm has gone `_NEWTON_STALL` iterations without falling
-    below its lowest value so far.  It runs in upwind order, with the
-    Jacobian diag(pv) + dt K diag(f_w').  Every column of it sums to
+    Every array is in upwind order, `flow.order`, and so is the
+    returned saturation.  Returns (saturation, Newton iterations);
+    raises _NewtonFailure when stuck: after `_NEWTON_MAX_ITER`
+    iterations, or as soon as the residual max-norm has gone
+    `_NEWTON_STALL` iterations without falling below its lowest value
+    so far.  The Jacobian J = diag(pv) + dt K diag(f_w') is written
+    into `flow.jacobian` scaled by column, as J D^-1 with D = diag(d)
+    its diagonal, d = pv + dt diag(K) f_w'.  Every column of J sums to
     pv - dt f_w' q_minus >= pv and has its only positive entry on the
     diagonal, so partial pivoting keeps the diagonal pivots; an acyclic
     flow's step is one forward substitution (`_solve_jacobian`).
     """
-    pv = (porosity * grid.cell_volume)[flow.order]
-    s0 = s0[flow.order]
-    s = s0.copy()
+    s = start.copy()
     dt_flux = dt * flow.K.data
+    dt_out = dt_flux[flow.diagonal]
     best, stalled = np.inf, 0
     for iteration in range(_NEWTON_MAX_ITER):
         fw, dfw = fractional_flow(fluid, np.clip(s, 0.0, 1.0))
@@ -328,40 +338,63 @@ def _newton_transport(grid, fluid: FluidModel, s0, porosity, dt,
         residual += pv * (s - s0)
         norm = max(residual.max(), -residual.min())
         if norm <= 1e-10 * max(1.0, s.max(), -s.min()):
-            return s[flow.rank], iteration
+            return s, iteration
         if norm < best:
             best, stalled = norm, 0
         else:
             stalled += 1
             if stalled == _NEWTON_STALL:
                 raise _NewtonFailure(f"residual stalled at {best:.3e}")
+        d = pv + dt_out * dfw
+        dfw /= d
         np.multiply(dt_flux, dfw[flow.columns], out=flow.jacobian.data)
-        flow.jacobian.data[flow.diagonal] += pv
-        s -= _solve_jacobian(flow, flow.jacobian, residual)
+        flow.jacobian.data[flow.diagonal] = 1.0
+        s -= _solve_jacobian(flow, d, residual)
     raise _NewtonFailure(f"no convergence in {_NEWTON_MAX_ITER} iterations")
 
 
 def transport_step(grid, fluid: FluidModel, state: TransportState,
-                   flow: UpwindFlow, dt: float):
+                   flow: UpwindFlow, dt: float, previous=None):
     """Advance the saturation by dt with the velocity and wells of
     `flow` held fixed.
 
     The upwind cell of every face was chosen by `UpwindFlow.build` from
-    the sign of the face velocity.  A stalled Newton iteration halves
-    the step and retries, up to four times, before giving up.  The
-    post-solve clip into [0,1] is recorded on the returned state as
-    `bound_violation`; anything beyond roundoff of the Newton tolerance
-    indicates a broken scheme rather than a hard problem.
+    the sign of the face velocity.  `previous` is the saturation one
+    step of the same dt and the same flow before `state`, when there is
+    one: Newton then starts from the linear extrapolation
+    clip(2 s - previous, 0, 1), and otherwise from `state.s`.  A
+    stalled Newton iteration halves the step and retries, up to four
+    times, before giving up; each halved piece starts Newton from the
+    saturation it begins at.  The post-solve clip into [0,1] is
+    recorded on the returned state as `bound_violation`; anything
+    beyond roundoff of the Newton tolerance indicates a broken scheme
+    rather than a hard problem.  A dt that is not positive and finite,
+    or a `previous` that is not one finite value per cell, raises
+    ValueError.
     """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step dt must be positive and finite, "
+                         f"got {dt!r}")
+    s_n = state.s[flow.order]
+    start = s_n
+    if previous is not None:
+        previous = np.asarray(previous, dtype=float)
+        if previous.shape != state.s.shape or \
+                not np.all(np.isfinite(previous)):
+            raise ValueError(f"previous saturation must be {state.s.size} "
+                             f"finite values, one per cell")
+        start = np.clip(2.0 * s_n - previous[flow.order], 0.0, 1.0)
+    pv = (state.porosity * grid.cell_volume)[flow.order]
     for halvings in range(5):
-        pieces, s, iterations = 2 ** halvings, state.s, 0
+        pieces, s, iterations = 2 ** halvings, s_n, 0
         try:
             for _ in range(pieces):
-                s, done = _newton_transport(grid, fluid, s, state.porosity,
-                                            dt / pieces, flow)
+                s, done = _newton_transport(fluid, s, start if pieces == 1
+                                            else s, pv, dt / pieces, flow)
                 iterations += done
         except _NewtonFailure:
             continue
+        s = s[flow.rank]
         violation = float(max(s.max() - 1.0, -s.min(), 0.0))
         return TransportState(s=np.clip(s, 0.0, 1.0),
                               porosity=state.porosity,
@@ -437,9 +470,11 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
     asks for a fresh one at every pressure solve.  The t=0 solve
     preprocesses; every later one starts from the previous velocity
     (`pressure_step`'s `start`), with a frozen or a rebuilt basis
-    alike.  Water cut is the
-    rate-weighted fractional flow over the producer cells, recorded
-    after every transport step.
+    alike.  Every transport step but the first after a pressure solve
+    gets the saturation before its own as `previous`, so its Newton
+    starts from their extrapolation.  Water cut is the rate-weighted
+    fractional flow over the producer cells, recorded after every
+    transport step.
     """
     grid = config.grid
     wells = config.wells or five_spot_wells(grid)
@@ -476,11 +511,13 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
             ops = None
             reports.append(report)
             flow = UpwindFlow.build(grid, v, wells)
+            previous = None
         try:
             state = transport_step(grid, config.fluid, state, flow,
-                                   config.dt)
+                                   config.dt, previous)
         except RuntimeError as exc:
             raise RuntimeError(f"step {step}: {exc}") from exc
+        previous = states[-1].s
         states.append(state)
         fw, _ = fractional_flow(config.fluid, state.s[producer])
         cuts.append(float(fw @ weights))

@@ -212,15 +212,24 @@ def dense_newton_transport(grid, fluid, s0, pv, v, dt, wells):
     raise AssertionError("dense Newton did not converge")
 
 
+def newton_from(grid, fluid, s, porosity, dt, flow):
+    """`_newton_transport` from the cell-ordered `s`, started at `s`;
+    returns its saturation in upwind order and its iterations."""
+    s0 = s[flow.order]
+    pv = (porosity * grid.cell_volume)[flow.order]
+    return tp._newton_transport(fluid, s0, s0, pv, dt, flow)
+
+
 def recorded_solves(monkeypatch):
-    """(Jacobian, right side, solution) of every Newton solve the
-    transport makes, and the matrices it hands to splu."""
+    """(column-scaled Jacobian J D^-1, its diagonal d, right side,
+    solution) of every Newton solve the transport makes, and the
+    matrices it hands to splu."""
     solves, factored = [], []
     solve_jacobian = tp._solve_jacobian
 
-    def solving(flow, jacobian, b):
-        record = (jacobian.copy(), b.copy())
-        x = solve_jacobian(flow, jacobian, b)
+    def solving(flow, d, b):
+        record = (flow.jacobian.copy(), d.copy(), b.copy())
+        x = solve_jacobian(flow, d, b)
         solves.append(record + (x,))
         return x
 
@@ -235,8 +244,8 @@ def recorded_solves(monkeypatch):
 
 def assert_solves_match_splu(solves):
     assert solves
-    for jac, b, x in solves:
-        want = splu(jac, permc_spec="NATURAL").solve(b)
+    for scaled, d, b, x in solves:
+        want = splu(scaled, permc_spec="NATURAL").solve(b) / d
         assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -282,11 +291,11 @@ def test_five_spot_jacobian_is_triangular_without_fill(monkeypatch):
     assert flow.acyclic and sparse.triu(flow.K, 1).nnz == 0
     assert flow.K.indices.dtype == flow.K.indptr.dtype == np.intc
     solves, factored = recorded_solves(monkeypatch)
-    tp._newton_transport(grid, tp.FluidModel(), np.full(n, 0.3),
-                         np.full(n, 0.2), 1e-3, flow)
+    newton_from(grid, tp.FluidModel(), np.full(n, 0.3), np.full(n, 0.2),
+                1e-3, flow)
     # every Newton step is a forward substitution: nothing is factored
     assert not factored
-    assert all(jac.nnz == flow.K.nnz for jac, _, _ in solves)
+    assert all(scaled.nnz == flow.K.nnz for scaled, *_ in solves)
     assert_solves_match_splu(solves)
 
 
@@ -301,9 +310,8 @@ def test_flows_with_cycles_are_factored(circulating, monkeypatch, rng):
     flow = tp.UpwindFlow.build(grid, v, wells)
     assert not flow.acyclic
     solves, factored = recorded_solves(monkeypatch)
-    tp._newton_transport(grid, tp.FluidModel(),
-                         rng.uniform(0.05, 0.95, grid.n_cells),
-                         np.full(grid.n_cells, 0.2), 1e-3, flow)
+    newton_from(grid, tp.FluidModel(), rng.uniform(0.05, 0.95, grid.n_cells),
+                np.full(grid.n_cells, 0.2), 1e-3, flow)
     assert len(factored) == len(solves)
     assert_solves_match_splu(solves)
 
@@ -330,20 +338,19 @@ def test_triangular_kernel_contract(rng):
 
 
 def recorded_jacobians(monkeypatch):
-    """Every Newton call as (s0, porosity, dt, flow, the dense Jacobian
-    and the solution of each of its solves); every Jacobian must be
-    its flow's buffer."""
+    """Every Newton call as (start, pv, dt, flow, and for each of its
+    solves the dense scaled Jacobian in the flow's buffer, its diagonal
+    d and the solution)."""
     calls = []
     newton, solve_jacobian = tp._newton_transport, tp._solve_jacobian
 
-    def newton_call(grid, fluid, s0, porosity, dt, flow):
-        calls.append((s0.copy(), porosity, dt, flow, []))
-        return newton(grid, fluid, s0, porosity, dt, flow)
+    def newton_call(fluid, s0, start, pv, dt, flow):
+        calls.append((start.copy(), pv, dt, flow, []))
+        return newton(fluid, s0, start, pv, dt, flow)
 
-    def solving(flow, jacobian, b):
-        assert jacobian is flow.jacobian
-        x = solve_jacobian(flow, jacobian, b)
-        calls[-1][-1].append((jacobian.toarray(), x))
+    def solving(flow, d, b):
+        x = solve_jacobian(flow, d, b)
+        calls[-1][-1].append((flow.jacobian.toarray(), d.copy(), x))
         return x
 
     monkeypatch.setattr(tp, "_newton_transport", newton_call)
@@ -351,18 +358,23 @@ def recorded_jacobians(monkeypatch):
     return calls
 
 
-def assert_jacobians_are_dense_newton_matrices(grid, fluid, calls):
-    """Each recorded Jacobian is diag(pv) + dt K diag(f_w') at its
-    iterate, rebuilt from `flow.K`; the iterates follow the solves."""
+def assert_jacobians_are_dense_newton_matrices(grid, fluid, porosity,
+                                               calls):
+    """Each recorded Jacobian J = diag(pv) + dt K diag(f_w') at its
+    iterate, rebuilt from `flow.K` and the porosity, is in the buffer
+    as J D^-1 with d its diagonal; the iterates follow the solves."""
     assert calls and all(solves for *_, solves in calls)
-    for s0, porosity, dt, flow, solves in calls:
-        pv = (porosity * grid.cell_volume)[flow.order]
+    for start, pv, dt, flow, solves in calls:
+        assert np.array_equal(pv, (porosity * grid.cell_volume)[flow.order])
         K = flow.K.toarray()
-        s = s0[flow.order]
-        for jacobian, x in solves:
+        s = start
+        for scaled, d, x in solves:
             _, dfw = tp.fractional_flow(fluid, np.clip(s, 0.0, 1.0))
             want = np.diag(pv) + dt * K * dfw
-            assert np.abs(jacobian - want).max() <= 1e-14 * np.abs(want).max()
+            diagonal = np.diag(want)
+            assert np.abs(d - diagonal).max() <= 1e-14 * diagonal.max()
+            want /= diagonal
+            assert np.abs(scaled - want).max() <= 1e-14 * np.abs(want).max()
             s = s - x
 
 
@@ -389,7 +401,8 @@ def test_jacobian_buffer_holds_each_newton_matrix(case, monkeypatch, rng):
     calls = recorded_jacobians(monkeypatch)
     out = tp.transport_step(grid, fluid, state, flow, dt)
     assert (out.halvings > 0 and len(calls) > 2) == (case != "vortex")
-    assert_jacobians_are_dense_newton_matrices(grid, fluid, calls)
+    assert_jacobians_are_dense_newton_matrices(grid, fluid, state.porosity,
+                                               calls)
 
 
 def test_transport_on_acyclic_five_spot_matches_dense_newton(rng):
@@ -432,7 +445,7 @@ def test_transport_halves_steps_then_gives_up(monkeypatch):
     flow = tp.UpwindFlow.build(grid, np.zeros(grid.n_velocity), wells)
     calls = []
 
-    def flaky(grid_, fluid_, s0, porosity, dt, *rest, **kw):
+    def flaky(fluid_, s0, start, pv, dt, flow_):
         calls.append(dt)
         if dt > 0.026:
             raise tp._NewtonFailure("stuck")
@@ -455,6 +468,88 @@ def test_transport_halves_steps_then_gives_up(monkeypatch):
         tp.transport_step(grid, tp.FluidModel(), state, flow, 0.1)
 
 
+@pytest.mark.parametrize("bad", [
+    {"dt": 0.0}, {"dt": -0.01}, {"dt": float("nan")}, {"dt": float("inf")},
+    {"previous": np.full(35, 0.1)}, {"previous": np.full((6, 6), 0.1)},
+    {"previous": np.r_[np.nan, np.full(35, 0.1)]},
+    {"previous": np.r_[np.full(35, 0.1), -np.inf]},
+])
+def test_transport_step_rejects_bad_input(bad, monkeypatch):
+    # a negative dt used to run the clock backwards, and a non-finite one
+    # to end in "diverged even with dt/16" after five Newton passes
+    grid = mesh.build_grid((6, 6), (2, 2))
+    state = tp.TransportState.initial(grid, porosity=0.2)
+    flow = tp.UpwindFlow.build(grid, np.zeros(grid.n_velocity),
+                               tp.WellConfig([]))
+
+    def no_newton(*args):
+        raise AssertionError("Newton ran on bad input")
+
+    monkeypatch.setattr(tp, "_newton_transport", no_newton)
+    message = ("dt must be positive and finite" if "dt" in bad
+               else "previous saturation must be 36 finite values")
+    with pytest.raises(ValueError, match=message):
+        tp.transport_step(grid, tp.FluidModel(), state, flow,
+                          **{"dt": 0.01, **bad})
+
+
+def test_extrapolated_start_saves_newton_iterations():
+    grid, wells, v = five_spot_velocity(orders=0.0)
+    fluid, dt = tp.FluidModel(), 2e-3
+    flow = tp.UpwindFlow.build(grid, v, wells)
+    states = [tp.TransportState.initial(grid, porosity=0.2)]
+    for _ in range(6):
+        states.append(tp.transport_step(grid, fluid, states[-1], flow, dt))
+    cold = tp.transport_step(grid, fluid, states[-1], flow, dt)
+    warm = tp.transport_step(grid, fluid, states[-1], flow, dt,
+                             previous=states[-2].s)
+    assert cold.halvings == warm.halvings == 0
+    assert warm.newton_iterations < cold.newton_iterations
+    # both stop at a 1e-10 residual, pv times a saturation change
+    reach = 1e-10 / (0.2 * grid.cell_volume)
+    assert np.abs(warm.s - cold.s).max() <= reach
+
+
+def test_newton_starts_extrapolated_only_on_whole_steps_of_one_flow(
+        monkeypatch):
+    # at dt = 0.05 the first step, which follows a pressure solve, halves
+    # three times; the second halves once after its extrapolated start
+    # stalls
+    grid = mesh.build_grid((8, 8), (2, 2))
+    config = tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid),
+                            dt=0.05, n_steps=8, pressure_interval=4)
+    steps = []
+    newton, transport_step = tp._newton_transport, tp.transport_step
+
+    def newton_call(fluid, s0, start, pv, dt, flow):
+        steps[-1][-1].append((s0.copy(), start.copy(), dt))
+        return newton(fluid, s0, start, pv, dt, flow)
+
+    def step_call(grid_, fluid, state, flow, dt, previous=None):
+        steps.append((state.s, previous, flow, []))
+        return transport_step(grid_, fluid, state, flow, dt, previous)
+
+    monkeypatch.setattr(tp, "_newton_transport", newton_call)
+    monkeypatch.setattr(tp, "transport_step", step_call)
+    result = tp.impes_run(config)
+    assert [st.halvings for st in result.states[1:]] == [3, 1] + [0] * 6
+    extrapolated = 0
+    for k, (s, previous, flow, calls) in enumerate(steps):
+        first_after_pressure = k % config.pressure_interval == 0
+        assert (previous is None) == first_after_pressure
+        if previous is not None:
+            assert previous is result.states[k - 1].s
+        assert np.array_equal(calls[0][0], s[flow.order])
+        for s0, start, dt in calls:
+            if dt == config.dt and not first_after_pressure:
+                want = np.clip(2.0 * s - previous, 0.0, 1.0)[flow.order]
+                extrapolated += 1
+            else:
+                want = s0
+            assert np.array_equal(start, want)
+    assert extrapolated == 6
+
+
 def test_newton_gives_up_on_a_cycling_step(monkeypatch):
     # a five-spot from the connate state on 6x6 with dt = 0.05: the
     # residual max-norm sits at 1.25e-2 for three iterations, then cycles
@@ -469,7 +564,7 @@ def test_newton_gives_up_on_a_cycling_step(monkeypatch):
     flow = tp.UpwindFlow.build(grid, v, wells)
     solves, _ = recorded_solves(monkeypatch)
     with pytest.raises(tp._NewtonFailure, match="stalled"):
-        tp._newton_transport(grid, fluid, state.s, state.porosity, 0.05, flow)
+        newton_from(grid, fluid, state.s, state.porosity, 0.05, flow)
     assert tp._NEWTON_MAX_ITER > tp._NEWTON_STALL + 1
     assert 0 < len(solves) <= tp._NEWTON_STALL + 1
     out = tp.transport_step(grid, fluid, state, flow, 0.05)
@@ -586,16 +681,20 @@ def test_impes_bounds_and_water_cut(five_spot_run):
     assert result.water_cut[-1] > 0.0  # the front has reached the producer
 
 
-def test_impes_mass_balance(five_spot_run):
-    grid, config, result = five_spot_run
-    wells = tp.five_spot_wells(grid)
-    q_plus, q_minus = wells.split(grid.n_cells)
+def assert_water_balance(grid, config, result):
+    """Every step stores what the wells inject less what they produce
+    at its end state, to 1e-9; a halved step would not."""
+    q_plus, q_minus = tp.five_spot_wells(grid).split(grid.n_cells)
     for before, after in zip(result.states, result.states[1:]):
         pv = after.porosity * grid.cell_volume
         stored = float(pv @ (after.s - before.s))
         fw, _ = tp.fractional_flow(config.fluid, after.s)
         injected = config.dt * (q_plus.sum() + float(fw @ q_minus))
         assert abs(stored - injected) <= 1e-9
+
+
+def test_impes_mass_balance(five_spot_run):
+    assert_water_balance(*five_spot_run)
 
 
 def test_impes_reflection_symmetry(five_spot_run):
@@ -605,6 +704,33 @@ def test_impes_reflection_symmetry(five_spot_run):
         assert np.abs(box - box[::-1, :]).max() <= 1e-8
         assert np.abs(box - box[:, ::-1]).max() <= 1e-8
         assert np.abs(box - box.T).max() <= 1e-8
+
+
+def test_impes_on_circulating_flows(monkeypatch):
+    # the four-decade field of five_spot_velocity: every pressure step's
+    # flow has cycles, so every Newton step factors its Jacobian
+    grid = mesh.build_grid((12, 12), (3, 3))
+    kappa = mixed_fem.PermeabilityField(
+        random_log_field(np.random.default_rng(3), grid.n_cells, 4.0))
+    config = tp.IMPESConfig(grid=grid, kappa=kappa, dt=2e-3, n_steps=20,
+                            pressure_interval=5)
+    _, factored = recorded_solves(monkeypatch)
+    result = tp.impes_run(config)
+    assert all(st.halvings == 0 for st in result.states)
+    assert len(factored) == sum(st.newton_iterations
+                                for st in result.states)
+    assert max(st.bound_violation for st in result.states) <= 1e-9
+    assert_water_balance(grid, config, result)
+
+    transport_step = tp.transport_step
+    monkeypatch.setattr(
+        tp, "transport_step",
+        lambda grid_, fluid, state, flow, dt, previous: transport_step(
+            grid_, fluid, state, flow, dt))
+    from_s_n = tp.impes_run(config)
+    reach = 1e-10 / (config.porosity * grid.cell_volume)
+    for st, want in zip(result.states, from_s_n.states):
+        assert np.abs(st.s - want.s).max() <= reach
 
 
 def test_frozen_basis_tracks_rebuilt(rng):
