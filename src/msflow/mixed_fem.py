@@ -24,7 +24,7 @@ boxes of one color share no velocity:
 each box's velocity mass is integrated by the trapezoidal rule, which
 makes it diagonal and the mixed method equal to two-point cell fluxes
 (Russell & Wheeler 1983; Arbogast, Wheeler & Yotov, SINUM 34, 1997), so
-one sparse `sparse_linalg.factor` of pinned cell Laplacians serves the
+one banded `sparse_linalg.factor` of pinned cell Laplacians serves the
 boxes of a color, and a lumped solve is two solves with it and four
 sparse products.  `MixedOperators` owns both for its coefficient.
 """
@@ -471,26 +471,21 @@ def _pinned_schur(velocity_cells, velocity_div, inv_mass, row, n_free):
     D_f W D_f^T, both by index arithmetic; `row` is the free row of every
     local cell, -1 when pinned.  Returns (indptr, rows, div, w div) of
     D_f, as CSC by velocity with the weighted entries W D_f^T alongside,
-    and (indptr, rows, data) of the Laplacian, CSC by free cell."""
+    and the Laplacian as its diagonal by free cell and its lower triangle
+    as (velocity, high, low, entry) for every velocity joining two."""
     rows = row[velocity_cells]
     kept = rows >= 0
     indptr = np.zeros(len(rows) + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
-    joins = indptr[:-1][kept.all(axis=1)]
+    joining = np.flatnonzero(kept.all(axis=1))
+    joins = indptr[joining]
     rows, div = rows[kept], velocity_div[kept]
     w_div = np.repeat(inv_mass, np.diff(indptr)) * div
     # each velocity adds w area^2 to the diagonal of its free cells, and
     # joins two free cells by one off-diagonal pair (two cells share at
-    # most one face)
-    diag = np.arange(n_free, dtype=np.int32)
-    low, high = rows[joins], rows[joins + 1]
-    off = w_div[joins] * div[joins + 1]
-    col = np.concatenate([diag, low, high])
-    entry = np.argsort(col, kind="stable")
-    laplacian = (
-        np.searchsorted(col[entry], np.arange(n_free + 1)).astype(np.int32),
-        np.concatenate([diag, high, low])[entry],
-        np.concatenate([np.bincount(rows, w_div * div, n_free), off, off])[entry])
+    # most one face); free rows keep the cells' order, so high > low
+    laplacian = (np.bincount(rows, w_div * div, n_free), joining,
+                 rows[joins + 1], rows[joins], w_div[joins] * div[joins + 1])
     return (indptr, rows, div, w_div), laplacian
 
 
@@ -498,9 +493,10 @@ class _LumpedColor:
     """The boxes of one color of a `LumpedBatch`: its local velocities
     `velocities` and free cells `free` (slices of the batch's), the
     global dofs `idx` of those velocities, which never repeat, and the
-    color's lumped Schur system.  `lu` is the `sparse_linalg.factor` of
-    its pinned cell Laplacian (None when no cell is free, and then no
-    box has a velocity), whose scaling `scale` is folded into `Ds` =
+    color's lumped Schur system.  `lu` is the banded `sparse_linalg.factor`
+    of its pinned cell Laplacian, the band a box's extents multiplied
+    over all axes but the last (None when no cell is free, and then no
+    box has a velocity); its scaling `scale` is folded into `Ds` =
     scale D_f and `W_DsT` = W Ds^T; both share one index pattern.
     """
 
@@ -513,16 +509,17 @@ class _LumpedColor:
         if not n_free:
             return
         # the color's slices of the batch's D_f (by velocity) and
-        # Laplacian (by free cell), renumbered from its first free cell
+        # Laplacian (diagonal by free cell, lower triangle by velocity),
+        # renumbered from its first free cell
         indptr, rows, div, w_div = d_f
         first, last = indptr[velocities.start], indptr[velocities.stop]
         ptr = indptr[velocities.start:velocities.stop + 1] - first
         rows = rows[first:last] - free.start
-        L_ptr, L_rows, L_data = laplacian
-        a, b = L_ptr[free.start], L_ptr[free.stop]
-        f = factor(sparse.csc_matrix(
-            (L_data[a:b], L_rows[a:b] - free.start,
-             L_ptr[free.start:free.stop + 1] - a), shape=(n_free, n_free)))
+        diagonal, joining, high, low, off = laplacian
+        j = slice(*np.searchsorted(joining, [velocities.start,
+                                             velocities.stop]))
+        f = factor((diagonal[free], high[j] - free.start, low[j] - free.start,
+                    off[j]))
         self.lu, self.scale = f.lu, f.scale
         scale = f.scale[rows]
         shape = (n_free, len(self.idx))
@@ -566,10 +563,12 @@ class LumpedBatch(_BoxSystem):
     most permeable (a pin in a low-permeability region would leave the
     permeable rest of the box nearly floating), gives the free rows D_f
     (`free`) and a positive definite D_f W D_f^T, block diagonal by
-    color.  Each color factors its own block, whose scaling s to unit
-    diagonal keeps the pivot check local to each box.  A solve is the
-    Schur pass v = W a - W Ds^T lu^-1 (Ds W a - s b~), b~ being b less
-    its box means (which is mu), then the divergence-only pass
+    color.  Each color factors its own block by banded Cholesky in the
+    cells' F-order, the band a box's extents multiplied over all axes but
+    the last (its x-extent in 2D), and its scaling s to unit diagonal
+    keeps the pivot check local to each box.  A solve is the Schur pass
+    v = W a - W Ds^T lu^-1 (Ds W a - s b~), b~ being b less its box means
+    (which is mu), then the divergence-only pass
     v -= W Ds^T lu^-1 (Ds v - s b~), which keeps the box divergences at
     roundoff.
     """

@@ -1,10 +1,12 @@
 """Direct and iterative kernels used across the solver stack.
 
-One factorization per role.  `factor`, sparse, serves the smoother: the
-pinned block-diagonal cell Laplacian of each color of its boxes.  `inverse_cholesky`,
-dense, serves every exact solve: the box saddles in `mixed_fem` and the
-coarse saddle in `coarse_space`.  No saddle system is factored whole;
-callers reduce it through its Schur complement.
+One factorization per role.  `factor`, banded, serves the lumped boxes:
+the pinned cell Laplacian of each color of boxes, whose F-ordered cells
+put its bandwidth at a box's extents multiplied over all axes but the
+last.  `inverse_cholesky`, dense, serves every exact solve: the box
+saddles in `mixed_fem` and the coarse saddle in `coarse_space`.  No
+saddle system is factored whole; callers reduce it through its Schur
+complement.
 
 The conjugate gradient solver measures convergence in the natural norm
 sqrt(r' M^{-1} r).  With an identity preconditioner this is the plain
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigvalsh_tridiagonal, lapack, solve_triangular
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 
 class SingularMatrixError(RuntimeError):
@@ -38,50 +40,71 @@ class PcgBreakdownError(RuntimeError):
     """
 
 
+class BandCholesky:
+    """A = L L^T, L in LAPACK's lower band storage: band[i - j, j] is
+    L[i, j].  `nnz` counts the stored entries."""
+
+    def __init__(self, band):
+        self.band, self.nnz = band, band.size
+
+    def solve(self, b) -> np.ndarray:
+        """A^-1 b for b (n,) or (n, k)."""
+        return dpbtrs(self.band, b, lower=1)[0]
+
+
 @dataclass
 class SpdFactorization:
-    """SuperLU factor `lu` of an SPD matrix A scaled to unit diagonal by
-    `scale` = diag(A)^-1/2: A^-1 x = scale * lu.solve(scale * x)."""
+    """Banded Cholesky factor `lu` of an SPD matrix A scaled to unit
+    diagonal by `scale` = diag(A)^-1/2: A^-1 x = scale * lu.solve(scale * x).
+    A box Laplacian's band is the product of the box's extents over all
+    axes but the last."""
 
     scale: np.ndarray
-    lu: object
+    lu: BandCholesky
 
 
 def factor(matrix) -> SpdFactorization:
-    """Factor a symmetric positive definite sparse matrix, scaled to
-    unit diagonal, with diagonal pivots in a minimum-degree order of
-    A^T + A: the fill depends on the sparsity pattern only.  Panels of
-    one column factor the smoother's cell Laplacians 15-35% faster than
-    SuperLU's default panels, with the same fill (2D and 3D boxes).  A pivot
-    below 1e-14 of the unit diagonal (a negative one too) and a NaN or
-    non-positive diagonal entry, checked before SuperLU runs, raise
-    SingularMatrixError.  Symmetry is not checked."""
-    matrix = sparse.csc_matrix(matrix, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n) or n == 0:
-        raise ValueError(f"matrix is {matrix.shape}, expected square and "
-                         "not empty")
-    diagonal = matrix.diagonal()
+    """Banded Cholesky (LAPACK's pbtrf; A. George and J. Liu, *Computer
+    Solution of Large Sparse Positive Definite Systems*, 1981) of an SPD
+    matrix scaled to unit diagonal, in the given order, its band reaching
+    the farthest entry: on a box Laplacian, the product of the box's
+    extents over all axes but the last.  `matrix` is sparse or dense (its
+    lower triangle is read), or that triangle as (diagonal, rows, cols,
+    values) with rows > cols and no entry repeated.  A NaN or non-positive
+    diagonal entry, checked before LAPACK runs, or a pivot (a squared
+    diagonal entry of L) below 1e-14, raises SingularMatrixError."""
+    if not isinstance(matrix, tuple):
+        matrix = sparse.csr_matrix(matrix, dtype=float)
+        if matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"matrix is {matrix.shape}, expected square")
+        lower = sparse.tril(matrix, -1, format="coo")
+        matrix = (matrix.diagonal(), lower.row, lower.col, lower.data)
+    diagonal, rows, cols, values = matrix
+    n = len(diagonal)
+    if n == 0:
+        raise ValueError("matrix is empty")
     bad = np.flatnonzero(~(diagonal > 0))
     if len(bad):
         k = int(bad[0])
         raise SingularMatrixError(f"diagonal entry {k} of {n} is "
                                   f"{float(diagonal[k])!r}, not positive")
     scale = 1.0 / np.sqrt(diagonal)
-    scaled = matrix.copy()
-    scaled.data *= scale[scaled.indices] * np.repeat(scale, np.diff(scaled.indptr))
-    try:
-        lu = splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True), panel_size=1)
-    except RuntimeError as err:
-        raise SingularMatrixError(f"sparse LU failed: {err}") from err
-    pivots = lu.U.diagonal()
+    offset = rows - cols
+    band = np.zeros((int(offset.max(initial=0)) + 1, n), order="F")
+    # the diagonal is scaled, not set to 1: away from the pin, the late
+    # pivots are what is left of the cancelling row sums
+    band[0] = diagonal * scale * scale
+    band[offset, cols] = values * (scale[rows] * scale[cols])
+    band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    pivots = band[0, :info or n] ** 2
+    if info:  # LAPACK stops at the failed pivot and leaves it unrooted
+        pivots[-1] = band[0, info - 1]
     bad = np.flatnonzero(~(pivots >= 1e-14))
     if len(bad):
         k = int(bad[0])
         raise SingularMatrixError(f"pivot {k} of {n} is {pivots[k]:.3e}, "
                                   "below 1e-14 of the unit diagonal")
-    return SpdFactorization(scale=scale, lu=lu)
+    return SpdFactorization(scale=scale, lu=BandCholesky(band))
 
 
 def inverse_cholesky(s, what: str) -> np.ndarray:
@@ -157,6 +180,8 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
     replacement residual, from which z and the natural norm are then
     computed (residual replacement: H. van der Vorst and Q. Ye, SIAM J.
     Sci. Comput. 22, 2000); `PcgReport.fits` counts the replacements.
+    A replacement restarts the search direction (beta = 0): the natural
+    norm of the residual it replaces can cancel in a large gradient part.
     """
     rhs = np.asarray(rhs, dtype=float)
     x = np.zeros_like(rhs)
@@ -192,10 +217,9 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
         alpha = rho / curvature
         x += alpha * p
         r -= alpha * Ap
-        if residual_hook is not None:
-            replaced = residual_hook(x, r)
-            if replaced is not None:
-                r, fits = replaced, fits + 1
+        replaced = None if residual_hook is None else residual_hook(x, r)
+        if replaced is not None:
+            r, fits = replaced, fits + 1
         z = apply_preconditioner(r)
         rho_next = float(r @ z)
         if rho_next < 0:
@@ -219,7 +243,7 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
                 "behaving as SPD on this right-hand side")
             err.iterate = x
             raise err
-        beta = rho_next / rho
+        beta = 0.0 if replaced is not None else rho_next / rho
         betas.append(beta)
         p = z + beta * p
         rho = rho_next

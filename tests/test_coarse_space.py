@@ -338,8 +338,9 @@ def test_coarse_operator_is_galerkin_projection(rng):
 def test_solve_factors_the_smoother_only(monkeypatch):
     # the coarse saddle and the exact boxes are dense: a solve with
     # pressure on the impes-2d grid makes sparse factors of lumped boxes
-    # only, all with diagonal pivots: one per color of the smoother's
-    # (four) and one of the overlap-0 boxes of preprocessing and recovery
+    # only, all banded in the cells' F-order: one per color of the
+    # smoother's (four) and one of the overlap-0 boxes of preprocessing
+    # and recovery
     from msflow import bench_cli, preconditioner as pc, sparse_linalg, \
         two_phase
     grid = mesh.build_grid((40, 40), (4, 4))
@@ -361,8 +362,9 @@ def test_solve_factors_the_smoother_only(monkeypatch):
     colors = ops.smoother(overlap).colors + ops.smoother(0).colors
     assert len(colors) == 5
     assert [f.lu for f in factors] == [color.lu for color in colors]
-    for f in factors:
-        assert np.array_equal(f.lu.perm_r, f.lu.perm_c)
+    # the bandwidth is a box's x-extent: 10 + 2 at overlap 1, 10 at 0
+    for f, color, width in zip(factors, colors, [12] * 4 + [10]):
+        assert f.lu.nnz == (width + 1) * (color.free.stop - color.free.start)
 
 
 @pytest.mark.parametrize("kind", ["rt0", "gmsfem"])
@@ -370,18 +372,18 @@ def test_solve_factors_the_smoother_only(monkeypatch):
 def test_coarse_saddle_is_dense_and_balances_bands(kind, exponent,
                                                    monkeypatch):
     # x-bands of 1e+e, 1 and 1e-e across 32x32/4x4: the coarse operator
-    # builds without SuperLU, and its velocity meets the block balance
-    # of the corner source to roundoff
+    # builds without a sparse factor, and its velocity meets the block
+    # balance of the corner source to roundoff
     from msflow import sparse_linalg
 
-    def no_splu(*args, **kwargs):
-        raise AssertionError("SuperLU ran")
+    def no_pbtrf(*args, **kwargs):
+        raise AssertionError("LAPACK's band Cholesky ran")
 
     grid = mesh.build_grid((32, 32), (4, 4))
     field = mixed_fem.PermeabilityField(band_values(grid, exponent))
     ops = mixed_fem.assemble_operators(grid, field)
     basis = coarse_space.build_space(kind, grid, field, ops)
-    monkeypatch.setattr(sparse_linalg, "splu", no_splu)
+    monkeypatch.setattr(sparse_linalg, "dpbtrf", no_pbtrf)
     coarse = coarse_space.coarse_operator(basis, ops)
     source = np.zeros(grid.n_cells)
     source[[0, -1]] = 1.0, -1.0

@@ -57,8 +57,8 @@ def test_factor_spd_solves_with_less_fill(rng):
     fact = factor(L)
     want = np.linalg.solve(L.toarray(), rhs)
     assert np.abs(solve(fact, rhs) - want).max() <= 1e-10 * np.abs(want).max()
-    # diagonal pivots: one symmetric order, no row exchanges
-    assert np.array_equal(fact.lu.perm_r, fact.lu.perm_c)
+    # banded in the given order: the 20-cell rows put the band at 20
+    assert fact.lu.nnz == 21 * 399
 
 
 def test_factor_spd_rejects_singular():
@@ -77,10 +77,10 @@ def test_factor_rejects_indefinite():
 
 
 def test_factor_checks_the_diagonal_before_superlu(monkeypatch):
-    def no_splu(*args, **kwargs):
-        raise AssertionError("SuperLU ran")
+    def no_pbtrf(*args, **kwargs):
+        raise AssertionError("LAPACK's band Cholesky ran")
 
-    monkeypatch.setattr(sparse_linalg, "splu", no_splu)
+    monkeypatch.setattr(sparse_linalg, "dpbtrf", no_pbtrf)
     for bad in (np.nan, 0.0, -1.0):
         K = np.diag([2.0, 1.0, bad, 3.0])
         with pytest.raises(SingularMatrixError, match="diagonal entry 2 "):
@@ -144,6 +144,9 @@ def test_pcg_residual_hook_replaces_residuals(rng):
                     max_iter=200, residual_hook=hook)
     assert hooked.converged and len(seen) == hooked.iterations
     assert hooked.fits == hooked.iterations // 3 > 0
+    # every replacement restarts the search direction
+    betas = np.array(hooked.lanczos[1])
+    assert np.all((betas == 0) == (np.arange(1, len(betas) + 1) % 3 == 0))
     assert np.allclose(x, plain, rtol=1e-10, atol=1e-12)
     assert np.array_equal(seen[-1], x)
 
