@@ -275,12 +275,6 @@ def coarse_faces(grid) -> tuple:
     return tuple(faces)
 
 
-def neighborhood_cells(grid, face: CoarseFace) -> np.ndarray:
-    """Cells of the two blocks sharing a coarse face, ascending."""
-    return np.sort(np.concatenate([block_cells(grid, face.blocks[0]),
-                                   block_cells(grid, face.blocks[1])]))
-
-
 def face_adjacent_cells(grid, face_ids):
     """(lower, upper) cell ids of each face in `face_ids`."""
     face_ids = np.asarray(face_ids, dtype=np.int64)

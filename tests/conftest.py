@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from msflow import mesh
+from msflow import mesh, mixed_fem
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +119,12 @@ def bordered_saddle_matrix(A, B) -> sparse.csc_matrix:
     return sparse.bmat(blocks, format="csc")
 
 
+def neighborhood_cells(grid, face) -> np.ndarray:
+    """Cells of the two blocks sharing a coarse face, ascending."""
+    return np.sort(np.concatenate([mesh.block_cells(grid, face.blocks[0]),
+                                   mesh.block_cells(grid, face.blocks[1])]))
+
+
 # ---------------------------------------------------------------------------
 # divergence-free vectors by dense projection
 
@@ -152,6 +158,10 @@ class DivFreeProjector:
 def random_log_field(rng, n, orders: float = 6.0):
     """Positive cell field spanning `orders` decades, log-uniform."""
     return 10.0 ** rng.uniform(-orders / 2, orders / 2, size=n)
+
+
+def uniform_field(grid, value=1.0) -> mixed_fem.PermeabilityField:
+    return mixed_fem.PermeabilityField(np.full(grid.n_cells, float(value)))
 
 
 def band_values(grid, exponent):

@@ -12,6 +12,7 @@ from conftest import (
     StopWatch,
     dense_saddle_solve,
     random_log_field,
+    uniform_field,
 )
 
 import msflow.preconditioner as pc
@@ -163,7 +164,7 @@ def test_criterion_6_spectral_selection(rng):
     # constant coefficient: a tolerance inside the first spectral gap
     # keeps exactly the net-flux mode, one per face plus one per block
     uni = mesh.build_grid((20, 20), (2, 2), domain_lengths=(0.2, 0.2))
-    ufield = mixed_fem.uniform_field(uni)
+    ufield = uniform_field(uni)
     uops = mixed_fem.assemble_operators(uni, ufield)
     face = mesh.coarse_faces(uni)[0]
     w, _ = coarse_space.face_eigenpairs(
@@ -174,7 +175,7 @@ def test_criterion_6_spectral_selection(rng):
 
 def test_criterion_7_two_phase_properties():
     grid = mesh.build_grid((40, 40), (4, 4))
-    kappa = mixed_fem.uniform_field(grid)
+    kappa = uniform_field(grid)
     common = dict(grid=grid, kappa=kappa, dt=1.5e-3, n_steps=60,
                   pressure_interval=15, checkpoint_steps=(15, 30, 60))
     with StopWatch() as watch:

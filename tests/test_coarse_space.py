@@ -4,10 +4,14 @@ velocity spaces, checked on grids small enough for dense linear algebra."""
 import numpy as np
 import pytest
 
+import msflow.two_phase as tp
 from msflow import coarse_space, mesh, mixed_fem
+from msflow.bench_cli import (BENCH_BOXES_2D, BENCH_BOXES_3D, FieldSpec,
+                              bench_field, synth_field)
 from msflow.sparse_linalg import SingularMatrixError, generalized_symmetric_eig
 
-from conftest import band_values, dense_saddle_solve, random_log_field
+from conftest import (band_values, dense_saddle_solve, neighborhood_cells,
+                      random_log_field, uniform_field)
 
 
 def _setup(fine, coarse, values=None, rng=None, orders=6.0):
@@ -32,7 +36,7 @@ def test_snapshot_family_structure(rng):
 
     dense = family.dense(grid.n_velocity)
     div = ops.B @ dense
-    cells = mesh.neighborhood_cells(grid, face)
+    cells = neighborhood_cells(grid, face)
     outside = np.setdiff1d(np.arange(grid.n_cells), cells)
     assert np.abs(div[outside]).max() < 1e-10
     # inside each block the divergence is the compatible constant
@@ -138,6 +142,103 @@ def test_batched_build_call_counts(monkeypatch, rng, fine, coarse):
     assert calls == {"solve_core": 4 * grid.dim, "solve": 0, "overlap0": 1}
 
 
+def _bench_2d_operators(exponent, mobility=False):
+    """The 40^2 / 4^2 bench field at 1e`exponent` (seed 424242); with
+    `mobility`, as the IMPES bench holds it: its inclusions 0.05 wide and
+    scaled by the total mobility at s = 0."""
+    grid = mesh.build_grid((40, 40), (4, 4))
+    if mobility:
+        kappa = synth_field(424242, grid.fine, FieldSpec(
+            exponent=exponent, boxes=BENCH_BOXES_2D, n_random=3,
+            random_size=0.05))
+        field = tp.mobility_field(kappa, tp.FluidModel(),
+                                  np.zeros(grid.n_cells))
+    else:
+        field = bench_field(grid.fine, exponent, seed=424242)
+    return grid, mixed_fem.assemble_operators(grid, field)
+
+
+def _count_passes(monkeypatch):
+    """Every `BlockBatch._pass` call, by the number of boxes it solves."""
+    boxes = []
+    one_pass = mixed_fem.BlockBatch._pass
+
+    def counted(self, *args):
+        boxes.append(len(self.counts))
+        return one_pass(self, *args)
+
+    monkeypatch.setattr(mixed_fem.BlockBatch, "_pass", counted)
+    return boxes
+
+
+def test_refinement_only_where_the_first_pass_misses(monkeypatch):
+    # the IMPES bench's t=0 field: the first pass leaves every box within
+    # 1e-13 of its divergence, so each side and axis makes one pass
+    grid, ops = _bench_2d_operators(2.0, mobility=True)
+    passes = _count_passes(monkeypatch)
+    coarse_space.build_gmsfem_space(ops)
+    assert passes == [grid.n_blocks] * 2 * grid.dim
+
+    # bands of 1e8, 1 and 1e-8: the boxes the first pass misses refine,
+    # and every box then meets its divergence to 1e-14 of max |b|, as
+    # when every box refined
+    orig = mixed_fem.BlockBatch.solve_core
+    worst = []
+
+    def checked(self, a, b, tau):
+        v, p, mu = orig(self, a, b, tau)
+        rb = b - self.D @ v - mu[self.cell_box]
+        r, scale = (np.maximum.reduceat(np.abs(x), self.starts, axis=0)
+                    for x in (rb, b))
+        live = scale > 0  # the boxes with a face on this side
+        worst.append(np.max(r[live] / scale[live]))
+        return v, p, mu
+
+    monkeypatch.setattr(mixed_fem.BlockBatch, "solve_core", checked)
+    grid = mesh.build_grid((24, 24), (4, 4))
+    for exponent in (8, -8):
+        ops = mixed_fem.assemble_operators(
+            grid, mixed_fem.PermeabilityField(band_values(grid, exponent)))
+        passes.clear()
+        worst.clear()
+        coarse_space.build_gmsfem_space(ops)
+        assert len(passes) > 2 * grid.dim
+        assert max(worst) <= 1e-14
+
+
+def _face_spans(basis):
+    """An orthonormal basis of each face's velocity modes."""
+    P = basis.P_v.tocsc()
+    ends = np.cumsum(basis.face_mode_counts)
+    return [np.linalg.qr(P[:, end - k:end].toarray())[0]
+            for end, k in zip(ends, basis.face_mode_counts)]
+
+
+@pytest.mark.parametrize("case", ["impes-2d", "2d-1e-6", "3d-1e-4"])
+def test_refinement_on_demand_keeps_the_basis(monkeypatch, case):
+    # against a build that refines every box: the same modes per face,
+    # spanning the same spaces; the sine is |Q_B - Q_A Q_A^T Q_B|, since
+    # sqrt(1 - sigma_min^2) cannot resolve it below 1.5e-8.  On the 3D
+    # field a box refined on some of its columns only left a sine of
+    # 2.2e-10 on one face
+    if case == "3d-1e-4":
+        grid = mesh.build_grid((16, 16, 16), (4, 4, 4))
+        ops = mixed_fem.assemble_operators(grid, synth_field(
+            424242, grid.fine, FieldSpec(exponent=-4.0, boxes=BENCH_BOXES_3D,
+                                         n_random=3, random_size=0.125)))
+    else:
+        grid, ops = _bench_2d_operators(*{"impes-2d": (2.0, True),
+                                          "2d-1e-6": (-6.0, False)}[case])
+    basis = coarse_space.build_gmsfem_space(ops)
+    monkeypatch.setattr(mixed_fem, "REFINE_TOL", 0.0)
+    ops = mixed_fem.assemble_operators(grid, mixed_fem.PermeabilityField(
+        ops.coefficient))
+    reference = coarse_space.build_gmsfem_space(ops)
+    assert np.array_equal(basis.face_mode_counts, reference.face_mode_counts)
+    for Q_A, Q_B in zip(_face_spans(basis), _face_spans(reference)):
+        assert np.linalg.norm(Q_B - Q_A @ (Q_A.T @ Q_B), 2) <= 1e-10
+
+
 def test_msfem_equals_rt0_on_uniform_field():
     grid, field, ops = _setup((12, 8), (3, 2))
     rt0 = coarse_space.build_rt0_space(grid)
@@ -154,7 +255,7 @@ def test_rt0_ramp_profile():
     col = basis.P_v[:, 0].toarray().ravel()
     assert np.allclose(col[face.fine_faces], 1.0)
     # support is exactly the two adjacent blocks; values stay in [0, 1]
-    cells = mesh.neighborhood_cells(grid, face)
+    cells = neighborhood_cells(grid, face)
     interior = mesh.velocity_dofs_interior_to(grid, cells)
     support = np.flatnonzero(col)
     assert set(support) <= set(interior) | set(face.fine_faces)
@@ -256,7 +357,7 @@ def test_gmsfem_reads_the_coefficient_of_its_operators():
                               rng=np.random.default_rng(0), orders=6.0)
     want = coarse_space.build_gmsfem_space(ops)
     got = coarse_space.build_space("gmsfem", grid,
-                                   mixed_fem.uniform_field(grid), ops)
+                                   uniform_field(grid), ops)
     assert want.dim == 55
     assert np.array_equal(got.face_mode_counts, want.face_mode_counts)
     assert (got.P_v != want.P_v).nnz == 0
@@ -291,7 +392,7 @@ def test_default_tolerance_keeps_one_mode_per_face():
     # blocks of 10x10 cells with h = 0.01: the net-flux eigenvalue sits
     # near 0.05 and the next one near 15.7, so the default 10 keeps one
     grid = mesh.build_grid((20, 20), (2, 2), domain_lengths=(0.2, 0.2))
-    field = mixed_fem.uniform_field(grid)
+    field = uniform_field(grid)
     ops = mixed_fem.assemble_operators(grid, field)
     basis = coarse_space.build_gmsfem_space(ops)
     assert np.all(basis.face_mode_counts == 1)

@@ -34,7 +34,7 @@ from msflow.bench_cli import (
 from msflow.preconditioner import SolverSettings, TwoGridPreconditioner
 from msflow.sparse_linalg import PcgReport
 
-from conftest import band_values
+from conftest import band_values, uniform_field
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def test_settings_mapping(tmp_path, monkeypatch):
         bench_cli.run_two_phase(config)
     [impes] = received
     grid = mesh.build_grid((8, 8), (2, 2))
-    want = msflow.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid))
+    want = msflow.IMPESConfig(grid=grid, kappa=uniform_field(grid))
     for key in ("dt", "pressure_interval", "porosity", "fluid", "space",
                 "tol", "settings"):
         assert getattr(impes, key) == getattr(want, key), key

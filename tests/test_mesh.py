@@ -3,6 +3,8 @@ import pytest
 
 from msflow import mesh
 
+from conftest import neighborhood_cells
+
 
 def test_build_grid_validates():
     with pytest.raises(ValueError):
@@ -228,7 +230,7 @@ def test_coarse_faces_3d_reference_count():
 def test_neighborhood_is_two_blocks():
     g = mesh.build_grid((12, 12), (3, 3))
     f = mesh.coarse_faces(g)[0]
-    cells = mesh.neighborhood_cells(g, f)
+    cells = neighborhood_cells(g, f)
     assert len(cells) == 2 * 16
     size = np.array(g.block_size)
     blocks = np.unique(mesh.block_ids(g, mesh.cell_multi(g, cells) // size))

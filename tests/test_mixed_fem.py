@@ -16,6 +16,7 @@ from conftest import (
     oracle_velocity_mass,
     quadrature_mass_block,
     random_log_field,
+    uniform_field,
 )
 
 
@@ -74,7 +75,7 @@ def test_bordered_solve_is_a_neumann_solution(rng):
 
 def test_bordered_matrix_blocks():
     grid = mesh.build_grid((3, 3), (1, 1))
-    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    ops = mixed_fem.assemble_operators(grid, uniform_field(grid))
     K = bordered_saddle_matrix(ops.A, ops.B).toarray()
     nv, nc = grid.n_velocity, grid.n_cells
     assert K.shape == (nv + nc + 1, nv + nc + 1)
@@ -122,7 +123,7 @@ def test_boxes_match_the_per_block_layouts(fine, coarse):
     # oversampled box; a singleton axis and a one-cell grid have face
     # lattices with an empty axis
     grid = mesh.build_grid(fine, coarse)
-    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    ops = mixed_fem.assemble_operators(grid, uniform_field(grid))
     for overlap in range(4):
         faces, cells, n_velocity, counts, *_ = mixed_fem._box_layout(
             grid, *mesh.grown_blocks(grid, np.arange(grid.n_blocks), overlap))
@@ -253,7 +254,7 @@ def test_block_solver_rejects_unresolvable_contrast():
 
 def test_block_factor_cache_on_uniform_field():
     grid = mesh.build_grid((12, 12), (4, 4))
-    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid, 3.0))
+    ops = mixed_fem.assemble_operators(grid, uniform_field(grid, 3.0))
     solvers = mixed_fem.block_solvers(ops)
     assert len({id(s.factor) for s in solvers}) == 1
     # the cache keys on the box coefficients too: doubling them on two
@@ -283,7 +284,7 @@ def batch_case(name, rng):
         return grid, mixed_fem.PermeabilityField(values)
     if name == "uniform-2d":
         grid = mesh.build_grid((12, 12), (3, 3))
-        return grid, mixed_fem.uniform_field(grid, 3.0)
+        return grid, uniform_field(grid, 3.0)
     if name == "log-3d":
         grid = mesh.build_grid((6, 6, 4), (3, 3, 2))
     elif name == "non-square":  # lines of two lengths

@@ -12,7 +12,7 @@ from msflow.sparse_linalg import PcgBreakdownError
 from msflow.two_phase import WellConfig
 
 from conftest import (DivFreeProjector, band_values, dense_saddle_solve,
-                      random_log_field)
+                      random_log_field, uniform_field)
 from test_mixed_fem import (BATCH_CASES, assert_relative_close, batch_case,
                             trapezoidal_mass)
 
@@ -199,7 +199,7 @@ def test_preprocess_matches_source_divergence(kind, rng):
 
 def test_preprocess_rejects_unbalanced_coarse_space():
     grid = mesh.build_grid((8, 8), (2, 2))
-    field = mixed_fem.uniform_field(grid)
+    field = uniform_field(grid)
     ops = mixed_fem.assemble_operators(grid, field)
     basis = coarse_space.build_rt0_space(grid)
     # a single global pressure mode cannot balance individual blocks
@@ -221,7 +221,7 @@ def test_preprocess_rejects_unbalanced_coarse_space():
 ])
 def test_bad_sources_rejected_before_any_solve(cell, value, size, message):
     grid = mesh.build_grid((8, 8), (2, 2))
-    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    ops = mixed_fem.assemble_operators(grid, uniform_field(grid))
     basis = coarse_space.build_rt0_space(grid)
     coarse_op = coarse_space.coarse_operator(basis, ops)
     source = np.zeros(size)
@@ -234,7 +234,7 @@ def test_bad_sources_rejected_before_any_solve(cell, value, size, message):
 
 def test_solve_checks_the_source_before_building_factors(monkeypatch):
     grid = mesh.build_grid((8, 8), (2, 2))
-    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    ops = mixed_fem.assemble_operators(grid, uniform_field(grid))
     basis = coarse_space.build_rt0_space(grid)
 
     def unexpected(*args, **kw):
@@ -668,7 +668,7 @@ def test_degenerate_settings_rejected():
 
 def test_breakdown_reraised_with_divergence_norm(monkeypatch):
     grid = mesh.build_grid((8, 8), (2, 2))
-    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    ops = mixed_fem.assemble_operators(grid, uniform_field(grid))
     basis = coarse_space.build_rt0_space(grid)
     F = np.zeros(grid.n_cells)
     F[0], F[-1] = 1.0, -1.0
@@ -707,7 +707,7 @@ def test_solve_rejects_a_stalled_cg():
 def test_single_cell_grid_solves():
     # one box of one cell: the lumped smoother has no unpinned cell left
     grid = mesh.build_grid((1, 1), (1, 1))
-    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    ops = mixed_fem.assemble_operators(grid, uniform_field(grid))
     result = pc.solve(grid, ops, coarse_space.build_rt0_space(grid),
                       np.zeros(1), with_pressure=True)
     assert result.report.converged and result.pressure.tolist() == [0.0]
@@ -730,7 +730,7 @@ def test_solve_rejects_a_velocity_off_the_divergence_constraint(monkeypatch):
 def test_recover_pressure_single_cell():
     # no velocity dof: the one pressure is the zero mean
     grid = mesh.build_grid((1, 1), (1, 1))
-    ops = mixed_fem.assemble_operators(grid, mixed_fem.uniform_field(grid))
+    ops = mixed_fem.assemble_operators(grid, uniform_field(grid))
     coarse = coarse_space.coarse_operator(coarse_space.build_rt0_space(grid),
                                           ops)
     p = pc.recover_pressure(ops, coarse, np.zeros(grid.n_velocity))

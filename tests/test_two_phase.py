@@ -13,7 +13,7 @@ from msflow import mesh, mixed_fem, preconditioner as pc
 from msflow.bench_cli import bench_field
 from msflow.coarse_space import build_rt0_space, build_space
 
-from conftest import random_log_field
+from conftest import random_log_field, uniform_field
 from test_preconditioner import count_box_builds
 
 
@@ -394,7 +394,7 @@ def test_jacobian_buffer_holds_each_newton_matrix(case, monkeypatch, rng):
         wells, dt = tp.five_spot_wells(grid), 0.05
         state = tp.TransportState.initial(grid, porosity=0.2, s0=0.0)
         ops = mixed_fem.assemble_operators(grid, tp.mobility_field(
-            mixed_fem.uniform_field(grid), fluid, state.s))
+            uniform_field(grid), fluid, state.s))
         v, _ = tp.pressure_step(ops, build_rt0_space(grid), wells)
     flow = tp.UpwindFlow.build(grid, v, wells)
     assert flow.acyclic == (case != "vortex")
@@ -516,7 +516,7 @@ def test_newton_starts_extrapolated_only_on_whole_steps_of_one_flow(
     # three times; the second halves once after its extrapolated start
     # stalls
     grid = mesh.build_grid((8, 8), (2, 2))
-    config = tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid),
+    config = tp.IMPESConfig(grid=grid, kappa=uniform_field(grid),
                             dt=0.05, n_steps=8, pressure_interval=4)
     steps = []
     newton, transport_step = tp._newton_transport, tp.transport_step
@@ -559,7 +559,7 @@ def test_newton_gives_up_on_a_cycling_step(monkeypatch):
     fluid = tp.FluidModel()
     state = tp.TransportState.initial(grid, porosity=0.2, s0=0.0)
     ops = mixed_fem.assemble_operators(
-        grid, tp.mobility_field(mixed_fem.uniform_field(grid), fluid, state.s))
+        grid, tp.mobility_field(uniform_field(grid), fluid, state.s))
     v, _ = tp.pressure_step(ops, build_rt0_space(grid), wells)
     flow = tp.UpwindFlow.build(grid, v, wells)
     solves, _ = recorded_solves(monkeypatch)
@@ -619,7 +619,7 @@ def test_impes_run_rejects_a_stalled_pressure_solve():
 def test_impes_config_rejects_bad_stepping(bad):
     grid = mesh.build_grid((4, 4), (2, 2))
     with pytest.raises(ValueError):
-        tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid), **bad)
+        tp.IMPESConfig(grid=grid, kappa=uniform_field(grid), **bad)
 
 
 def test_impes_config_rejects_kappa_of_another_grid():
@@ -632,7 +632,7 @@ def test_impes_config_rejects_kappa_of_another_grid():
 
 def test_impes_config_takes_numpy_integers():
     grid = mesh.build_grid((4, 4), (2, 2))
-    config = tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid),
+    config = tp.IMPESConfig(grid=grid, kappa=uniform_field(grid),
                             n_steps=np.int64(4),
                             pressure_interval=np.int32(2),
                             checkpoint_steps=(np.int64(4), 1))
@@ -647,7 +647,7 @@ def test_impes_run_checks_a_config_changed_after_construction(key, value,
                                                              message):
     # a config is frozen, and a changed copy is checked when it is made
     grid = mesh.build_grid((8, 8), (2, 2))
-    config = tp.IMPESConfig(grid=grid, kappa=mixed_fem.uniform_field(grid),
+    config = tp.IMPESConfig(grid=grid, kappa=uniform_field(grid),
                             space="rt0", n_steps=2, pressure_interval=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(config, key, value)
@@ -658,7 +658,7 @@ def test_impes_run_checks_a_config_changed_after_construction(key, value,
 @pytest.fixture(scope="module")
 def five_spot_run():
     grid = mesh.build_grid((8, 8), (2, 2))
-    kappa = mixed_fem.uniform_field(grid)
+    kappa = uniform_field(grid)
     config = tp.IMPESConfig(grid=grid, kappa=kappa, dt=2e-3, n_steps=30,
                             pressure_interval=10, checkpoint_steps=(10, 30))
     return grid, config, tp.impes_run(config)
