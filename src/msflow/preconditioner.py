@@ -9,7 +9,7 @@ Galerkin coarse correction in colored multiplicative smoothing sweeps
 over overlapping blocks.  A caller holding a velocity that already
 meets the source divergence, such as the previous IMPES pressure
 step's, can start CG from it and skip preprocessing (`solve`'s
-`start`).
+`start`), and stop it at the accuracy a cold solve met (`level`).
 
 The smoother's boxes are the coarse blocks grown by `SMOOTHER_OVERLAP`
 fine layers: the spectral gmsfem space carries the contrast with one,
@@ -277,7 +277,8 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
           source: np.ndarray, settings: SolverSettings = SolverSettings(),
           with_pressure: bool = False,
           preconditioner: TwoGridPreconditioner | None = None,
-          start: np.ndarray | None = None) -> SolveResult:
+          start: np.ndarray | None = None,
+          level: float | None = None) -> SolveResult:
     """Full velocity solve: preprocessing plus preconditioned CG.
 
     CG runs on the mass operator restricted to divergence-free
@@ -285,8 +286,18 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
     residual history is in the preconditioner norm, relative to the
     first residual.  A `start` velocity that already meets the source
     divergence takes the place of preprocessing: CG corrections are
-    divergence free, so CG starts from `start` as it is, and stops
-    relative to its own first residual too.  Once CG's correction leaks
+    divergence free, so CG starts from `start` as it is.
+
+    Stopping at `rel_tol` relative to the first residual r0 over-solves
+    from a good start, whose r0 is already small.  With energy
+    E = start' A start, a solve given no `level` that iterates records
+    the dimensionless level kappa = |r0| / sqrt(E) it met as
+    `report.level`.  A solve given `level` = kappa instead stops once
+    its natural-norm residual is at most rel_tol kappa sqrt(E) of its
+    own start (`pcg`'s `reference`): the relative energy accuracy of
+    the solve that recorded kappa, as the natural norm scales with
+    sqrt(E) when the coefficient moves.  A start already below that
+    level returns the zero correction.  Once CG's correction leaks
     `DRIFT_TRIGGER` of `_divergence_bound` off the divergence, and again
     each time that leak doubles, CG's residual loses its discrete
     gradient (`_gradient_fit`; `report.fits` counts these).  A bad `source`, or a
@@ -330,10 +341,12 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
         trigger = 2.0 * leak
         return r - B.T @ _gradient_fit(operators, preconditioner.coarse, r)
 
+    reference = None if level is None else level * np.sqrt(energy)
     try:
         w, report = pcg(lambda x: A @ x, preconditioner.apply, rhs,
                         rel_tol=settings.rel_tol, max_iter=settings.max_iter,
-                        abs_floor=floor, residual_hook=drop_gradient)
+                        abs_floor=floor, residual_hook=drop_gradient,
+                        reference=reference)
     except PcgBreakdownError as exc:
         iterate = getattr(exc, "iterate", None)
         if iterate is not None:
@@ -341,6 +354,8 @@ def solve(grid, operators: MixedOperators, basis: CoarseBasis,
             raise PcgBreakdownError(
                 f"{exc}; iterate divergence norm {div:.3e}") from exc
         raise
+    if level is None and report.iterations:
+        report.level = float(report.norm0 / np.sqrt(energy))
     v = start + w
     result = SolveResult(v, report)
     result.divergence_error = float(np.max(np.abs(operators.B @ v - source)))

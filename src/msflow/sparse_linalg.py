@@ -122,7 +122,12 @@ def inverse_cholesky(s, what: str) -> np.ndarray:
 
 @dataclass
 class PcgReport:
-    """Iteration record of one preconditioned CG run."""
+    """Iteration record of one preconditioned CG run.
+
+    `residuals` are natural norms relative to the first, `norm0`.
+    `level` is set by `preconditioner.solve`, not by `pcg`: the
+    dimensionless accuracy its stop met.
+    """
 
     iterations: int
     converged: bool
@@ -130,6 +135,8 @@ class PcgReport:
     condition_estimate: float = 1.0
     lanczos: tuple = ()
     fits: int = 0  # residuals the hook replaced
+    norm0: float = 0.0
+    level: float | None = None
 
 
 def condition_estimate(alphas, betas) -> float:
@@ -156,7 +163,8 @@ def condition_estimate(alphas, betas) -> float:
 
 
 def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
-        max_iter: int = 500, abs_floor: float = 0.0, residual_hook=None):
+        max_iter: int = 500, abs_floor: float = 0.0, residual_hook=None,
+        reference: float | None = None):
     """Preconditioned conjugate gradients in the natural norm.
 
     `apply_operator` and `apply_preconditioner` are callables mapping a
@@ -173,7 +181,14 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
     Callers that know the roundoff level of their data pass it here and
     such systems stop immediately with the zero solution, whatever the
     sign of the roundoff in the first preconditioned inner product.
-    Once CG iterates, it stops only on `rel_tol`.
+
+    Otherwise CG stops once its natural-norm residual falls to `rel_tol`
+    times the first one, `norm0`, or, when a `reference` is given, to
+    `rel_tol * reference`: a caller that knows the accuracy it needs in
+    absolute terms, such as a solve started from a good guess, stops
+    there and not below it (M. Arioli, Numer. Math. 97, 2004).  A first
+    residual already at or below that level returns the zero solution
+    without iterating.  `residuals` stay relative to `norm0` either way.
 
     `residual_hook(x, r)`, when given, sees every update's iterate and
     residual before the preconditioner does.  It returns None, or a
@@ -193,13 +208,18 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
     rho = float(r @ z)
     if abs(rho) <= abs_floor ** 2:
         report = PcgReport(iterations=0, converged=True,
-                           residuals=[1.0 if rho else 0.0])
+                           residuals=[1.0 if rho else 0.0],
+                           norm0=float(np.sqrt(abs(rho))))
         return x, report
     if rho < 0:
         raise PcgBreakdownError(
             f"initial preconditioned inner product {rho:.3e} is negative"
         )
-    norm0 = np.sqrt(rho)
+    norm0 = float(np.sqrt(rho))
+    stop = None if reference is None else rel_tol * reference
+    if stop is not None and norm0 <= stop:
+        return x, PcgReport(iterations=0, converged=True, residuals=[1.0],
+                            norm0=norm0)
     history.append(1.0)
     p = z.copy()
     converged = False
@@ -232,7 +252,7 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
         alphas.append(alpha)
         sqrt_rho = np.sqrt(max(rho_next, 0.0))
         history.append(sqrt_rho / norm0)
-        if history[-1] <= rel_tol:
+        if (history[-1] <= rel_tol) if stop is None else (sqrt_rho <= stop):
             converged = True
             rho = rho_next
             break
@@ -254,6 +274,7 @@ def pcg(apply_operator, apply_preconditioner, rhs, rel_tol: float = 1e-7,
         condition_estimate=condition_estimate(alphas, betas[: len(alphas) - 1]),
         lanczos=(tuple(alphas), tuple(betas)),
         fits=fits,
+        norm0=norm0,
     )
     return x, report
 

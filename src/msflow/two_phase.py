@@ -8,8 +8,9 @@ step solved with Newton's method.  The multiscale coarse space is built
 once from the initial mobility field and kept frozen; only its Galerkin
 projection is refreshed when the mobility changes.  The wells are fixed,
 so every pressure solve after the first starts CG from the previous
-velocity, which meets their divergence already, and skips the
-preprocessing step.
+velocity, which meets their divergence already, skips the
+preprocessing step, and stops at the relative energy accuracy the
+first, cold solve met.
 
 The velocity is fixed between pressure solves, so everything transport
 needs from it and from the wells is built once per pressure solve as an
@@ -183,7 +184,8 @@ def mobility_field(kappa: PermeabilityField, fluid: FluidModel,
 
 
 def pressure_step(operators, basis, wells: WellConfig,
-                  settings: SolverSettings = SolverSettings(), start=None):
+                  settings: SolverSettings = SolverSettings(), start=None,
+                  level=None):
     """Total-velocity solve on operators assembled from a
     `mobility_field`.
 
@@ -191,10 +193,10 @@ def pressure_step(operators, basis, wells: WellConfig,
     Galerkin operator and the block factorizations see the updated
     coefficient.  A `start` velocity, the previous pressure step's for
     the same wells, is handed to `solve`: CG starts from it and no
-    preprocessing runs.  CG then stops at `settings.rel_tol` relative
-    to its own first residual, as a cold start does; that residual is
-    smaller than a cold start's, so a warm step takes a few more
-    iterations and leaves a smaller error.  Returns (velocity,
+    preprocessing runs.  CG stops at `settings.rel_tol` relative to its
+    own first residual unless a `level`, the `report.level` of a cold
+    step, is given: it then stops at the relative energy accuracy that
+    cold step met (`solve`'s `level`).  Returns (velocity,
     PcgReport); a `solve` that fails, or stalls, raises
     RuntimeError("pressure solve failed: ...").
     """
@@ -203,7 +205,7 @@ def pressure_step(operators, basis, wells: WellConfig,
     f = wells.source_vector(grid.n_cells)
     try:
         result = solve(grid, operators, basis, f, settings,
-                       preconditioner=precond, start=start)
+                       preconditioner=precond, start=start, level=level)
     except RuntimeError as exc:
         raise RuntimeError(f"pressure solve failed: {exc}") from exc
     return result.velocity, result.report
@@ -469,12 +471,12 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
     coarse space comes from the t=0 mobility unless `rebuild_basis`
     asks for a fresh one at every pressure solve.  The t=0 solve
     preprocesses; every later one starts from the previous velocity
-    (`pressure_step`'s `start`), with a frozen or a rebuilt basis
-    alike.  Every transport step but the first after a pressure solve
-    gets the saturation before its own as `previous`, so its Newton
-    starts from their extrapolation.  Water cut is the rate-weighted
-    fractional flow over the producer cells, recorded after every
-    transport step.
+    (`pressure_step`'s `start`) and stops at the t=0 report's `level`,
+    with a frozen or a rebuilt basis alike.  Every transport step but
+    the first after a pressure solve gets the saturation before its own
+    as `previous`, so its Newton starts from their extrapolation.  Water
+    cut is the rate-weighted fractional flow over the producer cells,
+    recorded after every transport step.
     """
     grid = config.grid
     wells = config.wells or five_spot_wells(grid)
@@ -502,8 +504,9 @@ def impes_run(config: IMPESConfig) -> IMPESResult:
                     basis = build_space(config.space, grid, field, ops,
                                         tol=config.tol)
             try:
-                v, report = pressure_step(ops, basis, wells, config.settings,
-                                          start=v)
+                v, report = pressure_step(
+                    ops, basis, wells, config.settings, start=v,
+                    level=reports[0].level if reports else None)
             except RuntimeError as exc:
                 raise RuntimeError(f"step {step} (t={state.time:g}): "
                                    f"{exc}") from exc

@@ -356,7 +356,7 @@ def assert_box_divergence(ops, batch, local, b, rtol, centred=False):
         if centred:
             want = want - want.mean()
         scale = (abs(B_loc) @ np.abs(v) + np.abs(want)).max()
-        assert np.abs(B_loc @ v - want).max() <= rtol * scale, block
+        assert np.abs(B_loc @ v - want).max() <= rtol * scale, f"box {box}"
 
 
 @pytest.mark.parametrize("fine,coarse", [((24, 24), (4, 4)),

@@ -175,6 +175,50 @@ def test_pcg_roundoff_floor_ignores_sign(sign):
         assert report.converged and report.iterations == 1
 
 
+def test_pcg_reference_sets_an_absolute_stop(rng):
+    # identity preconditioner: the natural norm is the Euclidean one
+    eigs = np.linspace(1.0, 50.0, 40)
+    A = np.diag(eigs)
+    b = rng.standard_normal(40)
+    _, full = pcg(lambda v: A @ v, lambda v: v, b, rel_tol=1e-14,
+                  max_iter=200)
+    norm0 = np.linalg.norm(b)
+    assert full.norm0 == pytest.approx(norm0, rel=1e-14)
+    assert full.level is None  # only preconditioner.solve sets it
+    rel_tol, reference = 1e-3, 4e-3 * norm0
+    stop = rel_tol * reference
+    x, report = pcg(lambda v: A @ v, lambda v: v, b, rel_tol=rel_tol,
+                    max_iter=200, reference=reference)
+    assert report.converged and report.norm0 == full.norm0
+    # residuals stay relative to the run's own first residual, and CG
+    # stops at the first iterate at or below the level, not later
+    assert report.residuals[0] == 1.0
+    absolute = np.array(report.residuals) * report.norm0
+    assert absolute[-1] <= stop < absolute[-2]
+    assert report.residuals == full.residuals[:report.iterations + 1]
+    # the reference is below the first residual: a stop relative to
+    # that residual comes earlier
+    _, relative = pcg(lambda v: A @ v, lambda v: v, b, rel_tol=rel_tol)
+    assert relative.iterations < report.iterations
+    assert np.linalg.norm(b - A @ x) <= stop * (1 + 1e-12)
+
+
+def test_pcg_start_below_reference_does_not_iterate(rng):
+    A = random_spd(rng)
+    b = rng.standard_normal(len(A))
+    norm0 = np.linalg.norm(b)
+    x, report = pcg(lambda v: A @ v, lambda v: v, b, rel_tol=1e-7,
+                    reference=1.01 * norm0 / 1e-7)
+    assert report.converged and report.iterations == 0
+    assert report.residuals == [1.0]
+    assert report.norm0 == pytest.approx(norm0, rel=1e-14)
+    assert np.all(x == 0)
+    # just above the level, CG iterates
+    _, report = pcg(lambda v: A @ v, lambda v: v, b, rel_tol=1e-7,
+                    reference=0.99 * norm0 / 1e-7)
+    assert report.converged and report.iterations == 1
+
+
 def test_pcg_perfect_preconditioner_one_iteration(rng):
     n = 30
     M = rng.standard_normal((n, n))

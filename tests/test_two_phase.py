@@ -6,14 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy import optimize, sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve
 
 import msflow.two_phase as tp
 from msflow import mesh, mixed_fem, preconditioner as pc
-from msflow.bench_cli import bench_field
+from msflow.bench_cli import BENCH_BOXES_2D, FieldSpec, bench_field, synth_field
 from msflow.coarse_space import build_rt0_space, build_space
 
-from conftest import random_log_field, uniform_field
+from conftest import bordered_saddle_matrix, random_log_field, uniform_field
 from test_preconditioner import count_box_builds
 
 
@@ -771,6 +771,52 @@ def test_warm_pressure_steps_keep_the_divergence(monkeypatch):
     assert len(tp.impes_run(config).reports) == 30
     assert len(errors) == 30 and max(errors) <= 1e-14
     assert preprocessed == [0]
+
+
+def impes_case(name):
+    if name == "impes-2d":
+        # the bench case at seed 424247: the total mobility moves the
+        # energy enough over its 160 steps that a level not scaled by
+        # sqrt(energy) leaves its last step 5x a cold start's error
+        grid = mesh.build_grid((40, 40), (4, 4))
+        kappa = synth_field(424247, grid.fine, FieldSpec(
+            exponent=2.0, boxes=BENCH_BOXES_2D, n_random=3, random_size=0.05))
+        return tp.IMPESConfig(grid=grid, kappa=kappa, dt=1.5e-3,
+                              n_steps=160, pressure_interval=40)
+    grid = mesh.build_grid((12, 12), (3, 3))
+    return tp.IMPESConfig(grid=grid, kappa=bench_field((12, 12), 2.0),
+                          dt=2e-3, n_steps=20, pressure_interval=1,
+                          rebuild_basis=name == "rebuilt")
+
+
+@pytest.mark.parametrize("case", ["frozen", "rebuilt", "impes-2d"])
+def test_warm_pressure_steps_stop_at_the_cold_accuracy(monkeypatch, case):
+    # a warm step stops at the relative energy accuracy the t=0 solve
+    # met: it takes no more iterations than a cold start on its
+    # operators, and leaves an error of the cold start's size
+    config = impes_case(case)
+    grid, steps, solve = config.grid, [], tp.solve
+
+    def recorded_solve(grid_, ops, basis, f, settings, **kwargs):
+        result = solve(grid_, ops, basis, f, settings, **kwargs)
+        steps.append((ops, basis, f, settings, result))
+        return result
+
+    monkeypatch.setattr(tp, "solve", recorded_solve)
+    tp.impes_run(config)
+    assert len(steps) == config.n_steps // config.pressure_interval
+    assert steps[0][-1].report.level > 0
+    for ops, basis, f, settings, warm in steps[1:]:
+        cold = pc.solve(grid, ops, basis, f, settings)
+        assert warm.report.iterations <= cold.report.iterations
+        nv = grid.n_velocity
+        v_ref = spsolve(bordered_saddle_matrix(ops.A, ops.B),
+                        np.concatenate([np.zeros(nv), f, [0.0]]))[:nv]
+
+        def a_norm(v):
+            return np.sqrt((v - v_ref) @ (ops.A @ (v - v_ref)))
+
+        assert a_norm(warm.velocity) <= 3.0 * a_norm(cold.velocity)
 
 
 def test_first_pressure_step_shares_the_basis_operators(monkeypatch, rng):
